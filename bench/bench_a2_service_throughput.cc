@@ -34,10 +34,10 @@ std::vector<QueryRequest> MakeRequests() {
   for (int q = 0; q < kDistinctQueries; ++q) {
     const std::string start = "n" + std::to_string(q);
     requests.push_back(QueryRequest{
-        "tc(X, Y) :- e(X, Y).\n"
-        "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-        "?- tc(" + start + ", Y).\n",
-        "q" + start});
+        .source = "tc(X, Y) :- e(X, Y).\n"
+                  "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                  "?- tc(" + start + ", Y).\n",
+        .name = "q" + start});
   }
   return requests;
 }

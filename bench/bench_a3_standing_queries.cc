@@ -79,10 +79,10 @@ std::vector<QueryRequest> MakeRequests() {
   for (int q = 0; q < kStandingQueries; ++q) {
     const std::string start = NodeName(q, 0);
     requests.push_back(QueryRequest{
-        "tc(X, Y) :- e(X, Y).\n"
-        "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-        "?- tc(" + start + ", Y).\n",
-        "q" + start});
+        .source = "tc(X, Y) :- e(X, Y).\n"
+                  "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                  "?- tc(" + start + ", Y).\n",
+        .name = "q" + start});
   }
   return requests;
 }

@@ -69,9 +69,6 @@ void RunMonadic(benchmark::State& state, Representation representation) {
                best);
 }
 
-void BM_Monadic(benchmark::State& state) {
-  RunMonadic(state, Representation::kAuto);
-}
 void BM_Monadic_Tuple(benchmark::State& state) {
   RunMonadic(state, Representation::kTuple);
 }
@@ -80,8 +77,6 @@ void BM_Monadic_Bitset(benchmark::State& state) {
 }
 
 BENCHMARK(BM_BinaryChain)->Arg(200)->Arg(800)->Arg(3200)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Monadic)->Arg(200)->Arg(800)->Arg(3200)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Monadic_Tuple)->Arg(200)->Arg(800)->Arg(3200)
     ->Unit(benchmark::kMillisecond);

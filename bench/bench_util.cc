@@ -10,7 +10,10 @@
 #include <map>
 #include <mutex>
 
-#include "core/engine.h"
+#include "ast/printer.h"
+#include "core/compiled_program.h"
+#include "core/session.h"
+#include "obs/telemetry.h"
 #include "recovery/atomic_file.h"
 
 namespace exdl::bench {
@@ -44,7 +47,7 @@ std::mutex g_records_mutex;
 /// then ReportResult on the same thread, so last-wins pairing is exact).
 std::string g_last_telemetry;
 
-/// EXDL_BENCH_METRICS=1 turns on the engine telemetry sink inside
+/// EXDL_BENCH_METRICS=1 turns on a telemetry sink inside
 /// EvalOrDie and folds the per-rule/per-phase telemetry document into each
 /// bench's JSON row. Off by default: benches measure the untraced path.
 bool MetricsEnabled() {
@@ -133,42 +136,43 @@ BenchRecord& RecordFor(const std::string& name) {
 }  // namespace
 
 Setup ParseOrDie(const std::string& source) {
-  Engine engine;
-  Status loaded = engine.LoadSource(source);
-  if (!loaded.ok()) {
-    std::cerr << "bench parse error: " << loaded.ToString() << "\n";
+  Result<CompiledProgram::Ptr> compiled =
+      CompiledProgram::Compile(source, CompileOptions());
+  if (!compiled.ok()) {
+    std::cerr << "bench parse error: " << compiled.status().ToString()
+              << "\n";
     std::abort();
   }
-  return Setup{engine.ctx(), engine.program().Clone(), engine.edb().Clone()};
+  const CompiledProgram& unit = **compiled;
+  return Setup{unit.context(), unit.program().Clone(), unit.facts().Clone()};
 }
 
 Program OptimizeOrDie(const Program& program,
                       const OptimizerOptions& options) {
-  EngineOptions engine_options;
-  engine_options.optimizer = options;
-  Engine engine(std::move(engine_options));
-  (void)engine.LoadProgram(program.Clone(), Database());
-  Status optimized = engine.Optimize();
+  Result<OptimizedProgram> optimized = OptimizeExistential(program, options);
   if (!optimized.ok()) {
-    std::cerr << "bench optimize error: " << optimized.ToString() << "\n";
+    std::cerr << "bench optimize error: " << optimized.status().ToString()
+              << "\n";
     std::abort();
   }
-  return engine.program().Clone();
+  return std::move(optimized->program);
 }
 
 EvalResult EvalOrDie(const Program& program, const Database& edb,
                      const EvalOptions& options) {
-  EngineOptions engine_options;
-  engine_options.eval = options;
+  EvalOptions eval = options;
   // Budget overrides from the environment, so long-running experiment
-  // sweeps can be bounded without recompiling (EXDL_BUDGET_* or the legacy
-  // EXDL_BENCH_* names; explicit options win — see EvalBudget::FromEnv).
-  // A tripped budget is recorded in the JSON row (`budget_tripped`), not
-  // fatal — the partial-result stats are still a valid data point.
-  engine_options.eval.budget = EvalBudget::FromEnv(options.budget);
-  engine_options.collect_telemetry = MetricsEnabled();
-  Engine engine(std::move(engine_options));
-  Result<EvalResult> result = engine.Evaluate(program, edb);
+  // sweeps can be bounded without recompiling (EXDL_BUDGET_*; explicit
+  // options win — see EvalBudget::FromEnv). A tripped budget is recorded
+  // in the JSON row (`budget_tripped`), not fatal — the partial-result
+  // stats are still a valid data point.
+  eval.budget = EvalBudget::FromEnv(options.budget);
+  std::unique_ptr<obs::Telemetry> telemetry;
+  if (MetricsEnabled()) {
+    telemetry = std::make_unique<obs::Telemetry>();
+    eval.telemetry = telemetry.get();
+  }
+  Result<EvalResult> result = Evaluate(program, edb, eval);
   if (!result.ok()) {
     std::cerr << "bench eval error: " << result.status().ToString() << "\n";
     std::abort();
@@ -177,8 +181,16 @@ EvalResult EvalOrDie(const Program& program, const Database& edb,
     std::cerr << "bench budget tripped: " << result->termination.ToString()
               << "\n";
   }
-  if (engine.telemetry() != nullptr) {
-    std::string doc = engine.TelemetryJson("bench", "");
+  if (telemetry != nullptr) {
+    RunSummary run;
+    run.Record(*result);
+    std::vector<std::string> rule_texts;
+    for (const Rule& rule : program.rules()) {
+      rule_texts.push_back(ToString(*program.context(), rule));
+    }
+    std::string doc =
+        RenderTelemetryDoc("bench", "", run, rule_texts, false,
+                           OptimizationReport(), Status::Ok(), telemetry.get());
     while (!doc.empty() && doc.back() == '\n') doc.pop_back();
     std::lock_guard<std::mutex> lock(g_records_mutex);
     g_last_telemetry = std::move(doc);

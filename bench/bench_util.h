@@ -7,12 +7,15 @@
 // counters, and — via ReportResult — peak relation sizes and answer
 // counts), so successive PRs have a perf trajectory to diff against.
 //
-// The helpers route through exdl::Engine. EvalOrDie fills unset budget
-// limits from the environment (EXDL_BUDGET_* / legacy EXDL_BENCH_* — see
-// EvalBudget::FromEnv), and with EXDL_BENCH_METRICS=1 it turns on the
-// engine telemetry sink and folds the full telemetry document (per-rule
-// rows, metrics, spans) into the bench's JSON row under "telemetry".
-// Telemetry is off by default so benches measure the untraced path.
+// The helpers call the layer functions directly: ParseOrDie compiles
+// through CompiledProgram, OptimizeOrDie calls OptimizeExistential, and
+// EvalOrDie calls the free Evaluate on the caller's program and EDB, so a
+// timed loop pays for no program clone or fingerprint. EvalOrDie fills
+// unset budget limits from the environment (EXDL_BUDGET_* — see
+// EvalBudget::FromEnv), and with EXDL_BENCH_METRICS=1 it turns on a
+// telemetry sink and folds the full telemetry document (per-rule rows,
+// metrics, spans) into the bench's JSON row under "telemetry". Telemetry
+// is off by default so benches measure the untraced path.
 
 #ifndef EXDL_BENCH_BENCH_UTIL_H_
 #define EXDL_BENCH_BENCH_UTIL_H_
@@ -78,7 +81,7 @@ void ReportThroughput(benchmark::State& state, const std::string& name,
 /// Attaches a telemetry JSON document to `name`'s row directly, for
 /// service-level benches where the document comes from
 /// QueryService::MetricsJson (with its "service"/"ivm" objects) rather
-/// than EvalOrDie's engine sink. Overwrites whatever EvalOrDie captured.
+/// than EvalOrDie's sink. Overwrites whatever EvalOrDie captured.
 void AttachTelemetry(const std::string& name, std::string json);
 
 }  // namespace exdl::bench

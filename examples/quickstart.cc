@@ -1,6 +1,6 @@
-// Quickstart: load a Datalog program with an existential query into an
-// exdl::Engine, run the paper's optimization pipeline, and evaluate both
-// the original and the optimized version.
+// Quickstart: compile a Datalog program with an existential query, run the
+// paper's optimization pipeline, and evaluate both the original and the
+// optimized version through a Session.
 //
 //   $ ./quickstart
 //
@@ -12,7 +12,8 @@
 #include <iostream>
 
 #include "ast/printer.h"
-#include "core/engine.h"
+#include "core/compiled_program.h"
+#include "core/session.h"
 #include "core/workload.h"
 
 int main() {
@@ -26,48 +27,53 @@ int main() {
     ?- query(X).
   )";
 
-  // One Engine is one session: context + program + EDB + options.
-  Engine engine;
-  if (Status loaded = engine.LoadSource(source); !loaded.ok()) {
-    std::cerr << "parse error: " << loaded.ToString() << "\n";
+  // A CompiledProgram is the immutable parse (-> optimize) artifact.
+  Result<CompiledProgram::Ptr> original =
+      CompiledProgram::Compile(source, CompileOptions());
+  if (!original.ok()) {
+    std::cerr << "parse error: " << original.status().ToString() << "\n";
     return 1;
   }
-
-  std::cout << "== original program ==\n" << ToString(engine.program());
-  Program original = engine.program().Clone();
+  const ContextPtr& ctx = (*original)->context();
+  std::cout << "== original program ==\n" << ToString((*original)->program());
 
   // A little graph to run on: a ten-node chain.
-  PredId p = engine.ctx()->InternPredicate("p", 2);
+  Database edb = (*original)->facts().Clone();
+  PredId p = ctx->InternPredicate("p", 2);
   GraphSpec spec;
   spec.kind = GraphSpec::Kind::kChain;
   spec.nodes = 10;
-  MakeGraph(engine.ctx().get(), &engine.mutable_edb(), p, spec);
+  MakeGraph(ctx.get(), &edb, p, spec);
 
-  if (Status optimized = engine.Optimize(); !optimized.ok()) {
-    std::cerr << "optimize error: " << optimized.ToString() << "\n";
+  Result<CompiledProgram::Ptr> optimized =
+      CompiledProgram::Optimize(**original, OptimizerOptions());
+  if (!optimized.ok()) {
+    std::cerr << "optimize error: " << optimized.status().ToString() << "\n";
     return 1;
   }
-  std::cout << "\n== optimized program ==\n" << ToString(engine.program())
+  std::cout << "\n== optimized program ==\n"
+            << ToString((*optimized)->program())
             << "\n== optimization report ==\n"
-            << engine.report().ToString();
+            << (*optimized)->report().ToString();
 
-  // Evaluate the optimized session program, then the saved original
-  // through the same engine (session-less, same options).
-  for (bool use_session : {false, true}) {
-    Result<EvalResult> result =
-        use_session ? engine.Run() : engine.Evaluate(original, engine.edb());
+  // One Session per evaluation; both artifacts share the Context.
+  for (const CompiledProgram::Ptr& compiled : {*original, *optimized}) {
+    Session session;
+    session.Bind(compiled);
+    Result<EvalResult> result = session.Run(edb);
     if (!result.ok()) {
       std::cerr << "eval error: " << result.status().ToString() << "\n";
       return 1;
     }
-    std::cout << "\nanswers (" << (use_session ? "optimized" : "original")
-              << "): " << result->answers.size()
-              << "   [" << result->stats.ToString() << "]\n";
+    std::cout << "\nanswers ("
+              << (compiled->optimized() ? "optimized" : "original")
+              << "): " << result->answers.size() << "   ["
+              << result->stats.ToString() << "]\n";
     for (const auto& row : result->answers) {
       std::cout << "  query(";
       for (size_t i = 0; i < row.size(); ++i) {
         if (i > 0) std::cout << ", ";
-        std::cout << engine.ctx()->SymbolName(row[i]);
+        std::cout << ctx->SymbolName(row[i]);
       }
       std::cout << ")\n";
     }

@@ -58,7 +58,7 @@ struct CompileOptions {
   /// of the cache key, so a service configured per-representation never
   /// hands a cached artifact to a session expecting the other mode's
   /// telemetry.
-  Representation representation = Representation::kAuto;
+  Representation representation = Representation::kBitset;
 };
 
 class CompiledProgram {

@@ -26,18 +26,21 @@
 
 namespace exdl {
 
+// Members without another default carry `{}` so a designated initializer
+// that skips them (`QueryRequest{.source = s, .name = n}`) stays clean
+// under -Wmissing-field-initializers, which CI turns into an error.
 struct QueryRequest {
   /// Full query source: rules, query, and (optional) ground facts, which
   /// are evaluated on top of the service's current EDB snapshot.
   std::string source;
   /// Provenance label (file name) echoed into the response and telemetry.
-  std::string name;
+  std::string name{};
   /// Per-request budget override. When set it replaces the service-template
   /// budget for this query (the daemon's admission control resolves the
   /// client ask against the tenant policy and passes the clamped result
   /// here). EXDL_BUDGET_* environment variables still fill limits the
   /// override leaves at zero.
-  std::optional<EvalBudget> budget;
+  std::optional<EvalBudget> budget{};
   /// Optional per-request cancellation, merged into the session budget.
   /// Borrowed: must stay alive until the ticket's response is produced
   /// (the daemon cancels abandoned queries through this on client
@@ -47,17 +50,17 @@ struct QueryRequest {
   /// set it replaces the service template's mode for this query — and
   /// feeds the program-cache key, so a kTuple request never receives an
   /// artifact compiled for kBitset telemetry.
-  std::optional<Representation> representation;
+  std::optional<Representation> representation{};
   /// Admission-control identity the request was admitted under; "" means
   /// the default quota. The daemon stamps this from the connection's
   /// HELLO — the service records it for observability only and applies no
   /// policy of its own.
-  std::string tenant;
+  std::string tenant{};
   /// Round-boundary checkpointing for this evaluation (DESIGN.md §11):
   /// when non-empty, the session checkpoints into this directory every
   /// `checkpoint_every_rounds` rounds. Flat fields rather than a
   /// CheckpointOptions so the wire and CLI layers need no session.h.
-  std::string checkpoint_directory;
+  std::string checkpoint_directory{};
   uint32_t checkpoint_every_rounds = 1;
   /// Register the query as a standing query (DESIGN.md §16): after this
   /// evaluation completes it is installed as a materialized view that

@@ -32,14 +32,26 @@ std::string RuleMetricKey(std::string_view name, size_t rule_index) {
 
 }  // namespace
 
-Status Session::ArmResume(recovery::Snapshot snap, const Program& program,
-                          uint64_t fingerprint, std::string_view origin) {
+void RunSummary::Record(const EvalResult& result) {
+  has_run = true;
+  stats = result.stats;
+  answers = result.answers.size();
+  termination = result.termination;
+  representation = result.representation;
+}
+
+Status Session::ArmResume(recovery::Snapshot snap, std::string_view origin) {
+  if (compiled_ == nullptr) {
+    return Status::FailedPrecondition("session has no bound program");
+  }
   if (options_.eval.record_provenance) {
     return Status::FailedPrecondition(
         "cannot resume with record_provenance: derivations of completed "
         "rounds are not checkpointed");
   }
-  if (snap.program_fingerprint != fingerprint) {
+  const Program& program = compiled_->program();
+  if (snap.program_fingerprint !=
+      CompiledProgram::Fingerprint(program, options_.eval)) {
     return Status::FailedPrecondition(
         "checkpoint was written by a different program or evaluation "
         "options: " + std::string(origin));
@@ -78,40 +90,14 @@ Status Session::ArmResume(recovery::Snapshot snap, const Program& program,
   return Status::Ok();
 }
 
-Result<EvalResult> Session::Run(const Program& program, const Database& edb) {
-  if (!resume_.has_value()) return EvaluateInternal(program, edb, nullptr);
-  Result<EvalResult> result =
-      EvaluateInternal(program, resume_->db, &resume_->cursor);
-  resume_.reset();
-  return result;
-}
-
 Result<EvalResult> Session::Run(const Database& edb) {
   if (compiled_ == nullptr) {
     return Status::FailedPrecondition("session has no bound program");
   }
-  return Run(compiled_->program(), edb);
-}
-
-Result<EvalResult> Session::Evaluate(const Program& program,
-                                     const Database& edb) {
-  return EvaluateInternal(program, edb, nullptr);
-}
-
-Result<EvalResult> Session::EvaluateInternal(const Program& program,
-                                             const Database& edb,
-                                             const EvalCursor* resume) {
+  const Program& program = compiled_->program();
   EvalOptions eval = options_.eval;
   if (eval.telemetry == nullptr) eval.telemetry = options_.telemetry;
-  if (eval.telemetry != nullptr) {
-    summary_.rule_texts.clear();
-    for (const Rule& rule : program.rules()) {
-      summary_.rule_texts.push_back(ToString(*program.context(), rule));
-    }
-  }
   if (!options_.checkpoint.directory.empty()) {
-    // Rebuilt per evaluation: the fingerprint depends on the evaluated
-    // program, which may have changed since the last Run().
     checkpointer_ = std::make_unique<recovery::Checkpointer>(
         options_.checkpoint.directory,
         CompiledProgram::Fingerprint(program, eval));
@@ -119,16 +105,30 @@ Result<EvalResult> Session::EvaluateInternal(const Program& program,
     eval.checkpoint_every_rounds =
         std::max(1u, options_.checkpoint.every_rounds);
   }
-  eval.resume = resume;
-  Result<EvalResult> result = ::exdl::Evaluate(program, edb, eval);
-  if (result.ok()) {
-    summary_.has_run = true;
-    summary_.stats = result->stats;
-    summary_.answers = result->answers.size();
-    summary_.termination = result->termination;
-    summary_.representation = result->representation;
-  }
+  std::optional<recovery::Snapshot> resume = std::move(resume_);
+  resume_.reset();
+  if (resume.has_value()) eval.resume = &resume->cursor;
+  Result<EvalResult> result = ::exdl::Evaluate(
+      program, resume.has_value() ? resume->db : edb, eval);
+  if (result.ok()) summary_.Record(*result);
   return result;
+}
+
+std::string Session::TelemetryJson(std::string_view command,
+                                   std::string_view source) const {
+  if (compiled_ == nullptr) {
+    return RenderTelemetryDoc(command, source, summary_, {}, false,
+                              OptimizationReport(), Status::Ok(),
+                              options_.telemetry);
+  }
+  std::vector<std::string> rule_texts;
+  for (const Rule& rule : compiled_->program().rules()) {
+    rule_texts.push_back(ToString(*compiled_->context(), rule));
+  }
+  return RenderTelemetryDoc(command, source, summary_, rule_texts,
+                            compiled_->optimized(), compiled_->report(),
+                            compiled_->optimize_termination(),
+                            options_.telemetry);
 }
 
 std::string RenderTelemetryDoc(

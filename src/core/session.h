@@ -4,14 +4,12 @@
 // mutates: the run summary, the armed resume snapshot, the checkpoint
 // writer, and a private copy of the evaluation options. Many sessions
 // evaluate the same CompiledProgram concurrently without sharing any of
-// this — the query service creates one Session per in-flight query;
-// Engine (the compatibility facade) keeps exactly one.
+// this — the query service creates one Session per in-flight query.
 //
-// A session evaluates in one of two modes:
-//   * borrowed — Run(program, edb): caller keeps ownership of both. The
-//     facade and the benches use this to avoid per-iteration clones.
-//   * bound — Bind(compiled) then Run(edb): the session holds a
-//     shared_ptr that keeps the artifact (and its Context) alive.
+// Bind(compiled) then Run(edb): the session holds a shared_ptr that keeps
+// the artifact (and its Context) alive. Run is the evaluation entry point
+// that adds checkpoint, resume and the run summary on top of the free
+// Evaluate (eval/evaluator.h).
 
 #ifndef EXDL_CORE_SESSION_H_
 #define EXDL_CORE_SESSION_H_
@@ -58,10 +56,9 @@ struct RunSummary {
   /// same program. Rendered as the telemetry document's top-level
   /// "storage" object.
   RepresentationStats representation;
-  /// Rule texts captured at evaluation time (telemetry-enabled runs only),
-  /// so per-rule export rows label themselves even for borrowed-mode
-  /// evaluation of a program the caller has since dropped.
-  std::vector<std::string> rule_texts;
+
+  /// Records `result` as the last successful evaluation.
+  void Record(const EvalResult& result);
 };
 
 struct SessionOptions {
@@ -82,41 +79,35 @@ class Session {
   /// Binds the session to a shared compiled artifact; the Ptr keeps it
   /// (and its Context) alive for the session's lifetime.
   void Bind(CompiledProgram::Ptr compiled) { compiled_ = std::move(compiled); }
-  const CompiledProgram::Ptr& compiled() const { return compiled_; }
 
-  SessionOptions& options() { return options_; }
   const SessionOptions& options() const { return options_; }
 
-  /// Validates `snap` against the session's program — `fingerprint` must
-  /// be CompiledProgram::Fingerprint of (program, this session's eval
-  /// semantics) — and arms the next Run() to continue from it.
-  /// kFailedPrecondition on a fingerprint mismatch, kCorruptCheckpoint
-  /// when the snapshot's interning tables disagree with the program's
-  /// context. `origin` names the snapshot in error messages.
-  Status ArmResume(recovery::Snapshot snap, const Program& program,
-                   uint64_t fingerprint, std::string_view origin);
-  bool resume_armed() const { return resume_.has_value(); }
+  /// Validates `snap` against the bound program and this session's eval
+  /// semantics — the same CompiledProgram::Fingerprint the checkpoint
+  /// writer stamps — and arms the next Run() to continue from it.
+  /// kFailedPrecondition when no program is bound or on a fingerprint
+  /// mismatch, kCorruptCheckpoint when the snapshot's interning tables
+  /// disagree with the program's context. `origin` names the snapshot in
+  /// error messages.
+  Status ArmResume(recovery::Snapshot snap, std::string_view origin);
 
-  /// Evaluates `program` over `edb`, or — when a resume is armed — over
-  /// the snapshot's database from its cursor. The resume is consumed
+  /// Evaluates the bound program over `edb`, or — when a resume is armed —
+  /// over the snapshot's database from its cursor. The resume is consumed
   /// either way: a failed resumed run must not silently turn a later
   /// Run() into another resume attempt.
-  Result<EvalResult> Run(const Program& program, const Database& edb);
-
-  /// Bound-mode Run: evaluates the bound compiled program over `edb`.
   Result<EvalResult> Run(const Database& edb);
 
-  /// Plain evaluation that ignores (and preserves) an armed resume.
-  Result<EvalResult> Evaluate(const Program& program, const Database& edb);
-
-  /// Summary of the last successful Run()/Evaluate().
+  /// Summary of the last successful Run().
   const RunSummary& summary() const { return summary_; }
 
- private:
-  Result<EvalResult> EvaluateInternal(const Program& program,
-                                      const Database& edb,
-                                      const EvalCursor* resume);
+  /// Renders the telemetry document of DESIGN.md §10 for this session: the
+  /// run summary, the bound program's optimizer report and per-rule rows,
+  /// and the session's sink. Valid before any Run() (a compile-only
+  /// document) and with telemetry off (empty metrics and spans).
+  std::string TelemetryJson(std::string_view command,
+                            std::string_view source) const;
 
+ private:
   SessionOptions options_;
   CompiledProgram::Ptr compiled_;
   std::unique_ptr<recovery::Checkpointer> checkpointer_;
@@ -127,7 +118,7 @@ class Session {
 
 /// Renders the stable machine-readable telemetry document of DESIGN.md
 /// §10 from its parts: the run summary, per-rule texts, the optimizer
-/// report, and the (nullable) telemetry sink. Engine::TelemetryJson and
+/// report, and the (nullable) telemetry sink. Session::TelemetryJson and
 /// QueryService::MetricsJson are both thin wrappers over this — one
 /// renderer, one schema. When `extra` is set it is invoked right before
 /// the document closes to append producer-specific keys (the service's

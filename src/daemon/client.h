@@ -126,7 +126,7 @@ struct BatchResult {
 
 /// Runs `queries` against `endpoint` with full retry semantics (header
 /// comment). On success every query has a ResultMsg whose rendered
-/// answers are byte-identical to an in-process Engine run of the same
+/// answers are byte-identical to an in-process Session run of the same
 /// sequence. Fails with kUnavailable once retries are exhausted (or
 /// immediately when the very first connect is refused).
 Result<BatchResult> RunBatch(const Endpoint& endpoint,

@@ -119,7 +119,7 @@ struct SubmitMsg {
   uint64_t max_tuples = 0;
   uint64_t max_bytes = 0;
   /// Requested physical representation (protocol >= 2): 0 = server
-  /// default, else 1 + Representation. Encoded only on v2 connections;
+  /// default, else RepresentationToWire. Encoded only on v2 connections;
   /// the decoder tolerates its absence, so v1 SUBMIT frames still parse.
   uint8_t representation = 0;
 };
@@ -267,14 +267,16 @@ Status Decode(std::string_view body, ErrorMsg* out);
 Status StatusFromWire(uint32_t code, std::string message);
 
 /// SubmitMsg::representation codec: 0 means "server default", any other
-/// value is 1 + the Representation enumerator. FromWire rejects values
-/// this build does not know (nullopt), so a newer client cannot smuggle
-/// an out-of-range enum into the evaluator.
+/// value is 1 + the Representation enumerator (2 = tuple, 3 = bitset; 1 is
+/// retired). FromWire rejects values this build does not know (nullopt),
+/// so a newer client cannot smuggle an out-of-range enum into the
+/// evaluator.
 inline uint8_t RepresentationToWire(Representation r) {
   return static_cast<uint8_t>(static_cast<uint8_t>(r) + 1);
 }
 inline std::optional<Representation> RepresentationFromWire(uint8_t wire) {
-  if (wire == 0 || wire > 1 + static_cast<uint8_t>(Representation::kBitset)) {
+  if (wire < RepresentationToWire(Representation::kTuple) ||
+      wire > RepresentationToWire(Representation::kBitset)) {
     return std::nullopt;
   }
   return static_cast<Representation>(wire - 1);

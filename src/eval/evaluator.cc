@@ -55,39 +55,20 @@ EvalBudget EvalBudget::FromFlags(uint64_t deadline_ms, uint64_t max_tuples,
   return b;
 }
 
-EvalBudget EvalBudget::FromEnv() { return FromEnv(EvalBudget()); }
-
 EvalBudget EvalBudget::FromEnv(EvalBudget base) {
-  // Every budget consumer (exdlc, bench_util, the query service) funnels
-  // through this one call site, so the legacy-name deprecation fires at
-  // most once per process regardless of how many budgets are resolved.
-  static std::atomic<bool> warned_legacy{false};
-  auto env_u64 = [&](const char* primary, const char* legacy) -> uint64_t {
-    const char* v = std::getenv(primary);
-    if (v == nullptr || *v == '\0') {
-      v = std::getenv(legacy);
-      if (v != nullptr && *v != '\0' &&
-          !warned_legacy.exchange(true, std::memory_order_relaxed)) {
-        std::fprintf(stderr,
-                     "warning: %s is deprecated; use the EXDL_BUDGET_* "
-                     "names (see evaluator.h precedence table)\n",
-                     legacy);
-      }
-    }
+  auto env_u64 = [](const char* name) -> uint64_t {
+    const char* v = std::getenv(name);
     if (v == nullptr || *v == '\0') return 0;
     return std::strtoull(v, nullptr, 10);
   };
   if (base.deadline_ms == 0) {
-    base.deadline_ms =
-        env_u64("EXDL_BUDGET_DEADLINE_MS", "EXDL_BENCH_DEADLINE_MS");
+    base.deadline_ms = env_u64("EXDL_BUDGET_DEADLINE_MS");
   }
   if (base.max_tuples == 0) {
-    base.max_tuples =
-        env_u64("EXDL_BUDGET_MAX_TUPLES", "EXDL_BENCH_MAX_TUPLES");
+    base.max_tuples = env_u64("EXDL_BUDGET_MAX_TUPLES");
   }
   if (base.max_arena_bytes == 0) {
-    base.max_arena_bytes =
-        env_u64("EXDL_BUDGET_MAX_ARENA_BYTES", "EXDL_BENCH_MAX_BYTES");
+    base.max_arena_bytes = env_u64("EXDL_BUDGET_MAX_ARENA_BYTES");
   }
   return base;
 }
@@ -261,7 +242,9 @@ class Engine {
     use_bitset_ = UseBitsetKernels(options_.representation) &&
                   !options_.record_provenance;
     rep_stats_.mode = options_.representation;
-    pool_min_delta_rows_ = ResolvePoolMinDeltaRows();
+    pool_min_delta_rows_ = options_.pool_min_delta_rows != 0
+                               ? options_.pool_min_delta_rows
+                               : kDefaultPoolMinDeltaRows;
     EXDL_RETURN_IF_ERROR(Compile());
     SetupObs();
     SpanGuard eval_span(obs_.t, "eval");
@@ -621,8 +604,11 @@ class Engine {
   static constexpr size_t kNoDelta = static_cast<size_t>(-1);
   /// Minimum outer rows per worker before a variant is worth splitting.
   static constexpr uint32_t kMinRowsPerWorker = 64;
-  /// Default EvalOptions::pool_min_delta_rows when neither the option nor
-  /// EXDL_POOL_MIN_DELTA_ROWS supplies one (see ResolvePoolMinDeltaRows).
+  /// EvalOptions::pool_min_delta_rows when the option is 0. Small
+  /// semi-naive rounds cost more to dispatch to the pool than to run
+  /// inline — 4096 delta rows is comfortably past the crossover on the E1
+  /// chain workloads (see EXPERIMENTS.md E1: T4 was slower than serial
+  /// before this gate).
   static constexpr uint32_t kDefaultPoolMinDeltaRows = 4096;
   /// Rows between cooperative deadline/cancellation checks inside a round
   /// (per descent state, so each pool worker checks independently).
@@ -918,34 +904,6 @@ class Engine {
       rules_.push_back(std::move(cr));
     }
     return Status::Ok();
-  }
-
-  /// Resolves the pool-skip threshold: an explicit option wins, then
-  /// EXDL_POOL_MIN_DELTA_ROWS, then the built-in default. Small semi-naive
-  /// rounds cost more to dispatch to the pool than to run inline — 4096
-  /// delta rows is comfortably past the crossover on the E1 chain
-  /// workloads (see EXPERIMENTS.md E1: T4 was slower than serial before
-  /// this gate).
-  uint32_t ResolvePoolMinDeltaRows() const {
-    if (options_.pool_min_delta_rows != 0) {
-      return options_.pool_min_delta_rows;
-    }
-    // Read (and parse) the environment once per process: getenv scans
-    // environ linearly and this sits in the timed evaluation window of
-    // every Run. Processes honor the variable at startup, like the other
-    // EXDL_* knobs.
-    static const uint32_t env_value = [] {
-      const char* v = std::getenv("EXDL_POOL_MIN_DELTA_ROWS");
-      if (v != nullptr && *v != '\0') {
-        const uint64_t parsed = std::strtoull(v, nullptr, 10);
-        if (parsed != 0) {
-          return static_cast<uint32_t>(
-              std::min<uint64_t>(parsed, UINT32_MAX));
-        }
-      }
-      return kDefaultPoolMinDeltaRows;
-    }();
-    return env_value;
   }
 
   /// How many workers a variant should use: 1 (serial) unless threading is
@@ -1684,9 +1642,9 @@ class Engine {
   /// (representation != tuple and no provenance)?
   bool use_bitset_ = false;
   RepresentationStats rep_stats_;
-  /// Resolved pool-skip threshold (ResolvePoolMinDeltaRows) and the
-  /// per-round "gate fired" flag FinishRound turns into the
-  /// eval.pool.skipped_rounds metric.
+  /// Resolved pool-skip threshold (kDefaultPoolMinDeltaRows when the
+  /// option is 0) and the per-round "gate fired" flag FinishRound turns
+  /// into the eval.pool.skipped_rounds metric.
   uint32_t pool_min_delta_rows_ = 0;
   bool pool_skipped_this_round_ = false;
   bool stop_after_first_ = false;

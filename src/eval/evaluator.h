@@ -88,13 +88,9 @@ struct EvalBudget {
   //   | 1. explicit flags (--deadline-ms, ...) | FromFlags                |
   //   | 2. programmatic fields already set     | the budget FromEnv gets  |
   //   | 3. EXDL_BUDGET_* environment           | FromEnv (zero fields)    |
-  //   | 4. legacy EXDL_BENCH_* environment     | FromEnv, deprecated      |
   //
   // So `EvalBudget::FromEnv(EvalBudget::FromFlags(...))` composes all
-  // sources. Callers should not read EXDL_* variables themselves. The
-  // first time a legacy EXDL_BENCH_* name actually fills a limit, FromEnv
-  // emits a one-time deprecation warning on stderr; the legacy names will
-  // be dropped once the experiment sweeps migrate.
+  // sources. Callers should not read EXDL_* variables themselves.
 
   /// Budget from explicit limits (0 = unlimited, as with the raw fields).
   static EvalBudget FromFlags(uint64_t deadline_ms, uint64_t max_tuples,
@@ -103,12 +99,8 @@ struct EvalBudget {
 
   /// Fills every still-zero limit of `base` from the environment:
   /// EXDL_BUDGET_DEADLINE_MS, EXDL_BUDGET_MAX_TUPLES,
-  /// EXDL_BUDGET_MAX_ARENA_BYTES (legacy aliases EXDL_BENCH_DEADLINE_MS,
-  /// EXDL_BENCH_MAX_TUPLES, EXDL_BENCH_MAX_BYTES are honored when the
-  /// primary name is unset, with a one-time deprecation warning).
-  /// Unparsable values read as 0 (unlimited).
+  /// EXDL_BUDGET_MAX_ARENA_BYTES. Unparsable values read as 0 (unlimited).
   static EvalBudget FromEnv(EvalBudget base);
-  static EvalBudget FromEnv();
 };
 
 /// Exact resume point of a fixpoint, captured at a round boundary (the
@@ -194,16 +186,15 @@ struct EvalOptions {
   /// evaluates serially.
   uint32_t num_threads = 1;
   /// Physical executor for bitset-eligible rules (DESIGN.md §14): kTuple
-  /// forces the generic descent everywhere, kBitset/kAuto run eligible
-  /// rules through the batched word-wise kernels. Answers and all
+  /// forces the generic descent everywhere, kBitset runs eligible rules
+  /// through the batched word-wise kernels. Answers and all
   /// pre-existing telemetry are byte-identical across representations;
   /// only the storage.representation.* counters differ.
-  Representation representation = Representation::kAuto;
+  Representation representation = Representation::kBitset;
   /// Semi-naive rounds whose delta is smaller than this row count stay on
   /// the calling thread even when num_threads > 1 — tiny rounds otherwise
   /// pay full pool-dispatch overhead and parallel chains run slower than
-  /// serial. 0 resolves EXDL_POOL_MIN_DELTA_ROWS from the environment,
-  /// falling back to a built-in default (4096). Set to 1 to dispatch every
+  /// serial. 0 means the built-in default (4096). Set to 1 to dispatch every
   /// parallel-eligible variant regardless of delta size (tests and fault
   /// sweeps that must reach the pool use this). The skip decision is
   /// representation-independent; eval.pool.skipped_rounds counts rounds
@@ -280,13 +271,13 @@ struct EvalStats {
 /// of the telemetry document.
 struct RepresentationStats {
   /// The representation this evaluation ran with.
-  Representation mode = Representation::kAuto;
+  Representation mode = Representation::kBitset;
   /// Arity-1 relations (all carry a word-packed bitset) in the final
   /// database.
   uint64_t bitset_relations = 0;
   /// 64-bit words read by the batched bitset kernels (0 under kTuple).
   uint64_t words_scanned = 0;
-  /// Rules that requested the bitset path (kBitset/kAuto) but ran the
+  /// Rules that requested the bitset path (kBitset) but ran the
   /// generic descent because their plan is not bitset-eligible (or
   /// provenance recording forced the generic path). Always 0 under
   /// kTuple.

@@ -3,7 +3,7 @@
 // Every surface that prints answers — `exdlc run`, the batch service mode,
 // and the exdld daemon shipping results over the wire — renders through
 // this one function, so the bytes a client receives from a socket are
-// identical to what an in-process Engine run would have printed for the
+// identical to what an in-process Session run would have printed for the
 // same submission sequence: one row per line, values joined by a single
 // tab, each symbol spelled by Context::SymbolName.
 

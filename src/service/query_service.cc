@@ -473,10 +473,7 @@ void QueryService::ProcessOne(Active& item) {
   item.summary = session.summary();
   item.shard.Add(queries_completed_id_, 1);
   if (options_.collect_telemetry) {
-    response.telemetry_json = RenderTelemetryDoc(
-        "service", response.name, session.summary(),
-        session.summary().rule_texts, compiled->optimized(), compiled->report(),
-        compiled->optimize_termination(), response.telemetry.get());
+    response.telemetry_json = session.TelemetryJson("service", response.name);
   }
   if (item.pending.request.standing && response.result.termination.ok()) {
     InstallStandingView(item, compiled, standing_eval, std::move(ledger));

@@ -99,8 +99,8 @@ struct QueryResponse {
   CompiledProgram::Ptr program;
   /// Per-query sink; null unless ServiceOptions::collect_telemetry.
   std::shared_ptr<obs::Telemetry> telemetry;
-  /// Rendered per-query telemetry document (same schema as
-  /// Engine::TelemetryJson); empty unless collect_telemetry.
+  /// Rendered per-query telemetry document (Session::TelemetryJson);
+  /// empty unless collect_telemetry.
   std::string telemetry_json;
   /// EDB snapshot generation the query read.
   uint64_t snapshot_generation = 0;
@@ -150,20 +150,6 @@ class QueryService {
   Ticket Submit(QueryRequest request);
   /// Enqueues a pipeline of queries in order; one ticket each.
   std::vector<Ticket> SubmitBatch(std::vector<QueryRequest> requests);
-
-  /// Deprecated: the pre-redesign parameter-list form, kept so existing
-  /// call sites compile; forwards to Submit(QueryRequest). New code
-  /// builds a QueryRequest (core/query_request.h) directly.
-  Ticket Submit(std::string source, std::string name,
-                std::optional<EvalBudget> budget,
-                CancellationToken* cancellation = nullptr) {
-    QueryRequest request;
-    request.source = std::move(source);
-    request.name = std::move(name);
-    request.budget = std::move(budget);
-    request.cancellation = cancellation;
-    return Submit(std::move(request));
-  }
 
   /// Registers a standing query (DESIGN.md §16): evaluates `request` once
   /// through the normal Submit path (same turnstile, cache, budget), then
@@ -241,7 +227,7 @@ class QueryService {
   const ServiceOptions& options() const { return options_; }
 
   /// Renders the merged service telemetry document: the same schema as
-  /// Engine::TelemetryJson (stats aggregated over every completed query,
+  /// Session::TelemetryJson (stats aggregated over every completed query,
   /// service-level metrics rows) plus a "service" object with worker,
   /// snapshot, queue, and cache counters. Validated by
   /// tools/check_metrics_schema.py. When `extra` is set it is invoked

@@ -3,42 +3,23 @@
 // Relation insertion order is stable, so after new facts are appended the
 // suffix [watermark, size) of each relation IS that generation's delta —
 // no tuples are copied, no per-tuple tags are kept. DeltaWatermarks
-// snapshots the per-predicate sizes at a boundary; RelationDelta is the
-// suffix view of one relation. The IVM subsystem (src/ivm) captures
-// watermarks before absorbing a fact load and feeds them to the
-// evaluator's resume cursor (EvalCursor::delta_lo), so the semi-naive
-// delta loop joins exactly these suffixes instead of re-running round 0.
+// snapshots the per-predicate sizes at a boundary. The IVM subsystem
+// (src/ivm) captures watermarks before absorbing a fact load and feeds
+// them to the evaluator's resume cursor (EvalCursor::delta_lo), so the
+// semi-naive delta loop joins exactly these suffixes instead of
+// re-running round 0.
 
 #ifndef EXDL_STORAGE_DELTA_VIEW_H_
 #define EXDL_STORAGE_DELTA_VIEW_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "storage/database.h"
-#include "storage/relation.h"
 
 namespace exdl {
-
-/// The suffix [lo, hi) of one relation: the rows appended since a
-/// watermark was captured. A cheap view — spans obey the same
-/// invalidation rules as Relation::View (the next mutation of the
-/// underlying Relation object invalidates them).
-struct RelationDelta {
-  const Relation* rel = nullptr;
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-
-  bool empty() const { return lo >= hi; }
-  size_t size() const { return lo < hi ? hi - lo : 0; }
-  /// The i-th delta row (row id lo + i).
-  std::span<const Value> Row(uint32_t i) const {
-    return rel->view().Scan(lo + i);
-  }
-};
 
 /// Per-predicate relation sizes captured at a generation boundary.
 /// Predicates absent at capture time read as watermark 0, so relations
@@ -86,16 +67,6 @@ class DeltaWatermarks {
       if (rel.size() > lo) rows += rel.size() - lo;
     }
     return rows;
-  }
-
-  /// The delta suffix of `pred` in `db` (empty view if nothing grew).
-  RelationDelta DeltaOf(const Database& db, PredId pred) const {
-    RelationDelta delta;
-    delta.rel = db.Find(pred);
-    if (delta.rel == nullptr) return delta;
-    delta.lo = WatermarkOf(pred);
-    delta.hi = static_cast<uint32_t>(delta.rel->size());
-    return delta;
   }
 
   /// Cursor entries for a semi-naive re-entry over `db`: one

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "ast/adornment.h"
-#include "core/engine.h"
+#include "core/compiled_program.h"
+#include "core/session.h"
 #include "equiv/freeze.h"
 #include "equiv/random_check.h"
 #include "eval/evaluator.h"
 #include "eval/plan.h"
+#include "obs/telemetry.h"
 #include "testing/test_util.h"
 
 namespace exdl {
@@ -124,48 +126,58 @@ TEST(ContextTest, FreshPredicateUniqueNames) {
   EXPECT_NE(ctx.PredicateDisplayName(a), ctx.PredicateDisplayName(b));
 }
 
-// The public facade: parse -> optimize -> run as one session object.
-TEST(EngineTest, LoadOptimizeRunSession) {
-  Engine engine;
-  EXPECT_FALSE(engine.loaded());
-  ASSERT_TRUE(engine
-                  .LoadSource(
-                      "tc(X, Y) :- e(X, Y).\n"
-                      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-                      "?- tc(n0, Y).\n"
-                      "e(n0, n1). e(n1, n2).\n")
-                  .ok());
-  EXPECT_TRUE(engine.loaded());
-  EXPECT_EQ(engine.program().rules().size(), 2u);
-  ASSERT_TRUE(engine.Optimize().ok());
-  EXPECT_TRUE(engine.optimize_termination().ok());
-  EXPECT_EQ(engine.report().original_rules, 2u);
-  Result<EvalResult> result = engine.Run();
+// The front door: compile (parse -> optimize) once, evaluate in a Session.
+TEST(FrontDoorTest, CompileOptimizeRunSession) {
+  CompileOptions options;
+  options.optimize = true;
+  Result<CompiledProgram::Ptr> compiled = CompiledProgram::Compile(
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "?- tc(n0, Y).\n"
+      "e(n0, n1). e(n1, n2).\n",
+      options);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_TRUE((*compiled)->optimized());
+  EXPECT_TRUE((*compiled)->optimize_termination().ok());
+  EXPECT_EQ((*compiled)->report().original_rules, 2u);
+  Session session;
+  session.Bind(*compiled);
+  Result<EvalResult> result = session.Run((*compiled)->facts());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->termination.ok());
   EXPECT_EQ(result->answers.size(), 2u);  // n1, n2
+  EXPECT_TRUE(session.summary().has_run);
 }
 
-TEST(EngineTest, RunBeforeLoadFailsCleanly) {
-  Engine engine;
-  EXPECT_FALSE(engine.Run().ok());
-  EXPECT_FALSE(engine.Optimize().ok());
-  EXPECT_FALSE(engine.LoadSource("p(X) :- ???").ok());
+TEST(FrontDoorTest, UnboundSessionAndBadSourceFailCleanly) {
+  Session session;
+  EXPECT_EQ(session.Run(Database()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.ArmResume(recovery::Snapshot(), "none").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(
+      CompiledProgram::Compile("p(X) :- ???", CompileOptions()).ok());
 }
 
-TEST(EngineTest, TelemetryJsonHasStableSchema) {
-  EngineOptions options;
-  options.collect_telemetry = true;
-  Engine engine(std::move(options));
-  ASSERT_TRUE(engine
-                  .LoadSource(
-                      "tc(X, Y) :- e(X, Y).\n"
-                      "?- tc(X, Y).\n"
-                      "e(n0, n1).\n")
-                  .ok());
-  ASSERT_TRUE(engine.Optimize().ok());
-  ASSERT_TRUE(engine.Run().ok());
-  std::string json = engine.TelemetryJson("run", "inline");
+TEST(FrontDoorTest, TelemetryJsonHasStableSchema) {
+  obs::Telemetry telemetry;
+  CompileOptions options;
+  options.optimize = true;
+  Result<CompiledProgram::Ptr> compiled = CompiledProgram::Compile(
+      "tc(X, Y) :- e(X, Y).\n"
+      "?- tc(X, Y).\n"
+      "e(n0, n1).\n",
+      options, &telemetry);
+  ASSERT_TRUE(compiled.ok());
+  SessionOptions session_options;
+  session_options.telemetry = &telemetry;
+  Session session(std::move(session_options));
+  session.Bind(*compiled);
+  // Before any run the document already lists the compiled rules.
+  EXPECT_NE(session.TelemetryJson("optimize", "").find("\"text\":\"tc"),
+            std::string::npos);
+  ASSERT_TRUE(session.Run((*compiled)->facts()).ok());
+  std::string json = session.TelemetryJson("run", "inline");
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"command\":\"run\""), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
@@ -174,13 +186,16 @@ TEST(EngineTest, TelemetryJsonHasStableSchema) {
   EXPECT_NE(json.find("\"termination\":\"ok\""), std::string::npos);
 }
 
-TEST(EngineTest, TelemetryOffByDefault) {
-  Engine engine;
-  EXPECT_EQ(engine.telemetry(), nullptr);
-  ASSERT_TRUE(engine.LoadSource("p(X) :- e(X).\n?- p(X).\ne(n0).\n").ok());
-  ASSERT_TRUE(engine.Run().ok());
+TEST(FrontDoorTest, TelemetryOffByDefault) {
+  Result<CompiledProgram::Ptr> compiled = CompiledProgram::Compile(
+      "p(X) :- e(X).\n?- p(X).\ne(n0).\n", CompileOptions());
+  ASSERT_TRUE(compiled.ok());
+  Session session;
+  EXPECT_EQ(session.options().telemetry, nullptr);
+  session.Bind(*compiled);
+  ASSERT_TRUE(session.Run((*compiled)->facts()).ok());
   // The document stays valid with empty metrics/spans arrays.
-  std::string json = engine.TelemetryJson("run", "");
+  std::string json = session.TelemetryJson("run", "");
   EXPECT_NE(json.find("\"metrics\":[]"), std::string::npos) << json;
   EXPECT_NE(json.find("\"spans\":[]"), std::string::npos) << json;
 }

@@ -289,6 +289,14 @@ TEST_F(CliObsTest, UnknownFlagIsUsageError) {
       << out;
 }
 
+TEST_F(CliObsTest, RepresentationAutoIsUsageError) {
+  int status = 0;
+  std::string out = RunCommand(
+      Exdlc() + " run " + program_path_ + " --representation auto", &status);
+  EXPECT_EQ(DecodeExitCode(status), 2) << out;
+  EXPECT_NE(out.find("must be tuple or bitset"), std::string::npos) << out;
+}
+
 class CliRecoveryTest : public CliBudgetTest {
  protected:
   /// Fresh checkpoint directory per test.
@@ -329,6 +337,39 @@ TEST_F(CliRecoveryTest, CrashAndResumeIsByteIdentical) {
       &status);
   EXPECT_EQ(DecodeExitCode(status), 0);
   EXPECT_EQ(resumed, ref);
+}
+
+// Resume under non-default semantics: the snapshot is stamped with the
+// naive/no-cut fingerprint, so the same flags resume it byte-identically
+// and dropping --naive is refused as a different computation.
+TEST_F(CliRecoveryTest, NaiveNoCutResumeRoundTrips) {
+  std::string chain = WriteChain(120);
+  std::string dir = MakeCheckpointDir();
+  const std::string run = Exdlc() + " run " + chain + " --optimize --no-cut";
+  const std::string naive = run + " --naive";
+  int status = 0;
+  std::string ref = RunCommand("( " + naive + " 2>/dev/null )", &status);
+  ASSERT_EQ(DecodeExitCode(status), 0);
+
+  std::string out = RunCommand(
+      "EXDL_FAULT_SPEC=storage.arena_grow:20:abort " + naive +
+          " --checkpoint-dir " + dir + " --checkpoint-every-rounds 1",
+      &status);
+  EXPECT_EQ(DecodeExitCode(status), 86) << out;
+  ASSERT_TRUE(FileExists(dir + "/checkpoint.exdl"));
+
+  const std::string resume = " --resume " + dir + "/checkpoint.exdl";
+  std::string resumed =
+      RunCommand("( " + naive + resume + " 2>/dev/null )", &status);
+  EXPECT_EQ(DecodeExitCode(status), 0);
+  EXPECT_EQ(resumed, ref);
+
+  out = RunCommand(run + resume, &status);
+  EXPECT_EQ(DecodeExitCode(status), 1) << out;
+  EXPECT_NE(out.find("FailedPrecondition"), std::string::npos) << out;
+  EXPECT_NE(out.find("written by a different program or evaluation options"),
+            std::string::npos)
+      << out;
 }
 
 TEST_F(CliRecoveryTest, CorruptCheckpointExitsSeven) {

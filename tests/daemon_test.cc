@@ -331,6 +331,61 @@ TEST_F(DaemonTest, LoadFactsFeedsLaterQueries) {
   server.Stop();
 }
 
+// SUBMIT's representation byte: 0 selects the server default, tuple (2)
+// and bitset (3) round-trip, and anything else — including the retired 1 —
+// is refused with ERROR.
+TEST_F(DaemonTest, RepresentationWireByte) {
+  for (Representation r : {Representation::kTuple, Representation::kBitset}) {
+    EXPECT_EQ(RepresentationFromWire(RepresentationToWire(r)), r);
+  }
+  for (uint8_t wire : {0, 1, 4}) {
+    EXPECT_FALSE(RepresentationFromWire(wire).has_value()) << int{wire};
+  }
+
+  DaemonOptions options = Options();
+  options.service.eval.representation = Representation::kTuple;
+  DaemonServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  DaemonClient client;
+  ASSERT_TRUE(client.Connect(endpoint(), "").ok());
+  auto submit = [&](uint8_t wire, ErrorMsg* error) -> bool {
+    SubmitMsg msg;
+    msg.name = "q";
+    msg.source = kTinyQuery;
+    msg.representation = wire;
+    bool admitted = false;
+    TicketMsg ticket;
+    RetryLaterMsg retry;
+    EXPECT_TRUE(client.Submit(msg, &admitted, &ticket, &retry, error).ok());
+    if (!admitted) return false;
+    ResultMsg result;
+    EXPECT_TRUE(client.Await(ticket.ticket, &result).ok());
+    EXPECT_EQ(result.answers, "b\nc\n");
+    return true;
+  };
+  // The service document reports the mode the last query ran with.
+  auto ran_with = [&](const char* mode) {
+    const std::string needle =
+        std::string("\"representation\":{\"mode\":\"") + mode + "\"";
+    return Eventually(
+        [&] { return server.MetricsJson().find(needle) != std::string::npos; });
+  };
+  ErrorMsg error;
+  const struct {
+    uint8_t wire;
+    const char* mode;
+  } kAccepted[] = {{3, "bitset"}, {0, "tuple"}, {3, "bitset"}, {2, "tuple"}};
+  for (const auto& c : kAccepted) {
+    ASSERT_TRUE(submit(c.wire, &error)) << int{c.wire};
+    EXPECT_TRUE(ran_with(c.mode)) << int{c.wire};
+  }
+  for (uint8_t wire : {1, 4}) {
+    EXPECT_FALSE(submit(wire, &error)) << int{wire};
+    EXPECT_EQ(error.code, static_cast<uint32_t>(StatusCode::kInvalidArgument));
+  }
+  server.Stop();
+}
+
 TEST_F(DaemonTest, AdmissionClampsBudgetAndReportsIt) {
   DaemonOptions options = Options();
   options.policy.default_quota.max_tuples = 50;

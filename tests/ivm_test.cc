@@ -133,8 +133,7 @@ void ExpectPollMatchesCold(QueryService& service, uint64_t id,
 
 TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
   const Representation reps[] = {Representation::kTuple,
-                                 Representation::kBitset,
-                                 Representation::kAuto};
+                                 Representation::kBitset};
   for (uint32_t workers : {1u, 4u}) {
     for (Representation rep : reps) {
       for (uint32_t seed : {7u, 1234u}) {
@@ -146,7 +145,7 @@ TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
         std::vector<QueryRequest> requests;
         std::vector<uint64_t> ids;
         for (const IvmCase& c : kCases) {
-          QueryRequest request{c.source, c.label};
+          QueryRequest request{.source = c.source, .name = c.label};
           Result<uint64_t> id = service.RegisterStandingQuery(request);
           ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().ToString();
           requests.push_back(std::move(request));
@@ -171,13 +170,13 @@ TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
 }
 
 TEST(IvmTest, PollReflectsRegistrationSnapshot) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
-      "tc(X, Y) :- e(X, Y).\n"
-      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-      "?- tc(a, Y).\n",
-      "tc"};
+      .source = "tc(X, Y) :- e(X, Y).\n"
+                "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                "?- tc(a, Y).\n",
+      .name = "tc"};
   Result<uint64_t> id = service.RegisterStandingQuery(request);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   Result<StandingQueryResult> polled = service.PollStandingQuery(*id);
@@ -189,13 +188,13 @@ TEST(IvmTest, PollReflectsRegistrationSnapshot) {
 }
 
 TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
-      "tc(X, Y) :- e(X, Y).\n"
-      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-      "?- tc(a, Y).\n",
-      "tc"};
+      .source = "tc(X, Y) :- e(X, Y).\n"
+                "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                "?- tc(a, Y).\n",
+      .name = "tc"};
   Result<uint64_t> id = service.RegisterStandingQuery(request);
   ASSERT_TRUE(id.ok());
   // Every fact already present: the maintained fixpoint is unchanged but
@@ -209,13 +208,13 @@ TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
 }
 
 TEST(IvmTest, GroundQueryFlipsAndStays) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
-      "tc(X, Y) :- e(X, Y).\n"
-      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-      "?- tc(a, z).\n",
-      "ground"};
+      .source = "tc(X, Y) :- e(X, Y).\n"
+                "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                "?- tc(a, z).\n",
+      .name = "ground"};
   Result<uint64_t> id = service.RegisterStandingQuery(request);
   ASSERT_TRUE(id.ok());
   Result<StandingQueryResult> before = service.PollStandingQuery(*id);
@@ -229,12 +228,12 @@ TEST(IvmTest, GroundQueryFlipsAndStays) {
 }
 
 TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c). blocked(c).").ok());
   QueryRequest request{
-      "ok(X, Y) :- e(X, Y), not blocked(Y).\n"
-      "?- ok(X, Y).\n",
-      "negation"};
+      .source = "ok(X, Y) :- e(X, Y), not blocked(Y).\n"
+                "?- ok(X, Y).\n",
+      .name = "negation"};
   Result<uint64_t> id = service.RegisterStandingQuery(request);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   // Inserts are not monotone under negation: every generation must full
@@ -252,9 +251,10 @@ TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
 }
 
 TEST(IvmTest, UnregisterRetiresTheView) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
-  QueryRequest request{"p(X, Y) :- e(X, Y).\n?- p(X, Y).\n", "p"};
+  QueryRequest request{.source = "p(X, Y) :- e(X, Y).\n?- p(X, Y).\n",
+                       .name = "p"};
   Result<uint64_t> id = service.RegisterStandingQuery(request);
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(service.UnregisterStandingQuery(*id).ok());
@@ -266,13 +266,13 @@ TEST(IvmTest, UnregisterRetiresTheView) {
 }
 
 TEST(IvmTest, MetricsJsonCarriesIvmObject) {
-  QueryService service(MakeOptions(1, Representation::kAuto));
+  QueryService service(MakeOptions(1, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
-      "tc(X, Y) :- e(X, Y).\n"
-      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-      "?- tc(a, Y).\n",
-      "tc"};
+      .source = "tc(X, Y) :- e(X, Y).\n"
+                "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                "?- tc(a, Y).\n",
+      .name = "tc"};
   ASSERT_TRUE(service.RegisterStandingQuery(request).ok());
   ASSERT_TRUE(service.LoadFacts("e(b, c).").ok());
   const std::string metrics = service.MetricsJson();
@@ -285,13 +285,13 @@ TEST(IvmTest, MetricsJsonCarriesIvmObject) {
 // polls, and unregistrations race on one service; every poll that
 // succeeds must be internally consistent.
 TEST(IvmConcurrencyTest, RegisterLoadPollRace) {
-  QueryService service(MakeOptions(4, Representation::kAuto));
+  QueryService service(MakeOptions(4, Representation::kBitset));
   ASSERT_TRUE(service.LoadFacts("e(n0, n1). e(n1, n2).").ok());
   QueryRequest request{
-      "tc(X, Y) :- e(X, Y).\n"
-      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
-      "?- tc(n0, Y).\n",
-      "tc"};
+      .source = "tc(X, Y) :- e(X, Y).\n"
+                "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                "?- tc(n0, Y).\n",
+      .name = "tc"};
   Result<uint64_t> root = service.RegisterStandingQuery(request);
   ASSERT_TRUE(root.ok());
   std::atomic<bool> stop{false};
@@ -313,7 +313,7 @@ TEST(IvmConcurrencyTest, RegisterLoadPollRace) {
   });
   std::thread churn([&] {
     while (!stop.load()) {
-      QueryRequest r{request.source, "churn"};
+      QueryRequest r{.source = request.source, .name = "churn"};
       Result<uint64_t> id = service.RegisterStandingQuery(r);
       if (id.ok()) {
         (void)service.PollStandingQuery(*id);

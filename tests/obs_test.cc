@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.h"
+#include "core/compiled_program.h"
 #include "eval/evaluator.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -279,17 +279,18 @@ TEST(EvalObsTest, NullSinkRunIsByteIdentical) {
 // the structured per-phase report entries, in order.
 
 TEST(OptimizerObsTest, PhaseSpansMatchReportOrder) {
-  EngineOptions options;
-  options.collect_telemetry = true;
-  Engine engine(std::move(options));
-  ASSERT_TRUE(engine.LoadSource(kChain).ok());
-  ASSERT_TRUE(engine.Optimize().ok());
-  const OptimizationReport& report = engine.report();
+  obs::Telemetry telemetry;
+  CompileOptions options;
+  options.optimize = true;
+  Result<CompiledProgram::Ptr> compiled =
+      CompiledProgram::Compile(kChain, options, &telemetry);
+  ASSERT_TRUE(compiled.ok());
+  const OptimizationReport& report = (*compiled)->report();
   ASSERT_FALSE(report.phases.empty());
   std::vector<std::string> span_phases;
-  for (const obs::TraceSpan& span : engine.telemetry()->trace().spans()) {
+  for (const obs::TraceSpan& span : telemetry.trace().spans()) {
     if (span.name.rfind("phase:", 0) == 0) {
-      EXPECT_EQ(engine.telemetry()->trace().PathOf(span.id),
+      EXPECT_EQ(telemetry.trace().PathOf(span.id),
                 "optimize > " + span.name);
       span_phases.push_back(span.name.substr(6));
     }

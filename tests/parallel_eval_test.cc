@@ -200,8 +200,7 @@ TEST(ParallelEvalTest, BitsetKernelWorkloadMatchesSerial) {
     edb.AddTuple(mark, std::vector<Value>{nodes[i]});
   }
   for (Representation representation :
-       {Representation::kBitset, Representation::kTuple,
-        Representation::kAuto}) {
+       {Representation::kBitset, Representation::kTuple}) {
     EvalOptions options;
     options.representation = representation;
     options.pool_min_delta_rows = 1;

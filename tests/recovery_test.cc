@@ -9,7 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.h"
+#include "core/compiled_program.h"
+#include "core/session.h"
 #include "recovery/atomic_file.h"
 #include "recovery/checkpoint.h"
 #include "recovery/fault.h"
@@ -66,35 +67,37 @@ std::string MakeCheckpointDir() {
   return templ;
 }
 
-/// Evaluates `source` through an Engine; `mutate` adjusts the options
-/// before construction (checkpoint dir, threads, budget, ...).
-struct EngineRun {
-  Status status = Status::Ok();   ///< Run() error, if any.
+/// Compiles `source` and evaluates it in a fresh Session; `mutate` adjusts
+/// the session options first (checkpoint dir, threads, budget, ...).
+struct SessionRun {
+  Status status = Status::Ok();   ///< Compile/resume/Run() error, if any.
   EvalResult result;              ///< Valid only when status is OK.
   uint64_t fingerprint = 0;
 };
 
 template <typename Fn>
-EngineRun RunEngine(const std::string& source, Fn mutate,
-                    const std::string& resume_path = "") {
-  EngineOptions options;
+SessionRun RunSession(const std::string& source, Fn mutate,
+                      const std::string& resume_path = "") {
+  SessionOptions options;
   mutate(options);
-  Engine engine(std::move(options));
-  EngineRun out;
-  Status loaded = engine.LoadSource(source);
-  if (!loaded.ok()) {
-    out.status = loaded;
+  SessionRun out;
+  Result<CompiledProgram::Ptr> compiled =
+      CompiledProgram::Compile(source, CompileOptions());
+  if (!compiled.ok()) {
+    out.status = compiled.status();
     return out;
   }
-  out.fingerprint = engine.ProgramFingerprint();
+  out.fingerprint =
+      CompiledProgram::Fingerprint((*compiled)->program(), options.eval);
+  Session session(std::move(options));
+  session.Bind(*compiled);
   if (!resume_path.empty()) {
-    Status resumed = engine.Resume(resume_path);
-    if (!resumed.ok()) {
-      out.status = resumed;
-      return out;
-    }
+    Result<Snapshot> snap = ReadSnapshotFile(resume_path);
+    out.status = snap.ok() ? session.ArmResume(std::move(*snap), resume_path)
+                           : snap.status();
+    if (!out.status.ok()) return out;
   }
-  Result<EvalResult> result = engine.Run();
+  Result<EvalResult> result = session.Run((*compiled)->facts());
   if (!result.ok()) {
     out.status = result.status();
     return out;
@@ -176,7 +179,7 @@ TEST_F(FaultPlanTest, NthHitFiresExactlyOnce) {
 
 TEST_F(SnapshotTest, CheckpointFileRoundTrips) {
   const std::string dir = MakeCheckpointDir();
-  EngineRun run = RunEngine(ChainSource(30), [&](EngineOptions& o) {
+  SessionRun run = RunSession(ChainSource(30), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 1;
   });
@@ -221,7 +224,7 @@ TEST_F(SnapshotTest, DefaultCursorEdbSnapshotRoundTrips) {
 
 TEST_F(SnapshotTest, EveryTruncationIsCorrupt) {
   const std::string dir = MakeCheckpointDir();
-  EngineRun run = RunEngine(ChainSource(10), [&](EngineOptions& o) {
+  SessionRun run = RunSession(ChainSource(10), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
   });
   ASSERT_TRUE(run.status.ok());
@@ -239,7 +242,7 @@ TEST_F(SnapshotTest, EveryTruncationIsCorrupt) {
 
 TEST_F(SnapshotTest, EverySingleBitFlipIsCorrupt) {
   const std::string dir = MakeCheckpointDir();
-  EngineRun run = RunEngine(ChainSource(10), [&](EngineOptions& o) {
+  SessionRun run = RunSession(ChainSource(10), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
   });
   ASSERT_TRUE(run.status.ok());
@@ -267,7 +270,7 @@ TEST_F(SnapshotTest, MissingFileIsNotFoundNotCorrupt) {
 
 TEST_F(SnapshotTest, CadenceHonorsEveryNRounds) {
   const std::string dir = MakeCheckpointDir();
-  EngineRun run = RunEngine(ChainSource(20), [&](EngineOptions& o) {
+  SessionRun run = RunSession(ChainSource(20), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 3;
   });
@@ -282,12 +285,12 @@ TEST_F(SnapshotTest, CadenceHonorsEveryNRounds) {
 // Crash + resume
 
 TEST_F(RecoveryTest, SerialCrashResumeIsByteIdentical) {
-  EngineRun ref = RunEngine(ChainSource(150), [](EngineOptions&) {});
+  SessionRun ref = RunSession(ChainSource(150), [](SessionOptions&) {});
   ASSERT_TRUE(ref.status.ok());
 
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("storage.arena_grow:5").ok());
-  EngineRun crashed = RunEngine(ChainSource(150), [&](EngineOptions& o) {
+  SessionRun crashed = RunSession(ChainSource(150), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 1;
   });
@@ -296,8 +299,8 @@ TEST_F(RecoveryTest, SerialCrashResumeIsByteIdentical) {
   EXPECT_EQ(crashed.status.code(), StatusCode::kInternal);
 
   FaultPlan::Global().Disarm();
-  EngineRun resumed = RunEngine(
-      ChainSource(150), [](EngineOptions&) {}, Checkpointer::PathIn(dir));
+  SessionRun resumed = RunSession(
+      ChainSource(150), [](SessionOptions&) {}, Checkpointer::PathIn(dir));
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
   EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
   EXPECT_EQ(resumed.result.answers, ref.result.answers);
@@ -313,7 +316,7 @@ TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
   // pool_min_delta_rows = 1 disables the small-delta inline gate so the
   // chain's tiny delta rounds really dispatch (the armed fault site must
   // be reachable every round).
-  EngineRun ref = RunEngine(ChainSource(200), [](EngineOptions& o) {
+  SessionRun ref = RunSession(ChainSource(200), [](SessionOptions& o) {
     o.eval.num_threads = 4;
     o.eval.pool_min_delta_rows = 1;
   });
@@ -321,7 +324,7 @@ TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
 
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("eval.pool_dispatch:5").ok());
-  EngineRun crashed = RunEngine(ChainSource(200), [&](EngineOptions& o) {
+  SessionRun crashed = RunSession(ChainSource(200), [&](SessionOptions& o) {
     o.eval.num_threads = 4;
     o.eval.pool_min_delta_rows = 1;
     o.checkpoint.directory = dir;
@@ -331,9 +334,9 @@ TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
   ASSERT_GE(FaultPlan::Global().hits(), 5u);  // The pool really dispatched.
 
   FaultPlan::Global().Disarm();
-  EngineRun resumed = RunEngine(
+  SessionRun resumed = RunSession(
       ChainSource(200),
-      [](EngineOptions& o) { o.eval.num_threads = 4; },
+      [](SessionOptions& o) { o.eval.num_threads = 4; },
       Checkpointer::PathIn(dir));
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
   EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
@@ -344,8 +347,8 @@ TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
   // Cross-mode: a serial resume of the parallel run's checkpoint also
   // converges to the same state (partition-order merge keeps parallel
   // rounds byte-identical to serial ones).
-  EngineRun serial_resume = RunEngine(
-      ChainSource(200), [](EngineOptions&) {}, Checkpointer::PathIn(dir));
+  SessionRun serial_resume = RunSession(
+      ChainSource(200), [](SessionOptions&) {}, Checkpointer::PathIn(dir));
   ASSERT_TRUE(serial_resume.status.ok());
   EXPECT_TRUE(SameDatabase(serial_resume.result.db, ref.result.db));
 }
@@ -354,8 +357,8 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
   // A monadic program (every rule bitset-eligible, DESIGN.md §14): the
   // checkpoints cut mid-run carry arity-1 relations whose dedup bitsets
   // are rebuilt on load. Resume must be representation-independent — a
-  // checkpoint written under kBitset resumes under kTuple (and the
-  // default kAuto) to the same converged database.
+  // checkpoint written under kBitset resumes under kTuple to the same
+  // converged database.
   auto monadic_source = [](int n) {
     std::string src =
         "reach(Y) :- reach(X), e(X, Y).\n"
@@ -369,7 +372,7 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
     return src;
   };
   const std::string source = monadic_source(150);
-  EngineRun ref = RunEngine(source, [](EngineOptions& o) {
+  SessionRun ref = RunSession(source, [](SessionOptions& o) {
     o.eval.representation = Representation::kBitset;
   });
   ASSERT_TRUE(ref.status.ok());
@@ -377,7 +380,7 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
 
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("storage.arena_grow:40").ok());
-  EngineRun crashed = RunEngine(source, [&](EngineOptions& o) {
+  SessionRun crashed = RunSession(source, [&](SessionOptions& o) {
     o.eval.representation = Representation::kBitset;
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 1;
@@ -397,11 +400,10 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
   EXPECT_TRUE(has_unary_rows);
 
   for (Representation representation :
-       {Representation::kBitset, Representation::kTuple,
-        Representation::kAuto}) {
-    EngineRun resumed = RunEngine(
+       {Representation::kBitset, Representation::kTuple}) {
+    SessionRun resumed = RunSession(
         source,
-        [&](EngineOptions& o) { o.eval.representation = representation; },
+        [&](SessionOptions& o) { o.eval.representation = representation; },
         Checkpointer::PathIn(dir));
     ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
     EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
@@ -417,7 +419,7 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
 TEST_F(RecoveryTest, SnapshotWriteFaultLeavesPreviousCheckpointGood) {
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("snapshot.write:3").ok());
-  EngineRun crashed = RunEngine(ChainSource(60), [&](EngineOptions& o) {
+  SessionRun crashed = RunSession(ChainSource(60), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 1;
   });
@@ -431,19 +433,19 @@ TEST_F(RecoveryTest, SnapshotWriteFaultLeavesPreviousCheckpointGood) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ(snap->cursor.rounds, 2u);
 
-  EngineRun ref = RunEngine(ChainSource(60), [](EngineOptions&) {});
-  EngineRun resumed = RunEngine(
-      ChainSource(60), [](EngineOptions&) {}, Checkpointer::PathIn(dir));
+  SessionRun ref = RunSession(ChainSource(60), [](SessionOptions&) {});
+  SessionRun resumed = RunSession(
+      ChainSource(60), [](SessionOptions&) {}, Checkpointer::PathIn(dir));
   ASSERT_TRUE(resumed.status.ok());
   EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
 }
 
 TEST_F(RecoveryTest, BudgetTrippedRunLeavesResumableCheckpoint) {
-  EngineRun ref = RunEngine(ChainSource(100), [](EngineOptions&) {});
+  SessionRun ref = RunSession(ChainSource(100), [](SessionOptions&) {});
   ASSERT_TRUE(ref.status.ok());
 
   const std::string dir = MakeCheckpointDir();
-  EngineRun tripped = RunEngine(ChainSource(100), [&](EngineOptions& o) {
+  SessionRun tripped = RunSession(ChainSource(100), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
     o.eval.budget.max_tuples = 1500;
   });
@@ -454,8 +456,8 @@ TEST_F(RecoveryTest, BudgetTrippedRunLeavesResumableCheckpoint) {
   ASSERT_EQ(tripped.result.termination.code(),
             StatusCode::kResourceExhausted);
 
-  EngineRun resumed = RunEngine(
-      ChainSource(100), [](EngineOptions&) {}, Checkpointer::PathIn(dir));
+  SessionRun resumed = RunSession(
+      ChainSource(100), [](SessionOptions&) {}, Checkpointer::PathIn(dir));
   ASSERT_TRUE(resumed.status.ok());
   EXPECT_TRUE(resumed.result.termination.ok());
   EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
@@ -464,23 +466,23 @@ TEST_F(RecoveryTest, BudgetTrippedRunLeavesResumableCheckpoint) {
 
 TEST_F(RecoveryTest, FingerprintMismatchIsRejected) {
   const std::string dir = MakeCheckpointDir();
-  EngineRun run = RunEngine(ChainSource(10), [&](EngineOptions& o) {
+  SessionRun run = RunSession(ChainSource(10), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
   });
   ASSERT_TRUE(run.status.ok());
 
   // Same predicates and symbols would not even matter: the program text
   // differs, so the fingerprint refuses before any id-level check.
-  EngineRun other = RunEngine(
+  SessionRun other = RunSession(
       "tc(X, Y) :- e(X, Y).\n?- tc(n0, X).\ne(n0, n1).\n",
-      [](EngineOptions&) {}, Checkpointer::PathIn(dir));
+      [](SessionOptions&) {}, Checkpointer::PathIn(dir));
   ASSERT_FALSE(other.status.ok());
   EXPECT_EQ(other.status.code(), StatusCode::kFailedPrecondition);
 
   // Same program under different evaluation semantics is also a different
   // computation.
-  EngineRun naive = RunEngine(
-      ChainSource(10), [](EngineOptions& o) { o.eval.seminaive = false; },
+  SessionRun naive = RunSession(
+      ChainSource(10), [](SessionOptions& o) { o.eval.seminaive = false; },
       Checkpointer::PathIn(dir));
   ASSERT_FALSE(naive.status.ok());
   EXPECT_EQ(naive.status.code(), StatusCode::kFailedPrecondition);
@@ -489,10 +491,10 @@ TEST_F(RecoveryTest, FingerprintMismatchIsRejected) {
 TEST_F(RecoveryTest, CheckpointedRunIsByteIdenticalToPlain) {
   // Checkpointing must observe, never perturb: the run with a sink enabled
   // produces exactly the database and stats of the plain run.
-  EngineRun plain = RunEngine(ChainSource(80), [](EngineOptions&) {});
+  SessionRun plain = RunSession(ChainSource(80), [](SessionOptions&) {});
   ASSERT_TRUE(plain.status.ok());
   const std::string dir = MakeCheckpointDir();
-  EngineRun observed = RunEngine(ChainSource(80), [&](EngineOptions& o) {
+  SessionRun observed = RunSession(ChainSource(80), [&](SessionOptions& o) {
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 1;
   });
@@ -514,7 +516,7 @@ TEST_F(RecoveryTest, FaultSweepAlwaysLeavesARecoverablePath) {
   // restart when no checkpoint was ever written — reproduces the reference
   // exactly.
   const std::string source = ChainSource(200);
-  EngineRun ref = RunEngine(source, [](EngineOptions& o) {
+  SessionRun ref = RunSession(source, [](SessionOptions& o) {
     o.eval.num_threads = 4;
   });
   ASSERT_TRUE(ref.status.ok());
@@ -526,7 +528,7 @@ TEST_F(RecoveryTest, FaultSweepAlwaysLeavesARecoverablePath) {
       SCOPED_TRACE(spec);
       const std::string dir = MakeCheckpointDir();
       ASSERT_TRUE(FaultPlan::Global().Arm(spec).ok());
-      EngineRun faulted = RunEngine(source, [&](EngineOptions& o) {
+      SessionRun faulted = RunSession(source, [&](SessionOptions& o) {
         o.eval.num_threads = 4;
         o.checkpoint.directory = dir;
         o.checkpoint.every_rounds = 1;
@@ -539,8 +541,8 @@ TEST_F(RecoveryTest, FaultSweepAlwaysLeavesARecoverablePath) {
       }
       const std::string path = Checkpointer::PathIn(dir);
       const bool have_checkpoint = ReadSnapshotFile(path).ok();
-      EngineRun recovered = RunEngine(
-          source, [](EngineOptions& o) { o.eval.num_threads = 4; },
+      SessionRun recovered = RunSession(
+          source, [](SessionOptions& o) { o.eval.num_threads = 4; },
           have_checkpoint ? path : "");
       ASSERT_TRUE(recovered.status.ok()) << recovered.status.ToString();
       EXPECT_TRUE(SameDatabase(recovered.result.db, ref.result.db));

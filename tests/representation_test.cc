@@ -12,10 +12,12 @@
 #include <regex>
 #include <string>
 
-#include "core/engine.h"
+#include "core/compiled_program.h"
+#include "core/session.h"
 #include "core/workload.h"
 #include "equiv/random_check.h"
 #include "eval/evaluator.h"
+#include "obs/telemetry.h"
 #include "testing/test_util.h"
 
 namespace exdl {
@@ -53,15 +55,14 @@ void ExpectSameOutcome(const EvalResult& tuple, const EvalResult& bitset) {
 }
 
 /// Evaluates under every representation x {1, 4} threads and asserts all
-/// six runs agree with the serial tuple run.
+/// four runs agree with the serial tuple run.
 void ExpectRepresentationEquivalent(const Program& program,
                                     const Database& edb) {
   EvalOptions reference_options;
   reference_options.representation = Representation::kTuple;
   EvalResult reference = testing::MustEval(program, edb, reference_options);
   for (Representation representation :
-       {Representation::kTuple, Representation::kBitset,
-        Representation::kAuto}) {
+       {Representation::kTuple, Representation::kBitset}) {
     for (uint32_t threads : {1u, 4u}) {
       EvalOptions options;
       options.representation = representation;
@@ -241,16 +242,18 @@ std::string NormalizeTelemetry(std::string doc) {
 std::string TelemetryDocFor(const std::string& source,
                             Representation representation,
                             uint32_t threads) {
-  EngineOptions options;
+  obs::Telemetry telemetry;
+  Result<CompiledProgram::Ptr> compiled =
+      CompiledProgram::Compile(source, CompileOptions());
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  SessionOptions options;
   options.eval.representation = representation;
   options.eval.num_threads = threads;
-  options.collect_telemetry = true;
-  Engine engine(std::move(options));
-  Status loaded = engine.LoadSource(source);
-  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
-  Result<EvalResult> result = engine.Run();
-  EXPECT_TRUE(result.ok());
-  return engine.TelemetryJson("run", "test.dl");
+  options.telemetry = &telemetry;
+  Session session(std::move(options));
+  session.Bind(*compiled);
+  EXPECT_TRUE(session.Run((*compiled)->facts()).ok());
+  return session.TelemetryJson("run", "test.dl");
 }
 
 TEST(RepresentationTest, TelemetryDocsMatchModuloRepresentationSection) {

@@ -1,6 +1,6 @@
 // QueryService / ProgramCache / DatabaseSnapshot tests (DESIGN.md §12):
 // concurrent sessions over one shared EDB snapshot produce answers
-// byte-identical to a serial per-file Engine loop for every pool size,
+// byte-identical to a serial per-file Session loop for every pool size,
 // warm cache hits skip re-parse/re-optimize, snapshot generations
 // isolate in-flight readers from fact loads, and the copy-on-write
 // storage layer underneath shares payloads until first write.
@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compiled_program.h"
-#include "core/engine.h"
+#include "core/session.h"
 #include "service/program_cache.h"
 #include "service/query_service.h"
 #include "storage/database.h"
@@ -65,15 +65,20 @@ std::vector<std::string> AnswerStrings(
   return out;
 }
 
-/// Serial reference: one fresh Engine per source.
-std::vector<std::string> EngineAnswers(const std::string& source,
+/// Serial reference: one fresh compile and Session per source, never
+/// through QueryService.
+std::vector<std::string> SerialAnswers(const std::string& source,
                                        bool optimize = false) {
-  Engine engine;
-  EXPECT_TRUE(engine.LoadSource(source).ok());
-  if (optimize) EXPECT_TRUE(engine.Optimize().ok());
-  Result<EvalResult> result = engine.Run();
+  CompileOptions options;
+  options.optimize = optimize;
+  Result<CompiledProgram::Ptr> compiled =
+      CompiledProgram::Compile(source, options);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  Session session;
+  session.Bind(*compiled);
+  Result<EvalResult> result = session.Run((*compiled)->facts());
   EXPECT_TRUE(result.ok());
-  return AnswerStrings(*engine.ctx(), result->answers);
+  return AnswerStrings(*(*compiled)->context(), result->answers);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +246,7 @@ TEST(QueryServiceTest, MatchesSerialEngineAcrossPoolSizes) {
                                             kSameGeneration};
   std::vector<std::vector<std::string>> expected;
   for (const std::string& source : sources) {
-    expected.push_back(EngineAnswers(source));
+    expected.push_back(SerialAnswers(source));
   }
   for (uint32_t workers : {1u, 2u, 4u}) {
     ServiceOptions options;
@@ -252,7 +257,8 @@ TEST(QueryServiceTest, MatchesSerialEngineAcrossPoolSizes) {
     for (int round = 0; round < 4; ++round) {
       for (size_t i = 0; i < sources.size(); ++i) {
         requests.push_back(
-            QueryRequest{sources[i], "q" + std::to_string(i)});
+            QueryRequest{.source = sources[i],
+                         .name = "q" + std::to_string(i)});
       }
     }
     std::vector<QueryService::Ticket> tickets =
@@ -280,9 +286,10 @@ TEST(QueryServiceTest, RawAnswersIdenticalAcrossPoolSizes) {
     QueryService service(options);
     std::vector<QueryRequest> requests;
     for (int round = 0; round < 3; ++round) {
-      requests.push_back(QueryRequest{kSameGeneration, "sg"});
-      requests.push_back(QueryRequest{kTcChain, "tc"});
-      requests.push_back(QueryRequest{kReachBoolean, "reach"});
+      requests.push_back(QueryRequest{.source = kSameGeneration, .name = "sg"});
+      requests.push_back(QueryRequest{.source = kTcChain, .name = "tc"});
+      requests.push_back(
+          QueryRequest{.source = kReachBoolean, .name = "reach"});
     }
     std::vector<std::vector<std::vector<Value>>> answers;
     for (QueryService::Ticket ticket :
@@ -305,7 +312,8 @@ TEST(QueryServiceTest, WarmCacheSkipsParseAndOptimize) {
   options.collect_telemetry = true;
   QueryService service(options);
 
-  QueryResponse cold = service.Await(service.Submit({kReachBoolean, "cold"}));
+  QueryResponse cold = service.Await(
+      service.Submit({.source = kReachBoolean, .name = "cold"}));
   ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
   EXPECT_FALSE(cold.cache_hit);
   ASSERT_NE(cold.program, nullptr);
@@ -313,7 +321,8 @@ TEST(QueryServiceTest, WarmCacheSkipsParseAndOptimize) {
   // The cold compile ran the optimizer: its spans are in the document.
   EXPECT_NE(cold.telemetry_json.find("optimize >"), std::string::npos);
 
-  QueryResponse warm = service.Await(service.Submit({kReachBoolean, "warm"}));
+  QueryResponse warm = service.Await(
+      service.Submit({.source = kReachBoolean, .name = "warm"}));
   ASSERT_TRUE(warm.status.ok());
   EXPECT_TRUE(warm.cache_hit);
   // Same shared artifact, not a recompiled one.
@@ -339,7 +348,8 @@ TEST(QueryServiceTest, SnapshotGenerationsIsolateFactLoads) {
 
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   EXPECT_EQ(service.snapshot().generation(), 1u);
-  QueryResponse gen1 = service.Await(service.Submit({rules, "gen1"}));
+  QueryResponse gen1 =
+      service.Await(service.Submit({.source = rules, .name = "gen1"}));
   ASSERT_TRUE(gen1.status.ok()) << gen1.status.ToString();
   EXPECT_EQ(gen1.snapshot_generation, 1u);
   EXPECT_EQ(AnswerStrings(*service.ctx(), gen1.result.answers),
@@ -347,7 +357,8 @@ TEST(QueryServiceTest, SnapshotGenerationsIsolateFactLoads) {
 
   ASSERT_TRUE(service.LoadFacts("e(c, d).").ok());
   EXPECT_EQ(service.snapshot().generation(), 2u);
-  QueryResponse gen2 = service.Await(service.Submit({rules, "gen2"}));
+  QueryResponse gen2 =
+      service.Await(service.Submit({.source = rules, .name = "gen2"}));
   ASSERT_TRUE(gen2.status.ok());
   EXPECT_EQ(gen2.snapshot_generation, 2u);
   EXPECT_EQ(AnswerStrings(*service.ctx(), gen2.result.answers),
@@ -367,7 +378,7 @@ TEST(QueryServiceTest, SharedSnapshotStress) {
                             "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
                             "?- tc(n0, Y).\n";
   const std::vector<std::string> expected =
-      EngineAnswers(rules + facts);
+      SerialAnswers(rules + facts);
 
   ServiceOptions options;
   options.num_workers = 4;
@@ -375,7 +386,8 @@ TEST(QueryServiceTest, SharedSnapshotStress) {
   ASSERT_TRUE(service.LoadFacts(facts).ok());
   std::vector<QueryRequest> requests;
   for (int i = 0; i < 24; ++i) {
-    requests.push_back(QueryRequest{rules, "stress" + std::to_string(i)});
+    requests.push_back(QueryRequest{.source = rules,
+                                    .name = "stress" + std::to_string(i)});
   }
   for (QueryService::Ticket ticket :
        service.SubmitBatch(std::move(requests))) {
@@ -395,7 +407,7 @@ TEST(QueryServiceTest, PerSessionBudget) {
   options.eval.budget.max_tuples = 5;  // Trips on the 40-edge closure.
   QueryService service(options);
   QueryResponse response =
-      service.Await(service.Submit({kTcChain, "budgeted"}));
+      service.Await(service.Submit({.source = kTcChain, .name = "budgeted"}));
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_EQ(response.result.termination.code(),
             StatusCode::kResourceExhausted);
@@ -405,13 +417,14 @@ TEST(QueryServiceTest, PerSessionBudget) {
 TEST(QueryServiceTest, CompileErrorsAreIsolated) {
   QueryService service;
   std::vector<QueryService::Ticket> tickets = service.SubmitBatch(
-      {QueryRequest{"p(X :- q(X).", "bad"}, QueryRequest{kTcChain, "good"}});
+      {QueryRequest{.source = "p(X :- q(X).", .name = "bad"},
+       QueryRequest{.source = kTcChain, .name = "good"}});
   QueryResponse bad = service.Await(tickets[0]);
   EXPECT_FALSE(bad.status.ok());
   QueryResponse good = service.Await(tickets[1]);
   EXPECT_TRUE(good.status.ok()) << good.status.ToString();
   EXPECT_EQ(AnswerStrings(*service.ctx(), good.result.answers),
-            EngineAnswers(kTcChain));
+            SerialAnswers(kTcChain));
 }
 
 TEST(QueryServiceTest, UnknownTicketRejected) {
@@ -419,7 +432,8 @@ TEST(QueryServiceTest, UnknownTicketRejected) {
   QueryResponse response = service.Await(12345);
   EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   // Double-await of a consumed ticket is rejected too.
-  QueryService::Ticket ticket = service.Submit({kTcChain, "once"});
+  QueryService::Ticket ticket =
+      service.Submit({.source = kTcChain, .name = "once"});
   EXPECT_TRUE(service.Await(ticket).status.ok());
   EXPECT_EQ(service.Await(ticket).status.code(),
             StatusCode::kInvalidArgument);
@@ -442,7 +456,7 @@ TEST(SessionTest, ManySessionsShareOneCompiledProgram) {
   options.optimize = true;
   CompiledProgram::Ptr compiled = MustCompile(kSameGeneration, options);
   const std::vector<std::string> expected =
-      EngineAnswers(kSameGeneration, /*optimize=*/true);
+      SerialAnswers(kSameGeneration, /*optimize=*/true);
   for (int i = 0; i < 3; ++i) {
     Session session;
     session.Bind(compiled);

@@ -5,14 +5,14 @@ Usage: check_bench_fallback.py [BENCH_bench_e9_monadic.json]
 
 Reads the JSON rows written by bench_e9_monadic (run with
 EXDL_BENCH_METRICS=1 so every row carries its telemetry document) and
-fails if any case whose name requests the bitset/auto representation
+fails if any case whose name requests the bitset representation
 reports storage.representation.fallbacks != 0 — i.e. a rule the monadic
 synthesis produced was not bitset-eligible and silently fell back to the
 generic descent. The monadic programs of Theorem 3.3 are exactly the
 shape DESIGN.md §14 promises to run as kernels, so a nonzero fallback
 count here is a planner regression, not a data effect.
 
-Exit codes: 0 all bitset/auto monadic cases ran kernel-only; 1 a case
+Exit codes: 0 all bitset monadic cases ran kernel-only; 1 a case
 fell back (or carried no telemetry); 2 usage / unreadable input.
 """
 
@@ -32,10 +32,9 @@ def main(argv):
     checked = 0
     for row in doc.get("results", []):
         name = row.get("name", "")
-        # Monadic_auto/N and Monadic_bitset/N request the kernel path;
-        # Monadic_tuple/N and BinaryChain/N legitimately report zero.
-        if not (name.startswith("Monadic_auto/") or
-                name.startswith("Monadic_bitset/")):
+        # Monadic_bitset/N requests the kernel path; Monadic_tuple/N and
+        # BinaryChain/N legitimately report zero.
+        if not name.startswith("Monadic_bitset/"):
             continue
         checked += 1
         telemetry = row.get("telemetry")
@@ -55,7 +54,7 @@ def main(argv):
                   f"(words_scanned={rep.get('words_scanned')}, "
                   f"bitset_relations={rep.get('bitset_relations')})")
     if checked == 0:
-        print(f"error: {path} has no Monadic_auto/Monadic_bitset rows",
+        print(f"error: {path} has no Monadic_bitset rows",
               file=sys.stderr)
         return 1
     return 1 if failures else 0

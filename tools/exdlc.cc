@@ -6,7 +6,7 @@
 //       Print the optimized program and the per-phase report.
 //
 //   exdlc run <file...> [--jobs N] [--naive] [--no-cut] [--optimize]
-//                    [--threads N] [--representation auto|tuple|bitset]
+//                    [--threads N] [--representation tuple|bitset]
 //                    [--deadline-ms N] [--max-tuples N] [--max-bytes N]
 //                    [--checkpoint-dir DIR] [--checkpoint-every-rounds N]
 //                    [--resume FILE] [--trace] [--metrics-json FILE]
@@ -34,12 +34,12 @@
 //       merged service document (with a "service" object); checkpoint/
 //       resume flags are rejected in batch mode.
 //       --representation picks the physical executor (DESIGN.md §14):
-//       "tuple" forces the generic arena/index path, "bitset" runs
-//       eligible monadic rules through the word-packed kernels, "auto"
-//       (the default) behaves like bitset with per-rule fallback. Answers
-//       and all pre-existing output are byte-identical across modes; only
-//       the telemetry document's storage.representation counters differ.
-//       Anything else exits 2.
+//       "tuple" forces the generic arena/index path, "bitset" (the
+//       default) runs eligible monadic rules through the word-packed
+//       kernels with per-rule fallback. Answers and all pre-existing
+//       output are byte-identical across modes; only the telemetry
+//       document's storage.representation counters differ. Anything else
+//       exits 2.
 //
 //   exdlc grammar <file>
 //       For a binary chain program: print the grammar, regularity
@@ -61,7 +61,7 @@
 //                 [--max-bytes N] [--retries N] [--retry-base-ms N]
 //                 [--load-facts FILE] [--stats] [--shutdown]
 //                 [--register] [--poll ID] [--unregister ID]
-//                 [--representation auto|tuple|bitset]
+//                 [--representation tuple|bitset]
 //       Run the files as a batch against a running exdld daemon
 //       (tools/exdld.cc). Output is per file under a "== <file> =="
 //       header, byte-identical to `exdlc run <file...> --jobs 1` against
@@ -131,7 +131,8 @@
 #include <vector>
 
 #include "ast/printer.h"
-#include "core/engine.h"
+#include "core/compiled_program.h"
+#include "core/session.h"
 #include "daemon/client.h"
 #include "equiv/random_check.h"
 #include "eval/evaluator.h"
@@ -139,6 +140,7 @@
 #include "grammar/chain.h"
 #include "grammar/monadic.h"
 #include "grammar/regularity.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "parser/parser.h"
 #include "recovery/atomic_file.h"
@@ -176,8 +178,9 @@ int ExitCodeFor(const Status& termination) {
 }
 
 int Usage() {
-  std::cerr << "usage: exdlc optimize|run|grammar|check|connect <file> "
+  std::cerr << "usage: exdlc optimize|run|grammar|plan|check|connect <file> "
                "[flags]\n"
+               "       exdlc explain <file> \"<fact>\"\n"
                "       exdlc fault-sites\n"
                "       see the header of tools/exdlc.cc for details\n";
   return 2;
@@ -348,26 +351,56 @@ std::string FlagString(const std::vector<std::string>& args,
   return fallback;
 }
 
-/// Parses --representation. Absent = auto; an unknown value exits 2 like
-/// every other flag violation.
+/// Parses --representation. Absent = bitset; an unknown value exits 2
+/// like every other flag violation.
 Representation FlagRepresentation(const std::vector<std::string>& flags) {
-  const std::string text = FlagString(flags, "--representation", "auto");
-  Representation r = Representation::kAuto;
+  const std::string text = FlagString(flags, "--representation", "bitset");
+  Representation r = Representation::kBitset;
   if (!ParseRepresentation(text, &r)) {
-    std::cerr << "--representation must be auto, tuple, or bitset, got '"
-              << text << "'\n";
+    std::cerr << "--representation must be tuple or bitset, got '" << text
+              << "'\n";
     std::exit(2);
   }
   return r;
 }
 
+/// True when --trace or --metrics-json asks for a telemetry sink.
+bool WantsTelemetry(const std::vector<std::string>& flags) {
+  return HasFlag(flags, "--trace") || HasFlag(flags, "--metrics-json");
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::NotFound("cannot open " + path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Reads and compiles `path`; prints the error and returns null on failure.
+CompiledProgram::Ptr CompileFile(const std::string& path,
+                                 const CompileOptions& options,
+                                 obs::Telemetry* telemetry = nullptr) {
+  Result<std::string> source = ReadFile(path);
+  Result<CompiledProgram::Ptr> compiled =
+      source.ok() ? CompiledProgram::Compile(*source, options, telemetry)
+                  : Result<CompiledProgram::Ptr>(source.status());
+  if (!compiled.ok()) {
+    std::cerr << compiled.status().ToString() << "\n";
+    return nullptr;
+  }
+  return *compiled;
+}
+
 /// Emits the observability outputs after a command: the span tree on
 /// stderr for --trace, the telemetry JSON document for --metrics-json.
 /// Returns 0, or 1 when the JSON file cannot be written.
-int EmitObservability(Engine& engine, const std::vector<std::string>& flags,
+int EmitObservability(const Session& session,
+                      const std::vector<std::string>& flags,
                       const std::string& command, const std::string& path) {
-  if (HasFlag(flags, "--trace") && engine.telemetry() != nullptr) {
-    std::cerr << obs::RenderTrace(engine.telemetry()->trace());
+  const obs::Telemetry* telemetry = session.options().telemetry;
+  if (HasFlag(flags, "--trace") && telemetry != nullptr) {
+    std::cerr << obs::RenderTrace(telemetry->trace());
   }
   const std::string metrics_path =
       FlagString(flags, "--metrics-json", std::string());
@@ -375,7 +408,7 @@ int EmitObservability(Engine& engine, const std::vector<std::string>& flags,
     // Atomic (temp + fsync + rename) so a crash mid-emit never leaves a
     // truncated JSON document for a dashboard scraper to choke on.
     Status written = recovery::AtomicWriteFile(
-        metrics_path, engine.TelemetryJson(command, path));
+        metrics_path, session.TelemetryJson(command, path));
     if (!written.ok()) {
       std::cerr << "cannot write " << metrics_path << ": "
                 << written.ToString() << "\n";
@@ -390,7 +423,8 @@ int CmdOptimize(const std::string& path,
   // Install before any I/O or parsing so an early Ctrl-C is not lost
   // (background shells start children with SIGINT ignored).
   InstallInterruptHandler();
-  EngineOptions options;
+  CompileOptions options;
+  options.optimize = true;
   options.optimizer.adorn = !HasFlag(flags, "--no-adorn");
   options.optimizer.push_projections = !HasFlag(flags, "--no-project");
   options.optimizer.extract_components = !HasFlag(flags, "--no-components");
@@ -399,36 +433,34 @@ int CmdOptimize(const std::string& path,
   options.optimizer.deletion.use_optimistic = HasFlag(flags, "--optimistic");
   options.optimizer.apply_magic = HasFlag(flags, "--magic");
   options.optimizer.cancellation = &g_interrupted;
-  options.collect_telemetry =
-      HasFlag(flags, "--trace") || HasFlag(flags, "--metrics-json");
-  Engine engine(std::move(options));
-  Status loaded = engine.LoadFile(path);
-  if (!loaded.ok()) {
-    std::cerr << loaded.ToString() << "\n";
-    return 1;
-  }
-  Status optimized = engine.Optimize();
-  if (!optimized.ok()) {
-    std::cerr << optimized.ToString() << "\n";
-    return 1;
-  }
-  std::cout << ToString(engine.program());
-  if (engine.magic_seed()) {
+  SessionOptions session_options;
+  std::unique_ptr<obs::Telemetry> telemetry;
+  if (WantsTelemetry(flags)) telemetry = std::make_unique<obs::Telemetry>();
+  session_options.telemetry = telemetry.get();
+  CompiledProgram::Ptr compiled = CompileFile(path, options, telemetry.get());
+  if (compiled == nullptr) return 1;
+  std::cout << ToString(compiled->program());
+  if (compiled->magic_seed()) {
     std::cout << "% seed fact: "
-              << ToString(*engine.ctx(), *engine.magic_seed()) << ".\n";
+              << ToString(*compiled->context(), *compiled->magic_seed())
+              << ".\n";
   }
-  std::cerr << "\n" << engine.report().ToString();
-  int obs_rc = EmitObservability(engine, flags, "optimize", path);
-  if (!engine.optimize_termination().ok()) {
-    std::cerr << engine.optimize_termination().ToString() << "\n";
-    return ExitCodeFor(engine.optimize_termination());
+  std::cerr << "\n" << compiled->report().ToString();
+  // A session that never runs: its telemetry document lists the optimized
+  // program's rules and the optimizer phases.
+  Session session(std::move(session_options));
+  session.Bind(compiled);
+  int obs_rc = EmitObservability(session, flags, "optimize", path);
+  if (!compiled->optimize_termination().ok()) {
+    std::cerr << compiled->optimize_termination().ToString() << "\n";
+    return ExitCodeFor(compiled->optimize_termination());
   }
   return obs_rc;
 }
 
 int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
   InstallInterruptHandler();
-  EngineOptions options;
+  SessionOptions options;
   options.eval.seminaive = !HasFlag(flags, "--naive");
   options.eval.boolean_cut = !HasFlag(flags, "--no-cut");
   options.eval.num_threads = FlagValue(flags, "--threads", 1);
@@ -439,46 +471,47 @@ int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
       FlagValue64(flags, "--deadline-ms", 0),
       FlagValue64(flags, "--max-tuples", 0),
       FlagValue64(flags, "--max-bytes", 0), &g_interrupted));
-  options.optimizer.cancellation = &g_interrupted;
-  options.collect_telemetry =
-      HasFlag(flags, "--trace") || HasFlag(flags, "--metrics-json");
   options.checkpoint.directory =
       FlagString(flags, "--checkpoint-dir", std::string());
   options.checkpoint.every_rounds =
       FlagValue(flags, "--checkpoint-every-rounds", 1);
-  Engine engine(std::move(options));
-  Status loaded = engine.LoadFile(path);
-  if (!loaded.ok()) {
-    std::cerr << loaded.ToString() << "\n";
-    return 1;
-  }
-  if (HasFlag(flags, "--optimize")) {
-    Status optimized = engine.Optimize();
-    if (!optimized.ok()) {
-      std::cerr << optimized.ToString() << "\n";
-      return 1;
-    }
-  }
-  // Resume after optimization so the snapshot fingerprint is checked
-  // against the program actually being evaluated.
+  std::unique_ptr<obs::Telemetry> telemetry;
+  if (WantsTelemetry(flags)) telemetry = std::make_unique<obs::Telemetry>();
+  options.telemetry = telemetry.get();
+  CompileOptions compile;
+  compile.optimize = HasFlag(flags, "--optimize");
+  compile.optimizer.cancellation = &g_interrupted;
+  compile.seminaive = options.eval.seminaive;
+  compile.boolean_cut = options.eval.boolean_cut;
+  compile.representation = options.eval.representation;
+  CompiledProgram::Ptr compiled = CompileFile(path, compile, telemetry.get());
+  if (compiled == nullptr) return 1;
+  Session session(std::move(options));
+  session.Bind(compiled);
+  // The session checks the snapshot against the compiled (possibly
+  // optimized) program under the same eval semantics its checkpoints are
+  // stamped with.
   const std::string resume_path =
       FlagString(flags, "--resume", std::string());
   if (!resume_path.empty()) {
-    Status resumed = engine.Resume(resume_path);
+    Result<recovery::Snapshot> snap = recovery::ReadSnapshotFile(resume_path);
+    Status resumed = snap.ok()
+                         ? session.ArmResume(std::move(*snap), resume_path)
+                         : snap.status();
     if (!resumed.ok()) {
       std::cerr << resumed.ToString() << "\n";
       return ExitCodeFor(resumed);
     }
   }
-  Result<EvalResult> result = engine.Run();
+  Result<EvalResult> result = session.Run(compiled->facts());
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
   }
-  std::cout << RenderAnswerRows(*engine.ctx(), result->answers);
+  std::cout << RenderAnswerRows(*compiled->context(), result->answers);
   std::cerr << result->answers.size() << " answer(s)   ["
             << result->stats.ToString() << "]\n";
-  int obs_rc = EmitObservability(engine, flags, "run", path);
+  int obs_rc = EmitObservability(session, flags, "run", path);
   if (!result->termination.ok()) {
     std::cerr << "budget tripped ("
               << BudgetKindName(result->stats.budget_tripped)
@@ -521,21 +554,16 @@ int CmdRunService(const std::vector<std::string>& files,
   // Mirrored into the cache key: a cached artifact is only reused by
   // sessions running the same representation.
   options.compile.representation = options.eval.representation;
-  options.collect_telemetry =
-      HasFlag(flags, "--trace") || HasFlag(flags, "--metrics-json");
+  options.collect_telemetry = WantsTelemetry(flags);
   std::vector<QueryRequest> requests;
   for (const std::string& file : files) {
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "cannot open " << file << "\n";
+    Result<std::string> source = ReadFile(file);
+    if (!source.ok()) {
+      std::cerr << source.status().message() << "\n";
       return 1;
     }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    QueryRequest request;
-    request.source = buffer.str();
-    request.name = file;
-    requests.push_back(std::move(request));
+    requests.push_back(
+        QueryRequest{.source = std::move(*source), .name = file});
   }
   QueryService service(std::move(options));
   const std::vector<QueryService::Ticket> tickets =
@@ -614,17 +642,10 @@ int CmdConnect(const std::vector<std::string>& files,
   options.max_retries = FlagValue(flags, "--retries", 5);
   options.retry_base_ms = FlagValue(flags, "--retry-base-ms", 25);
 
-  auto read = [](const std::string& path) -> Result<std::string> {
-    std::ifstream in(path);
-    if (!in) return Status::NotFound("cannot open " + path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
   const std::string facts_path =
       FlagString(flags, "--load-facts", std::string());
   if (!facts_path.empty()) {
-    Result<std::string> facts = read(facts_path);
+    Result<std::string> facts = ReadFile(facts_path);
     if (!facts.ok()) {
       std::cerr << facts.status().ToString() << "\n";
       return 1;
@@ -633,7 +654,7 @@ int CmdConnect(const std::vector<std::string>& files,
   }
   std::vector<daemon::BatchQuery> queries;
   for (const std::string& file : files) {
-    Result<std::string> source = read(file);
+    Result<std::string> source = ReadFile(file);
     if (!source.ok()) {
       std::cerr << source.status().ToString() << "\n";
       return 1;
@@ -837,13 +858,10 @@ int CmdConnect(const std::vector<std::string>& files,
 }
 
 int CmdGrammar(const std::string& path) {
-  Engine engine;
-  Status loaded = engine.LoadFile(path);
-  if (!loaded.ok()) {
-    std::cerr << loaded.ToString() << "\n";
-    return 1;
-  }
-  Result<Cfg> grammar = ChainProgramToGrammar(engine.program());
+  CompiledProgram::Ptr compiled = CompileFile(path, CompileOptions());
+  if (compiled == nullptr) return 1;
+  const Program& program = compiled->program();
+  Result<Cfg> grammar = ChainProgramToGrammar(program);
   if (!grammar.ok()) {
     std::cerr << grammar.status().ToString() << "\n";
     return 1;
@@ -853,7 +871,7 @@ int CmdGrammar(const std::string& path) {
             << (IsSelfEmbedding(*grammar) ? "yes" : "no") << "\n";
   std::cout << "% strongly regular: "
             << (IsStronglyRegular(*grammar) ? "yes" : "no") << "\n";
-  Result<Program> monadic = MonadicEquivalent(engine.program());
+  Result<Program> monadic = MonadicEquivalent(program);
   if (monadic.ok()) {
     std::cout << "% Theorem 3.3 monadic program:\n" << ToString(*monadic);
   } else {
@@ -866,16 +884,9 @@ int CmdGrammar(const std::string& path) {
 int CmdCheck(const std::string& path1, const std::string& path2,
              const std::vector<std::string>& flags) {
   // The two programs must share one Context (ids stay comparable), so the
-  // check keeps its own two-file parse instead of two Engine sessions.
-  auto read = [](const std::string& path) -> Result<std::string> {
-    std::ifstream in(path);
-    if (!in) return Status::NotFound("cannot open " + path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
-  Result<std::string> s1 = read(path1);
-  Result<std::string> s2 = read(path2);
+  // check parses both files into one context instead of compiling each.
+  Result<std::string> s1 = ReadFile(path1);
+  Result<std::string> s2 = ReadFile(path2);
   if (!s1.ok() || !s2.ok()) {
     std::cerr << "cannot read inputs\n";
     return 1;
@@ -906,39 +917,33 @@ int CmdCheck(const std::string& path1, const std::string& path2,
 }
 
 int CmdPlan(const std::string& path) {
-  Engine engine;
-  Status loaded = engine.LoadFile(path);
-  if (!loaded.ok()) {
-    std::cerr << loaded.ToString() << "\n";
-    return 1;
-  }
-  for (const Rule& rule : engine.program().rules()) {
-    std::cout << ToString(*engine.ctx(), rule) << "\n";
+  CompiledProgram::Ptr compiled = CompileFile(path, CompileOptions());
+  if (compiled == nullptr) return 1;
+  const Context& ctx = *compiled->context();
+  for (const Rule& rule : compiled->program().rules()) {
+    std::cout << ToString(ctx, rule) << "\n";
     Result<RulePlan> plan = CompileRule(rule, PlanOptions());
     if (!plan.ok()) {
       std::cout << "  (uncompilable: " << plan.status().ToString() << ")\n";
       continue;
     }
-    std::cout << PlanToString(*engine.ctx(), *plan);
+    std::cout << PlanToString(ctx, *plan);
   }
   return 0;
 }
 
 int CmdExplain(const std::string& path, const std::string& fact_text) {
-  EngineOptions options;
-  options.eval.record_provenance = true;
-  Engine engine(std::move(options));
-  Status loaded = engine.LoadFile(path);
-  if (!loaded.ok()) {
-    std::cerr << loaded.ToString() << "\n";
-    return 1;
-  }
-  Result<Atom> fact = ParseAtom(fact_text, engine.ctx().get());
+  CompiledProgram::Ptr compiled = CompileFile(path, CompileOptions());
+  if (compiled == nullptr) return 1;
+  Result<Atom> fact = ParseAtom(fact_text, compiled->context().get());
   if (!fact.ok() || !fact->IsGround()) {
     std::cerr << "explain needs a ground fact, e.g. \"tc(n0, n2)\"\n";
     return 1;
   }
-  Result<EvalResult> result = engine.Run();
+  EvalOptions eval;
+  eval.record_provenance = true;
+  Result<EvalResult> result =
+      Evaluate(compiled->program(), compiled->facts(), eval);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
@@ -946,7 +951,7 @@ int CmdExplain(const std::string& path, const std::string& fact_text) {
   std::vector<Value> row;
   for (const Term& t : fact->args) row.push_back(t.id());
   Result<std::string> explained =
-      ExplainFact(engine.program(), *result, fact->pred, row);
+      ExplainFact(compiled->program(), *result, fact->pred, row);
   if (!explained.ok()) {
     std::cerr << explained.status().ToString() << "\n";
     return 1;

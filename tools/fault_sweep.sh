@@ -498,21 +498,24 @@ run_durability_sweep() {  # $1 = jobs, $2 = label
 # "completed identical" at every depth, which the sweep verifies too).
 run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" 1 serial
 
-# Sweep 2: a chain long enough for the worker pool to engage (the pool
-# partitions scans of >= 128 rows), 4 threads. Reaches eval.pool_dispatch
-# and re-proves the snapshot sites under parallel evaluation.
-# EXDL_POOL_MIN_DELTA_ROWS=1 disables the small-delta inline gate so the
-# chain's delta rounds really dispatch (the fault site must stay reachable).
-export EXDL_POOL_MIN_DELTA_ROWS=1
-BIG="$WORK/big_chain.dl"
+# Sweep 2: 128 disjoint 40-edge chains, 4 threads. Their semi-naive delta
+# rounds stay above the evaluator's 4096-row pool gate for the first
+# rounds, so eval.pool_dispatch is reached mid-fixpoint at every depth, and
+# the snapshot sites are re-proved under parallel evaluation.
+BIG="$WORK/wide_chains.dl"
 {
   echo "tc(X, Y) :- e(X, Y)."
   echo "tc(X, Z) :- e(X, Y), tc(Y, Z)."
   echo "?- tc(n0, X)."
-  i=0
-  while [ "$i" -lt 300 ]; do
-    echo "e(n$i, n$((i + 1)))."
-    i=$((i + 1))
+  chain=0
+  while [ "$chain" -lt 128 ]; do
+    i=$((chain * 41))
+    end=$((i + 40))
+    while [ "$i" -lt "$end" ]; do
+      echo "e(n$i, n$((i + 1)))."
+      i=$((i + 1))
+    done
+    chain=$((chain + 1))
   done
 } >"$BIG"
 run_engine_sweep "$BIG" 4 parallel
