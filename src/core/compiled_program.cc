@@ -93,6 +93,17 @@ Result<CompiledProgram::Ptr> CompiledProgram::Compile(
                      telemetry);
 }
 
+Database CompiledProgram::SessionEdb(const Database& snapshot) const {
+  Database edb = snapshot.Clone();
+  for (const auto& [pred, rel] : facts_.relations()) {
+    Relation& dst = edb.GetOrCreate(pred, rel.arity());
+    for (size_t row = 0; row < rel.size(); ++row) {
+      dst.Insert(rel.view().Scan(row));
+    }
+  }
+  return edb;
+}
+
 Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
     Program program, Database facts, const CompileOptions& options,
     obs::Telemetry* telemetry) {

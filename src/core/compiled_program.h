@@ -128,6 +128,9 @@ class CompiledProgram {
   /// rewrite produced one. Copy-on-write: cloning into a session EDB is
   /// O(#relations).
   const Database& facts() const { return facts_; }
+  /// The EDB a session evaluates this program over: a copy-on-write clone
+  /// of `snapshot` plus facts().
+  Database SessionEdb(const Database& snapshot) const;
   const OptimizationReport& report() const { return report_; }
   /// OK, or kCancelled when the optimizer stopped at a phase boundary.
   const Status& optimize_termination() const { return optimize_termination_; }

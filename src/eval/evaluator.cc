@@ -1524,10 +1524,10 @@ class Engine {
       uint64_t inserted = 0;
       for (uint32_t i = 0; i < f.count; ++i) {
         const Value* row = base + static_cast<size_t>(i) * f.len;
-        const bool was_new =
-            unary ? rel.InsertUnary(*row)
-                  : rel.Insert(std::span<const Value>(row, f.len));
-        if (was_new) {
+        const Relation::InsertResult ins =
+            unary ? Relation::InsertResult{*row, rel.InsertUnary(*row)}
+                  : rel.InsertRow(std::span<const Value>(row, f.len));
+        if (ins.inserted) {
           ++inserted;
           if (options_.record_provenance) {
             uint32_t row_id = static_cast<uint32_t>(rel.size() - 1);
@@ -1535,8 +1535,7 @@ class Engine {
           }
         }
         if (options_.support_sink != nullptr) {
-          options_.support_sink->Derived(
-              f.pred, std::span<const Value>(row, f.len), was_new);
+          options_.support_sink->Derived(f.pred, ins.key, ins.inserted);
         }
       }
       if (inserted > 0) {

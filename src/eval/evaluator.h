@@ -157,10 +157,11 @@ class CheckpointSink {
 class SupportSink {
  public:
   virtual ~SupportSink() = default;
-  /// One derivation of `row` for `pred`; `inserted` is true when the tuple
-  /// was new (false for a duplicate re-derivation).
-  virtual void Derived(PredId pred, std::span<const Value> row,
-                       bool inserted) = 0;
+  /// One derivation of a `pred` tuple, named by its dense key in the
+  /// relation (Relation::InsertResult: row id, or symbol id for arity 1);
+  /// `inserted` is true when the tuple was new (false for a duplicate
+  /// re-derivation).
+  virtual void Derived(PredId pred, uint32_t key, bool inserted) = 0;
 };
 
 /// Per-evaluation (per-session) options. EvalOptions owns no shared state:

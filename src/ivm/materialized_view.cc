@@ -43,6 +43,7 @@ MaterializedView::MaterializedView(CompiledProgram::Ptr program,
       generation_(generation),
       support_(std::move(support)) {
   fallback_ = Classify(program_->program(), eval_);
+  if (fallback_ != Fallback::kNone) support_.reset();
   // Maintenance runs are ungoverned and unobserved: a budget trip or a
   // checkpoint mid-maintenance would leave a partial view behind the
   // published generation, which is strictly worse than slow maintenance.
@@ -101,8 +102,7 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
   // and extra_delta_preds gives the grown EDB predicates delta variants
   // (round 0 never re-fires — see DESIGN.md §16).
   EvalOptions options = eval_;
-  EvalCursor cursor;
-  cursor.stratum = 0;
+  EvalCursor cursor;  // Stratum 0: the program is negation-free.
   cursor.delta_lo = marks.CursorEntries(result_.db);
   options.resume = &cursor;
   options.extra_delta_preds = grown;
@@ -146,20 +146,12 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
 }
 
 Status MaterializedView::Reseed(const Database& edb, uint64_t generation) {
-  Database base = edb.Clone();
-  // Re-add the program's own ground facts, exactly as a cold session
-  // seeds its evaluation database.
-  for (const auto& [pred, rel] : program_->facts().relations()) {
-    const Relation::View view = rel.view();
-    for (size_t row = 0; row < view.size(); ++row) {
-      base.AddTuple(pred, view.Scan(row));
-    }
-  }
   EvalOptions options = eval_;
-  auto ledger = std::make_unique<SupportLedger>();
+  std::unique_ptr<SupportLedger> ledger;
+  if (fallback_ == Fallback::kNone) ledger = std::make_unique<SupportLedger>();
   options.support_sink = ledger.get();
   Result<EvalResult> recomputed =
-      Evaluate(program_->program(), std::move(base), options);
+      Evaluate(program_->program(), program_->SessionEdb(edb), options);
   if (!recomputed.ok()) return recomputed.status();
   if (!recomputed->termination.ok()) return recomputed->termination;
   ++stats_.generations_applied;

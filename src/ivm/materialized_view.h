@@ -1,26 +1,15 @@
 // MaterializedView — one standing query's maintained fixpoint (DESIGN.md
 // §16).
 //
-// A standing query is registered once and answered across fact-load
-// generations without re-running its fixpoint: the view owns the full
-// EDB ∪ IDB database of the last evaluation, and each generation's new
-// facts are appended to it and re-derived from with the evaluator's
-// existing semi-naive watermark machinery — a synthesized EvalCursor
-// carries the pre-insert sizes as delta watermarks, EvalOptions::resume
-// re-enters the delta loop (round 0 never re-fires), and
-// EvalOptions::extra_delta_preds makes the appended EDB suffixes drive
-// delta variants. Cost per generation is O(changed facts and their
-// consequences), not O(database).
-//
-// Soundness: an insertions-only delta over a negation-free semi-naive
-// program is monotone, so re-derivation from the delta converges to the
-// same relation sets a cold evaluation of the whole database would — and
-// ExtractAnswers sorts + dedups, so the rendered answers are
-// byte-identical to the cold run regardless of derivation order, thread
-// count, or physical representation. Programs the incremental path cannot
-// handle (classified once at registration, see Fallback) take a full
-// recompute every generation instead, counted in IvmStats so the
-// ivm.full_recomputes metric proves when the fast path is taken.
+// The view owns the full EDB ∪ IDB database of its last evaluation; each
+// generation's new facts are appended to it and re-derived from through
+// the evaluator's semi-naive watermark machinery (a synthesized
+// EvalCursor, EvalOptions::resume and extra_delta_preds), so a generation
+// costs O(changed facts and their consequences), not O(database).
+// Insertions over a negation-free semi-naive program are monotone, and
+// ExtractAnswers sorts + dedups, so answers are byte-identical to a cold
+// run. Programs outside that fragment (see Fallback) recompute every
+// generation, counted in ivm.full_recomputes.
 
 #ifndef EXDL_IVM_MATERIALIZED_VIEW_H_
 #define EXDL_IVM_MATERIALIZED_VIEW_H_
@@ -75,8 +64,9 @@ class MaterializedView {
   /// Seeds a view from a finished full evaluation: `result` must be the
   /// EvalResult of evaluating `program` over generation `generation`'s
   /// EDB (plus the program's own ground facts), with ok termination.
-  /// `support` is the ledger that observed that evaluation (may be null
-  /// when the program is a fallback case — full recomputes re-seed it).
+  /// `support` is the ledger that observed that evaluation. Fallback
+  /// views keep none (they recompute every generation, so nothing could
+  /// read their counts); one passed for them is dropped.
   MaterializedView(CompiledProgram::Ptr program, EvalOptions eval,
                    EvalResult result, uint64_t generation,
                    std::unique_ptr<SupportLedger> support);
@@ -92,10 +82,9 @@ class MaterializedView {
                const Database& edb_snapshot);
 
   /// Rebuilds the view from scratch over `edb` (the current snapshot's
-  /// database; the program's own ground facts are re-added). Used when
-  /// the view missed a generation (registration raced a fact load) and by
-  /// every generation of a fallback program — counted as a full
-  /// recompute.
+  /// database) as a cold session would. Used when the view missed a
+  /// generation (registration raced a fact load) and by every generation
+  /// of a fallback program — counted as a full recompute.
   Status Reseed(const Database& edb, uint64_t generation);
 
   /// The maintained result: db is EDB ∪ IDB, answers are the query's
@@ -110,6 +99,7 @@ class MaterializedView {
   /// (trivially true before the first Apply — the seed is not a
   /// recompute).
   bool last_was_incremental() const { return last_incremental_; }
+  /// The view's support counts; null for fallback views.
   const SupportLedger* support() const { return support_.get(); }
 
   /// Classifies whether (program, eval) can be maintained incrementally.

@@ -419,15 +419,9 @@ void QueryService::ProcessOne(Active& item) {
   response.program = compiled;
   // Session EDB: the submission-time snapshot generation (copy-on-write
   // clone — no tuple copy) plus the program's own ground facts.
-  Database edb = item.pending.snapshot.valid()
-                     ? item.pending.snapshot.db().Clone()
-                     : Database();
-  for (const auto& [pred, rel] : compiled->facts().relations()) {
-    Relation& dst = edb.GetOrCreate(pred, rel.arity());
-    for (size_t row = 0; row < rel.size(); ++row) {
-      dst.Insert(rel.view().Scan(row));
-    }
-  }
+  const Database edb = item.pending.snapshot.valid()
+                           ? compiled->SessionEdb(item.pending.snapshot.db())
+                           : compiled->SessionEdb(Database());
   SessionOptions session_options;
   session_options.eval = options_.eval;
   if (item.pending.request.budget.has_value()) {
@@ -451,7 +445,8 @@ void QueryService::ProcessOne(Active& item) {
   session_options.telemetry = response.telemetry.get();
   // A standing request's seeding evaluation is observed by the view's
   // support ledger (counting IVM substrate) unless the program is a
-  // fallback case, where counts are rebuilt by every recompute anyway.
+  // fallback case: those views recompute every generation, so nothing
+  // could ever read their counts, and they keep no ledger.
   std::unique_ptr<ivm::SupportLedger> ledger;
   if (item.pending.request.standing &&
       ivm::MaterializedView::Classify(compiled->program(),
@@ -522,8 +517,10 @@ std::string QueryService::MetricsJson(
     const std::function<void(obs::JsonWriter&)>& extra_keys) const {
   // Gather the IVM counters before taking mu_ (lock order: standing_mu_
   // strictly before mu_). Retained stats keep unregistered views'
-  // counters monotone.
+  // counters monotone; support_* are gauges over live views only.
   uint64_t maintained_queries = 0;
+  uint64_t support_bytes = 0;
+  uint64_t support_tuples = 0;
   ivm::IvmStats ivm_stats;
   {
     std::lock_guard<std::mutex> lock(standing_mu_);
@@ -531,6 +528,10 @@ std::string QueryService::MetricsJson(
     ivm_stats = retained_standing_stats_;
     for (const auto& [id, entry] : standing_) {
       ivm_stats += entry.view->stats();
+      if (const ivm::SupportLedger* support = entry.view->support()) {
+        support_bytes += support->bytes();
+        support_tuples += support->tracked_tuples();
+      }
     }
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -584,6 +585,10 @@ std::string QueryService::MetricsJson(
     w.UInt(ivm_stats.tuples_rederived);
     w.Key("facts_absorbed");
     w.UInt(ivm_stats.facts_absorbed);
+    w.Key("support_bytes");
+    w.UInt(support_bytes);
+    w.Key("support_tuples");
+    w.UInt(support_tuples);
     w.EndObject();
     if (extra_keys) extra_keys(w);
   };

@@ -52,7 +52,7 @@ void Relation::Index::Rehash(size_t new_slot_count) {
   }
 }
 
-bool Relation::Insert(std::span<const Value> row) {
+Relation::InsertResult Relation::InsertRow(std::span<const Value> row) {
   assert(row.size() == payload_->arity);
   // `row` may alias a payload we are about to abandon; the old payload
   // stays alive through the sharer that made it shared, so the view stays
@@ -67,16 +67,18 @@ bool Relation::Insert(std::span<const Value> row) {
   // so the slots table is never consulted for these relations. The arena
   // append keeps row ids and insertion order exactly as before.
   if (p.arity == 1) {
-    if (!p.bits.Set(row[0])) return false;
+    const Value v = row[0];
+    if (!p.bits.Set(v)) return {v, false};
     const uint32_t row_id = static_cast<uint32_t>(p.num_rows);
-    p.data.push_back(row[0]);
+    p.data.push_back(v);
     ++p.num_rows;
     UpdateIndexes(row_id);
-    return true;
+    return {v, true};
   }
 
   const size_t hash = HashValueSpan(row.data(), row.size());
-  if (FindRow(hash, row) != kNoRow) return false;
+  const size_t existing = FindRow(hash, row);
+  if (existing != kNoRow) return {static_cast<uint32_t>(existing), false};
 
   // `row` may alias our own arena (e.g. copying a relation into itself);
   // appending can reallocate the arena, so detach the view first if so.
@@ -99,7 +101,7 @@ bool Relation::Insert(std::span<const Value> row) {
   if (NeedsGrow(p.num_rows, p.slots.size())) RehashSlots(p.slots.size() * 2);
 
   UpdateIndexes(row_id);
-  return true;
+  return {row_id, true};
 }
 
 bool Relation::LoadRows(std::span<const Value> data, size_t rows) {

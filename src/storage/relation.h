@@ -35,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -165,11 +166,24 @@ class Relation {
   size_t size() const { return payload_->num_rows; }
   bool empty() const { return payload_->num_rows == 0; }
 
-  /// Inserts `row` (must have length == arity). Returns true if the tuple
-  /// was new. Duplicate inserts are counted in `insert_attempts`. `row`
-  /// may alias this relation's own arena (self-copy is handled).
-  /// Detaches a shared payload first.
-  bool Insert(std::span<const Value> row);
+  /// What InsertRow reports. `key` identifies the tuple densely within
+  /// this relation: its row id (for a duplicate, the row id it already
+  /// had; 0-ary relations hold one tuple, key 0), except on arity-1
+  /// relations, which dedup through the membership bitset and so have no
+  /// row-id lookup — there the key is the tuple's symbol id.
+  struct InsertResult {
+    uint32_t key;
+    bool inserted;  ///< True if the tuple was new.
+  };
+
+  /// Inserts `row` (must have length == arity) and reports its key from
+  /// the same dedup probe, new or duplicate. Duplicate inserts are counted
+  /// in `insert_attempts`. `row` may alias this relation's own arena
+  /// (self-copy is handled). Detaches a shared payload first.
+  InsertResult InsertRow(std::span<const Value> row);
+
+  /// InsertRow without the key: true if the tuple was new.
+  bool Insert(std::span<const Value> row) { return InsertRow(row).inserted; }
 
   /// Arity-1 Insert without the span plumbing: one bitset probe for the
   /// duplicate test, one arena append. Observationally identical to
@@ -267,6 +281,18 @@ class Relation {
 
   bool Contains(std::span<const Value> row) const {
     return ContainsKey(row);
+  }
+
+  /// The key InsertRow reported for `row`, or nullopt if it is absent.
+  std::optional<uint32_t> KeyOf(std::span<const Value> row) const {
+    assert(row.size() == arity());
+    if (arity() == 1) {
+      if (!payload_->bits.Test(row[0])) return std::nullopt;
+      return row[0];
+    }
+    const size_t r = FindRow(HashValueSpan(row.data(), row.size()), row);
+    if (r == kNoRow) return std::nullopt;
+    return static_cast<uint32_t>(r);
   }
 
   /// Returns the index on `columns` (sorted, distinct, each < arity),

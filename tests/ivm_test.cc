@@ -14,6 +14,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -21,10 +24,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_program.h"
 #include "ivm/materialized_view.h"
+#include "parser/parser.h"
 #include "service/answer_text.h"
 #include "service/query_service.h"
 #include "storage/representation.h"
+#include "testing/test_util.h"
 
 namespace exdl {
 namespace {
@@ -279,6 +285,208 @@ TEST(IvmTest, MetricsJsonCarriesIvmObject) {
   EXPECT_NE(metrics.find("\"ivm\""), std::string::npos);
   EXPECT_NE(metrics.find("\"maintained_queries\""), std::string::npos);
   EXPECT_NE(metrics.find("\"full_recomputes\""), std::string::npos);
+  // The support gauges: the live view's ledger counts something, in
+  // dense columns of at most 8 bytes per counted tuple here.
+  auto gauge = [&](const std::string& key) -> uint64_t {
+    const size_t at = metrics.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos) return 0;
+    return std::stoull(metrics.substr(at + key.size() + 3));
+  };
+  const uint64_t support_tuples = gauge("support_tuples");
+  const uint64_t support_bytes = gauge("support_bytes");
+  EXPECT_GT(support_tuples, 0u);
+  EXPECT_GT(support_bytes, 0u);
+}
+
+// --- Support ledger (DESIGN.md §16, "Counting support") ---
+
+/// Parses `source`'s facts into `ctx` (the atoms, in source order).
+std::vector<Atom> ParseAtoms(const std::string& source,
+                             const ContextPtr& ctx) {
+  Result<ParsedUnit> parsed = ParseProgram(source, ctx);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.ok() ? parsed->facts : std::vector<Atom>{};
+}
+
+CompiledProgram::Ptr CompileSource(const std::string& source, bool optimize,
+                                   const ContextPtr& ctx) {
+  CompileOptions options;
+  options.optimize = optimize;
+  Result<CompiledProgram::Ptr> compiled =
+      CompiledProgram::Compile(source, options, nullptr, ctx);
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  return compiled.ok() ? *compiled : nullptr;
+}
+
+/// A view of `compiled` seeded over `edb` at generation 1 by Reseed, the
+/// path a view that missed a generation takes.
+std::unique_ptr<ivm::MaterializedView> ReseededView(
+    const CompiledProgram::Ptr& compiled, const EvalOptions& eval,
+    const Database& edb) {
+  auto view = std::make_unique<ivm::MaterializedView>(
+      compiled, eval, EvalResult{}, 0, nullptr);
+  EXPECT_TRUE(view->Reseed(edb, 1).ok());
+  return view;
+}
+
+uint64_t SumOfCounts(const ivm::SupportLedger& ledger) {
+  uint64_t sum = 0;
+  for (const std::vector<uint32_t>& column : ledger.columns()) {
+    sum = std::accumulate(column.begin(), column.end(), sum);
+  }
+  return sum;
+}
+
+TEST(SupportLedgerTest, DiamondCountsByHand) {
+  auto ctx = std::make_shared<Context>();
+  // a -> b -> d and a -> c -> d: tc(a, d) and reach(d) have exactly two
+  // derivations (via b and via c), every other derived tuple one. reach
+  // is unary, so its counts are keyed by symbol id rather than row id.
+  const Database edges =
+      testing::MustParseWith(ctx, "e(a, b). e(a, c). e(b, d). e(c, d).").edb;
+  CompiledProgram::Ptr compiled = CompileSource(
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "reach(Y) :- e(a, Y).\n"
+      "reach(Y) :- reach(X), e(X, Y).\n"
+      "?- tc(a, Y).\n",
+      /*optimize=*/false, ctx);
+  ASSERT_NE(compiled, nullptr);
+  auto view = ReseededView(compiled, EvalOptions{}, edges);
+  const ivm::SupportLedger* support = view->support();
+  ASSERT_NE(support, nullptr);
+  const PredId tc = ctx->InternPredicate("tc", 2);
+  const PredId e = ctx->InternPredicate("e", 2);
+  const PredId reach = ctx->InternPredicate("reach", 1);
+  auto sym = [&](const char* name) { return ctx->InternSymbol(name); };
+  auto tc_support = [&](PredId pred, const char* x, const char* y) {
+    const Value row[] = {sym(x), sym(y)};
+    return support->SupportOf(view->result().db, pred, row);
+  };
+  auto reach_support = [&](const char* y) {
+    const Value row[] = {sym(y)};
+    return support->SupportOf(view->result().db, reach, row);
+  };
+  EXPECT_EQ(tc_support(tc, "a", "d"), 2u);
+  EXPECT_EQ(tc_support(tc, "a", "b"), 1u);
+  EXPECT_EQ(tc_support(tc, "b", "d"), 1u);
+  EXPECT_EQ(tc_support(tc, "c", "d"), 1u);
+  EXPECT_EQ(tc_support(tc, "d", "a"), 0u);  // Not a tuple at all.
+  EXPECT_EQ(tc_support(e, "a", "b"), 0u);   // EDB: extrinsic, no support.
+  EXPECT_EQ(tc_support(e, "c", "d"), 0u);
+  EXPECT_EQ(reach_support("d"), 2u);
+  EXPECT_EQ(reach_support("b"), 1u);
+  EXPECT_EQ(reach_support("a"), 0u);
+  EXPECT_EQ(support->tracked_tuples(), 8u);
+  EXPECT_EQ(support->total_derivations(), 10u);
+  EXPECT_EQ(SumOfCounts(*support), support->total_derivations());
+
+  // A third branch a -> y -> d, loaded as one generation: the delta run
+  // inserts tc(a, y), tc(y, d), reach(y), and only then re-derives the
+  // older tc(a, d) and reach(d) — duplicates of rows other than the last.
+  Database snapshot = edges.Clone();
+  const std::vector<Atom> delta = ParseAtoms("e(a, y). e(y, d).", ctx);
+  for (const Atom& fact : delta) ASSERT_TRUE(snapshot.AddFact(fact).ok());
+  ASSERT_TRUE(view->Apply(delta, 2, snapshot).ok());
+  EXPECT_TRUE(view->last_was_incremental());
+  ASSERT_EQ(view->support(), support);
+  EXPECT_EQ(tc_support(tc, "a", "d"), 3u);
+  EXPECT_EQ(tc_support(tc, "a", "y"), 1u);
+  EXPECT_EQ(tc_support(tc, "y", "d"), 1u);
+  EXPECT_EQ(reach_support("d"), 3u);
+  EXPECT_EQ(reach_support("y"), 1u);
+  EXPECT_EQ(support->tracked_tuples(), 11u);
+  EXPECT_EQ(SumOfCounts(*support), support->total_derivations());
+}
+
+TEST(SupportLedgerTest, CountsIdenticalAcrossThreadsAndRepresentations) {
+  for (uint32_t seed : {7u, 1234u}) {
+    for (const IvmCase& c : kCases) {
+      SCOPED_TRACE(std::string(c.label) + " seed=" + std::to_string(seed));
+      auto ctx = std::make_shared<Context>();
+      CompiledProgram::Ptr compiled =
+          CompileSource(c.source, /*optimize=*/true, ctx);
+      ASSERT_NE(compiled, nullptr);
+      // Every configuration absorbs the same parsed atoms, so symbol ids
+      // (the arity-1 keys) agree as well as row ids.
+      std::mt19937 rng(seed);
+      int next_node = 0;
+      const Database base =
+          testing::MustParseWith(ctx, BaseFacts(rng, &next_node)).edb;
+      std::vector<std::vector<Atom>> deltas;
+      for (int g = 0; g < 5; ++g) {
+        deltas.push_back(ParseAtoms(RandomDelta(rng, &next_node), ctx));
+      }
+      std::optional<std::vector<std::vector<uint32_t>>> reference;
+      for (uint32_t threads : {1u, 4u}) {
+        for (Representation rep :
+             {Representation::kTuple, Representation::kBitset}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads) + " rep=" +
+                       RepresentationName(rep));
+          EvalOptions eval;
+          eval.num_threads = threads;
+          eval.representation = rep;
+          Database snapshot = base.Clone();
+          auto view = ReseededView(compiled, eval, snapshot);
+          for (size_t g = 0; g < deltas.size(); ++g) {
+            for (const Atom& fact : deltas[g]) {
+              ASSERT_TRUE(snapshot.AddFact(fact).ok());
+            }
+            ASSERT_TRUE(view->Apply(deltas[g], g + 2, snapshot).ok());
+            ASSERT_TRUE(view->last_was_incremental());
+          }
+          const ivm::SupportLedger* support = view->support();
+          ASSERT_NE(support, nullptr);
+          // The optimizer deletes edb_query's rules (the query reads e
+          // itself), so that view derives nothing; the rest must count.
+          if (std::string_view(c.label) != "edb_query") {
+            EXPECT_GT(support->tracked_tuples(), 0u);
+          }
+          EXPECT_EQ(SumOfCounts(*support), support->total_derivations());
+          if (!reference) reference = support->columns();
+          EXPECT_EQ(support->columns(), *reference);
+        }
+      }
+    }
+  }
+}
+
+TEST(SupportLedgerTest, OnlyIncrementalViewsKeepALedger) {
+  auto ctx = std::make_shared<Context>();
+  const Database facts =
+      testing::MustParseWith(ctx, "e(a, b). e(b, c). blocked(c).").edb;
+  const std::vector<Atom> delta = ParseAtoms("e(c, d). blocked(b).", ctx);
+  Database snapshot = facts.Clone();
+  for (const Atom& fact : delta) ASSERT_TRUE(snapshot.AddFact(fact).ok());
+
+  // A fallback view recomputes every generation: a ledger handed in is
+  // dropped, and the recomputes build none.
+  CompiledProgram::Ptr negation = CompileSource(
+      "ok(X, Y) :- e(X, Y), not blocked(Y).\n?- ok(X, Y).\n",
+      /*optimize=*/false, ctx);
+  ASSERT_NE(negation, nullptr);
+  ivm::MaterializedView fallback(negation, EvalOptions{}, EvalResult{}, 1,
+                                 std::make_unique<ivm::SupportLedger>());
+  ASSERT_EQ(fallback.fallback(), ivm::Fallback::kNegation);
+  EXPECT_EQ(fallback.support(), nullptr);
+  ASSERT_TRUE(fallback.Apply(delta, 2, snapshot).ok());
+  EXPECT_FALSE(fallback.last_was_incremental());
+  EXPECT_EQ(fallback.support(), nullptr);
+
+  // An incremental view reseeded after a missed generation gets a fresh
+  // ledger that observed the recompute.
+  CompiledProgram::Ptr tc = CompileSource(
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "?- tc(a, Y).\n",
+      /*optimize=*/false, ctx);
+  ASSERT_NE(tc, nullptr);
+  auto view = ReseededView(tc, EvalOptions{}, facts);
+  ASSERT_TRUE(view->Reseed(snapshot, 3).ok());
+  ASSERT_NE(view->support(), nullptr);
+  EXPECT_EQ(view->stats().full_recomputes, 2u);
+  EXPECT_EQ(view->support()->tracked_tuples(), 6u);  // tc over a-b-c-d
 }
 
 // Concurrency smoke (run under TSan in CI): registrations, fact loads,

@@ -16,6 +16,35 @@ TEST(RelationTest, InsertDeduplicates) {
   EXPECT_EQ(rel.insert_attempts(), 3u);
 }
 
+TEST(RelationTest, InsertRowReportsKeyOfNewAndDuplicateTuples) {
+  Relation rel(2);
+  const Relation::InsertResult first = rel.InsertRow(std::vector<Value>{1, 2});
+  EXPECT_EQ(first.key, 0u);
+  EXPECT_TRUE(first.inserted);
+  EXPECT_EQ(rel.InsertRow(std::vector<Value>{1, 3}).key, 1u);
+  // A duplicate reports the row id it already had, not the newest row.
+  const Relation::InsertResult dup = rel.InsertRow(std::vector<Value>{1, 2});
+  EXPECT_EQ(dup.key, 0u);
+  EXPECT_FALSE(dup.inserted);
+  EXPECT_EQ(rel.KeyOf(std::vector<Value>{1, 3}), 1u);
+  EXPECT_EQ(rel.KeyOf(std::vector<Value>{3, 1}), std::nullopt);
+
+  // Arity 1 dedups through the bitset: the key is the symbol id.
+  Relation unary(1);
+  EXPECT_EQ(unary.InsertRow(std::vector<Value>{7}).key, 7u);
+  EXPECT_EQ(unary.InsertRow(std::vector<Value>{4}).key, 4u);
+  EXPECT_FALSE(unary.InsertRow(std::vector<Value>{7}).inserted);
+  EXPECT_EQ(unary.InsertRow(std::vector<Value>{7}).key, 7u);
+  EXPECT_EQ(unary.KeyOf(std::vector<Value>{4}), 4u);
+  EXPECT_EQ(unary.KeyOf(std::vector<Value>{5}), std::nullopt);
+
+  // 0-ary: the one tuple is row 0.
+  Relation boolean(0);
+  EXPECT_EQ(boolean.InsertRow({}).key, 0u);
+  EXPECT_FALSE(boolean.InsertRow({}).inserted);
+  EXPECT_EQ(boolean.KeyOf({}), 0u);
+}
+
 TEST(RelationTest, RowsKeepInsertionOrder) {
   Relation rel(1);
   for (Value v : {5u, 3u, 9u}) rel.Insert(std::vector<Value>{v});

@@ -7,7 +7,10 @@ Reads the JSON rows written by bench_a3_standing_queries (run with
 EXDL_BENCH_METRICS=1 so every row carries the service's metrics document)
 and fails if any standing/incremental case reports ivm.full_recomputes
 != 0 — i.e. a view that DESIGN.md §16 promises stays on the delta-driven
-path fell back to recomputing its fixpoint from scratch. The bench binary
+path fell back to recomputing its fixpoint from scratch — or reports
+ivm.support_bytes > 8 * ivm.support_tuples: the support ledger is a
+dense 4-byte count column per predicate, so more than 8 bytes per
+counted tuple means a per-tuple hash structure came back. The bench binary
 already aborts when the polled answers diverge from a cold re-evaluation,
 so by the time this checker runs, byte-identity has been enforced; this
 guards the *mechanism*, not the answers.
@@ -15,8 +18,9 @@ guards the *mechanism*, not the answers.
 The incremental-vs-recompute speedup is printed per worker count but is
 informational only (CI machines are too noisy to gate on a ratio).
 
-Exit codes: 0 every incremental case stayed incremental; 1 a full
-recompute happened (or telemetry was missing); 2 usage/unreadable input.
+Exit codes: 0 every incremental case stayed incremental and dense; 1 a
+full recompute happened, the ledger outgrew its bound, or telemetry was
+missing; 2 usage/unreadable input.
 """
 
 import json
@@ -52,15 +56,27 @@ def main(argv):
             continue
         ivm = telemetry.get("ivm", {})
         recomputes = ivm.get("full_recomputes")
+        support_bytes = ivm.get("support_bytes")
+        support_tuples = ivm.get("support_tuples")
         if recomputes != 0:
             print(f"FAIL {name}: ivm.full_recomputes = {recomputes!r} "
                   "(want 0: the incremental path must never reseed here)")
+            failures += 1
+        elif support_bytes is None or support_tuples is None:
+            print(f"FAIL {name}: ivm.support_bytes/support_tuples missing")
+            failures += 1
+        elif support_bytes > 8 * support_tuples:
+            print(f"FAIL {name}: ivm.support_bytes = {support_bytes} > "
+                  f"8 * support_tuples = {8 * support_tuples} "
+                  "(the support ledger must stay a dense count column)")
             failures += 1
         else:
             print(f"ok   {name}: full_recomputes=0 "
                   f"(generations={ivm.get('generations_applied')}, "
                   f"delta_rounds={ivm.get('delta_rounds')}, "
-                  f"tuples_rederived={ivm.get('tuples_rederived')})")
+                  f"tuples_rederived={ivm.get('tuples_rederived')}, "
+                  f"support_bytes={support_bytes}, "
+                  f"support_tuples={support_tuples})")
     for (case, workers), value in sorted(qps.items()):
         if case != "incremental":
             continue
