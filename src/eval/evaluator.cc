@@ -1321,11 +1321,10 @@ class Engine {
         continue;
       }
       ++ws.stats.index_probes;
-      const Relation::RowIdList* ids =
+      const std::span<const uint32_t> ids =
           bindex->LookupKey(RegKey{bstep, ws.regs.data()});
-      if (ids == nullptr) continue;
-      auto lo_it = std::lower_bound(ids->begin(), ids->end(), brange.lo);
-      for (auto it = lo_it; it != ids->end() && *it < brange.hi; ++it) {
+      auto lo_it = std::lower_bound(ids.begin(), ids.end(), brange.lo);
+      for (auto it = lo_it; it != ids.end() && *it < brange.hi; ++it) {
         ++ws.stats.rows_matched;
         ws.regs[bfree_reg] =
             barena[static_cast<size_t>(*it) * 2 + bfree_pos];
@@ -1497,12 +1496,11 @@ class Engine {
     }
     const Relation::Index& index = *step_indexes_[step_idx];
     ++ws.stats.index_probes;
-    const Relation::RowIdList* ids =
+    const std::span<const uint32_t> ids =
         index.LookupKey(RegKey{&step, ws.regs.data()});
-    if (ids == nullptr) return true;
     // Row ids are appended in increasing order; binary-search the range.
-    auto lo_it = std::lower_bound(ids->begin(), ids->end(), range.lo);
-    for (auto it = lo_it; it != ids->end() && *it < range.hi; ++it) {
+    auto lo_it = std::lower_bound(ids.begin(), ids.end(), range.lo);
+    for (auto it = lo_it; it != ids.end() && *it < range.hi; ++it) {
       if (!process_row(*it)) return false;
     }
     return true;

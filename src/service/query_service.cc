@@ -34,6 +34,8 @@ QueryService::QueryService(ServiceOptions options)
   queries_failed_id_ = metrics.Counter("service.queries.failed");
   batches_id_ = metrics.Counter("service.batches");
   generation_id_ = metrics.Gauge("service.snapshot.generation");
+  cow_detaches_id_ = metrics.Counter("service.load.cow_detaches");
+  cow_bytes_copied_id_ = metrics.Counter("service.load.cow_bytes_copied");
   // MetricsJson before the first query still labels the configured mode.
   aggregate_.representation.mode = options_.eval.representation;
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
@@ -153,6 +155,19 @@ Status QueryService::LoadFactsImpl(std::string_view source, bool durable) {
     Database next = snapshot_.valid() ? snapshot_.db().Clone() : Database();
     for (const Atom& fact : parsed.facts) {
       EXDL_RETURN_IF_ERROR(next.AddFact(fact));
+    }
+    // Every relation the load wrote detached a private copy of the
+    // published one (a new predicate has nothing to copy).
+    if (snapshot_.valid()) {
+      obs::MetricsRegistry& metrics = service_telemetry_.metrics();
+      for (const auto& [pred, rel] : next.relations()) {
+        const Relation* published = snapshot_.db().Find(pred);
+        if (published == nullptr || rel.SharesStorageWith(*published)) {
+          continue;
+        }
+        metrics.Add(cow_detaches_id_, 1);
+        metrics.Add(cow_bytes_copied_id_, published->storage_bytes());
+      }
     }
     // Durability ordering contract (DESIGN.md §15): the fact-log record is
     // on stable storage before the generation becomes visible to queries.
@@ -569,6 +584,13 @@ std::string QueryService::MetricsJson(
     w.UInt(cache.size);
     w.Key("capacity");
     w.UInt(cache.capacity);
+    w.EndObject();
+    w.Key("load");
+    w.BeginObject();
+    w.Key("cow_detaches");
+    w.UInt(metrics.CounterValue(cow_detaches_id_));
+    w.Key("cow_bytes_copied");
+    w.UInt(metrics.CounterValue(cow_bytes_copied_id_));
     w.EndObject();
     w.EndObject();
     w.Key("ivm");

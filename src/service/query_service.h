@@ -229,7 +229,7 @@ class QueryService {
   /// Renders the merged service telemetry document: the same schema as
   /// Session::TelemetryJson (stats aggregated over every completed query,
   /// service-level metrics rows) plus a "service" object with worker,
-  /// snapshot, queue, and cache counters. Validated by
+  /// snapshot, queue, cache, and LoadFacts copy-on-write counters. Validated by
   /// tools/check_metrics_schema.py. When `extra` is set it is invoked
   /// right before the document closes so an embedder can append its own
   /// top-level keys (the daemon's "daemon" object).
@@ -285,6 +285,10 @@ class QueryService {
   obs::MetricId queries_failed_id_;
   obs::MetricId batches_id_;
   obs::MetricId generation_id_;
+  /// LoadFacts copy-on-write cost: relations detached from the published
+  /// snapshot, and their Relation::storage_bytes.
+  obs::MetricId cow_detaches_id_;
+  obs::MetricId cow_bytes_copied_id_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< Dispatcher: queue or shutdown.

@@ -22,23 +22,96 @@ bool NeedsGrow(size_t entries, size_t slot_count) {
 
 }  // namespace
 
-void Relation::Index::Add(const Value* key, uint32_t row_id) {
+uint32_t Relation::Index::FindOrAddGroup(const Value* key) {
   if (slots_.empty()) slots_.assign(kMinSlots, 0);
   const size_t mask = slots_.size() - 1;
   size_t slot = HashValueSpan(key, width_) & mask;
   while (true) {
     const uint32_t g = slots_[slot];
     if (g == 0) break;
-    if (KeyEquals(g - 1, std::span<const Value>(key, width_))) {
-      groups_[g - 1].push_back(row_id);
-      return;
-    }
+    if (KeyEquals(g - 1, std::span<const Value>(key, width_))) return g - 1;
     slot = (slot + 1) & mask;
   }
   keys_.insert(keys_.end(), key, key + width_);
-  groups_.emplace_back().push_back(row_id);
+  const uint32_t offset = static_cast<uint32_t>(pool_.size());
+  groups_.push_back(Group{offset, 0, 0});
   slots_[slot] = static_cast<uint32_t>(groups_.size());
   if (NeedsGrow(groups_.size(), slots_.size())) Rehash(slots_.size() * 2);
+  return static_cast<uint32_t>(groups_.size() - 1);
+}
+
+void Relation::Index::Build(const Value* data, uint32_t arity,
+                            size_t num_rows) {
+  std::vector<uint32_t> group_of(num_rows);
+  std::vector<Value> key(width_);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const Value* row = data + r * arity;
+    for (size_t i = 0; i < width_; ++i) key[i] = row[columns_[i]];
+    const uint32_t g = FindOrAddGroup(key.data());
+    group_of[r] = g;
+    ++groups_[g].capacity;
+  }
+  uint32_t offset = 0;
+  for (Group& group : groups_) {
+    group.offset = offset;
+    offset += group.capacity;
+  }
+  pool_.resize(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    Group& group = groups_[group_of[r]];
+    pool_[group.offset + group.size++] = static_cast<uint32_t>(r);
+  }
+  rows_ = num_rows;
+}
+
+void Relation::Index::Add(const Value* key, uint32_t row_id) {
+  const uint32_t g = FindOrAddGroup(key);
+  Group& group = groups_[g];
+  ++rows_;
+  if (group.size < group.capacity) {
+    pool_[group.offset + group.size++] = row_id;
+    return;
+  }
+  if (group.offset + group.capacity == pool_.size()) {
+    // The group's run ends the pool (new groups always do): extend it.
+    pool_.push_back(row_id);
+    ++group.size;
+    ++group.capacity;
+    return;
+  }
+  // Full and boxed in: move the run to the pool tail at double capacity.
+  // The old run becomes a hole until the next compaction.
+  const uint32_t offset = static_cast<uint32_t>(pool_.size());
+  pool_.resize(pool_.size() + 2 * static_cast<size_t>(group.capacity));
+  std::copy_n(pool_.begin() + group.offset, group.size,
+              pool_.begin() + offset);
+  group.offset = offset;
+  group.capacity *= 2;
+  pool_[group.offset + group.size++] = row_id;
+  if (pool_.size() > 2 * rows_ + 64) Compact();
+}
+
+void Relation::Index::Compact() {
+  // Spare capacity of half the size keeps a hot group from relocating on
+  // its next insert, which would refill the pool at once; with it, every
+  // compaction is paid for by a constant fraction of rows_ further adds.
+  size_t total = 0;
+  for (const Group& group : groups_) total += group.size + group.size / 2;
+  std::vector<uint32_t> pool(total);
+  uint32_t offset = 0;
+  for (Group& group : groups_) {
+    std::copy_n(pool_.begin() + group.offset, group.size,
+                pool.begin() + offset);
+    group.offset = offset;
+    group.capacity = group.size + group.size / 2;
+    offset += group.capacity;
+  }
+  pool_.swap(pool);
+}
+
+size_t Relation::Index::bytes() const {
+  return slots_.size() * sizeof(uint32_t) + keys_.size() * sizeof(Value) +
+         groups_.size() * sizeof(Group) + pool_.size() * sizeof(uint32_t);
 }
 
 void Relation::Index::Rehash(size_t new_slot_count) {
@@ -138,6 +211,16 @@ uint64_t Relation::rehash_count() const {
   return total;
 }
 
+size_t Relation::storage_bytes() const {
+  const Payload& p = *payload_;
+  std::lock_guard<std::mutex> lock(p.index_mu);
+  size_t total = p.data.size() * sizeof(Value) +
+                 p.slots.size() * sizeof(uint32_t) +
+                 p.bits.num_words() * sizeof(uint64_t);
+  for (const auto& [cols, index] : p.indexes) total += index.bytes();
+  return total;
+}
+
 void Relation::RehashSlots(size_t new_slot_count) {
   Payload& p = *payload_;
   ++p.rehashes;
@@ -174,14 +257,7 @@ const Relation::Index& Relation::GetIndex(
   Index& index = p.indexes[columns];
   index.columns_ = columns;
   index.width_ = columns.size();
-  std::vector<Value> proj;
-  proj.reserve(columns.size());
-  for (uint32_t row_id = 0; row_id < p.num_rows; ++row_id) {
-    const Value* row = p.data.data() + static_cast<size_t>(row_id) * p.arity;
-    proj.clear();
-    for (uint32_t c : columns) proj.push_back(row[c]);
-    index.Add(proj.data(), row_id);
-  }
+  index.Build(p.data.data(), p.arity, p.num_rows);
   return index;
 }
 

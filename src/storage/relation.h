@@ -6,7 +6,10 @@
 // arity-strided arena; row id r occupies data[r*arity, (r+1)*arity).
 // Deduplication is an open-addressing table of row ids that hashes the
 // arena rows directly — no per-tuple heap node, no pointer chase in Row().
-// Indexes store their group keys in the same flat, width-strided style.
+// An index is four flat arrays: its open-addressing slots, its group keys
+// (width-strided like the arena), one {offset, size, capacity} record per
+// group, and one pool of row ids in which every group owns a contiguous
+// ascending run. No per-group heap allocation.
 //
 // Copy-on-write (DESIGN.md §12): the arena, dedup table, and indexes live
 // in a shared payload behind a shared_ptr. Copying a Relation (and hence
@@ -23,9 +26,10 @@
 // Spans returned by Row() are views into the arena and are invalidated by
 // the next Insert/Reserve/Clear *on this Relation object* (the evaluator
 // never grows a relation while iterating it: derivations are buffered and
-// flushed between rounds). Index references obtained via GetIndex stay
-// valid and up to date until this Relation object mutates while shared
-// (a detach re-homes future updates into the private payload).
+// flushed between rounds). Spans returned by Index::Lookup follow the same
+// rule: the next insert may move the pool. Index references obtained via
+// GetIndex stay valid and up to date until this Relation object mutates
+// while shared (a detach re-homes future updates into the private payload).
 
 #ifndef EXDL_STORAGE_RELATION_H_
 #define EXDL_STORAGE_RELATION_H_
@@ -89,41 +93,59 @@ struct ValueVecHash {
 
 class Relation {
  public:
-  /// Row ids matching one index key.
-  using RowIdList = std::vector<uint32_t>;
-
   /// Hash index on a fixed column subset. Groups rows by their projection
   /// onto `columns`; group keys live in a flat width-strided array and are
-  /// found by open addressing, so probes allocate nothing.
+  /// found by open addressing, so probes allocate nothing. Every group's
+  /// row ids are one ascending run in a single shared pool (DESIGN.md §5a).
   class Index {
    public:
-    /// Rows whose projection equals `key` (any key view), or nullptr.
+    /// Rows whose projection equals `key` (any key view), ascending; empty
+    /// when the key is absent. The span is invalidated by the next insert
+    /// into the relation that owns this index.
     template <typename KeyView>
-    const RowIdList* LookupKey(const KeyView& key) const {
+    std::span<const uint32_t> LookupKey(const KeyView& key) const {
       assert(key.size() == width_);
-      if (slots_.empty()) return nullptr;
+      if (slots_.empty()) return {};
       const size_t mask = slots_.size() - 1;
       size_t slot = HashKeyView(key) & mask;
       while (true) {
         const uint32_t g = slots_[slot];
-        if (g == 0) return nullptr;
-        if (KeyEquals(g - 1, key)) return &groups_[g - 1];
+        if (g == 0) return {};
+        if (KeyEquals(g - 1, key)) {
+          const Group& group = groups_[g - 1];
+          return {pool_.data() + group.offset, group.size};
+        }
         slot = (slot + 1) & mask;
       }
     }
 
-    const RowIdList* Lookup(const std::vector<Value>& key) const {
+    std::span<const uint32_t> Lookup(const std::vector<Value>& key) const {
       return LookupKey(std::span<const Value>(key));
     }
-    const RowIdList* Lookup(std::span<const Value> key) const {
+    std::span<const uint32_t> Lookup(std::span<const Value> key) const {
       return LookupKey(key);
     }
 
     const std::vector<uint32_t>& columns() const { return columns_; }
     size_t num_groups() const { return groups_.size(); }
+    /// Row ids indexed (the sum of every group's size).
+    size_t num_rows() const { return rows_; }
+    /// Pool slots in use, holes and spare group capacity included. Stays
+    /// within 2 * num_rows() + 64 (see Add).
+    size_t pool_size() const { return pool_.size(); }
+    /// Bytes of the four arrays (what a copy-on-write detach copies).
+    size_t bytes() const;
 
    private:
     friend class Relation;
+
+    /// One key's run of row ids: pool_[offset, offset + size), with room
+    /// to grow in place up to `capacity`.
+    struct Group {
+      uint32_t offset;
+      uint32_t size;
+      uint32_t capacity;
+    };
 
     template <typename KeyView>
     bool KeyEquals(size_t group, const KeyView& key) const {
@@ -134,16 +156,29 @@ class Relation {
       return true;
     }
 
-    /// Adds `row_id` under the projection stored at `key` (width_ values).
+    /// Builds the index over `num_rows` arena rows as exact CSR: one pass
+    /// assigns groups and counts, a prefix sum places the runs, a second
+    /// pass fills them in row order. The index must be empty.
+    void Build(const Value* data, uint32_t arity, size_t num_rows);
+    /// Adds `row_id` (greater than every id already indexed) under the
+    /// projection stored at `key` (width_ values).
     void Add(const Value* key, uint32_t row_id);
+    /// The id of the group keyed `key`, appending an empty group at the
+    /// pool tail when the key is new.
+    uint32_t FindOrAddGroup(const Value* key);
+    /// Rewrites the pool without holes, group by group, leaving each group
+    /// half its size again as spare capacity.
+    void Compact();
     void Rehash(size_t new_slot_count);
 
     std::vector<uint32_t> columns_;
-    size_t width_ = 0;               ///< columns_.size()
-    std::vector<Value> keys_;        ///< group keys, width_-strided
-    std::vector<RowIdList> groups_;  ///< row ids per key, insertion order
-    std::vector<uint32_t> slots_;    ///< group id + 1; 0 = empty; pow2 size
-    uint64_t rehashes_ = 0;          ///< Rehash() calls (telemetry).
+    size_t width_ = 0;             ///< columns_.size()
+    std::vector<uint32_t> slots_;  ///< group id + 1; 0 = empty; pow2 size
+    std::vector<Value> keys_;      ///< group keys, width_-strided
+    std::vector<Group> groups_;    ///< per key, first-seen order
+    std::vector<uint32_t> pool_;   ///< every group's row-id run
+    size_t rows_ = 0;              ///< row ids indexed
+    uint64_t rehashes_ = 0;        ///< Rehash() calls (telemetry).
   };
 
   explicit Relation(uint32_t arity)
@@ -314,6 +349,11 @@ class Relation {
   size_t arena_bytes() const {
     return payload_->data.size() * sizeof(Value);
   }
+
+  /// Bytes a copy-on-write detach of this relation copies: the arena, the
+  /// dedup slots, the unary bitset and every index's four arrays (sizes,
+  /// not capacities). Telemetry for service.load.cow_bytes_copied.
+  size_t storage_bytes() const;
 
   /// Open-addressing table rebuilds since construction: dedup-slot grows
   /// (including Reserve pre-sizing) plus every index's grows. A telemetry

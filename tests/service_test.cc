@@ -222,7 +222,7 @@ TEST(StorageCoWTest, DetachRacesLazyIndexBuild) {
     std::thread builder([&] {
       for (uint32_t c = 0; c < 2; ++c) {
         std::vector<Value> key = {c == 0 ? Value(1) : Value(2)};
-        EXPECT_NE(reader.GetIndex({c}).Lookup(key), nullptr);
+        EXPECT_FALSE(reader.GetIndex({c}).Lookup(key).empty());
       }
     });
     // Concurrently detach `writer` from the shared payload (first Insert
@@ -366,6 +366,52 @@ TEST(QueryServiceTest, SnapshotGenerationsIsolateFactLoads) {
 
   // Rules are not facts.
   EXPECT_FALSE(service.LoadFacts("p(X) :- e(X, Y).").ok());
+}
+
+// LoadFacts counts the relations it detaches from the published snapshot
+// and the bytes each detach copied (service.load.cow_*).
+TEST(QueryServiceTest, LoadFactsCountsCopyOnWriteDetaches) {
+  QueryService service;
+  auto counter = [&](const std::string& key) -> uint64_t {
+    const std::string metrics = service.MetricsJson();
+    const size_t at = metrics.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos) return 0;
+    return std::stoull(metrics.substr(at + key.size() + 3));
+  };
+  std::string facts;
+  for (int i = 0; i < 200; ++i) {
+    facts += "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
+  }
+  ASSERT_TRUE(service.LoadFacts(facts).ok());
+  EXPECT_EQ(counter("cow_detaches"), 0u);  // Nothing was published before.
+  const PredId e_pred = service.ctx()->InternPredicate("e", 2);
+  const size_t unindexed_bytes =
+      service.snapshot().db().Find(e_pred)->storage_bytes();
+
+  // A one-shot query builds its index on e inside the published snapshot.
+  QueryResponse response = service.Await(
+      service.Submit({.source = "tc(X, Y) :- e(X, Y).\n"
+                                "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                                "?- tc(n0, Y).\n",
+                      .name = "tc"}));
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  const DatabaseSnapshot parent = service.snapshot();
+  const size_t e_bytes = parent.db().Find(e_pred)->storage_bytes();
+  EXPECT_GT(e_bytes, unindexed_bytes);
+
+  ASSERT_TRUE(
+      service.LoadFacts("e(m0, m1). e(m1, m2). e(m2, m3). e(m3, m4).").ok());
+  EXPECT_EQ(counter("cow_detaches"), 1u);
+  const uint64_t copied = counter("cow_bytes_copied");
+  EXPECT_GE(copied, e_bytes);
+
+  // A predicate new to the EDB has nothing to detach.
+  ASSERT_TRUE(service.LoadFacts("f(a). f(b). f(c). f(d).").ok());
+  EXPECT_EQ(counter("cow_detaches"), 1u);
+  EXPECT_EQ(counter("cow_bytes_copied"), copied);
+  EXPECT_NE(service.MetricsJson().find("service.load.cow_detaches"),
+            std::string::npos);
 }
 
 TEST(QueryServiceTest, SharedSnapshotStress) {

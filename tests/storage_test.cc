@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "testing/test_util.h"
+#include "util/rng.h"
 
 namespace exdl {
 namespace {
+
+std::vector<uint32_t> RowIds(std::span<const uint32_t> ids) {
+  return std::vector<uint32_t>(ids.begin(), ids.end());
+}
 
 TEST(RelationTest, InsertDeduplicates) {
   Relation rel(2);
@@ -66,19 +73,19 @@ TEST(RelationTest, IndexLookup) {
   rel.Insert(std::vector<Value>{1, 11});
   rel.Insert(std::vector<Value>{2, 12});
   const Relation::Index& index = rel.GetIndex({0});
-  const Relation::RowIdList* ids = index.Lookup({1});
-  ASSERT_NE(ids, nullptr);
-  EXPECT_EQ(ids->size(), 2u);
-  EXPECT_EQ(index.Lookup({3}), nullptr);
+  const std::span<const uint32_t> ids = index.Lookup({1});
+  ASSERT_FALSE(ids.empty());
+  EXPECT_EQ(ids.size(), 2u);
+  EXPECT_TRUE(index.Lookup({3}).empty());
 }
 
 TEST(RelationTest, IndexMaintainedAcrossInserts) {
   Relation rel(2);
   rel.Insert(std::vector<Value>{1, 10});
   const Relation::Index& index = rel.GetIndex({0});
-  EXPECT_EQ(index.Lookup({1})->size(), 1u);
+  EXPECT_EQ(index.Lookup({1}).size(), 1u);
   rel.Insert(std::vector<Value>{1, 11});
-  EXPECT_EQ(index.Lookup({1})->size(), 2u);  // same reference, updated
+  EXPECT_EQ(index.Lookup({1}).size(), 2u);  // same reference, updated
 }
 
 TEST(RelationTest, MultiColumnIndex) {
@@ -87,17 +94,17 @@ TEST(RelationTest, MultiColumnIndex) {
   rel.Insert(std::vector<Value>{1, 2, 4});
   rel.Insert(std::vector<Value>{1, 5, 3});
   const Relation::Index& index = rel.GetIndex({0, 2});
-  EXPECT_EQ(index.Lookup({1, 3})->size(), 2u);
+  EXPECT_EQ(index.Lookup({1, 3}).size(), 2u);
 }
 
 TEST(RelationTest, RowIdsInIndexAreAscending) {
   Relation rel(1);
   for (Value v = 0; v < 100; ++v) rel.Insert(std::vector<Value>{v % 10});
   const Relation::Index& index = rel.GetIndex({0});
-  const Relation::RowIdList* ids = index.Lookup({3});
-  ASSERT_NE(ids, nullptr);
-  for (size_t i = 1; i < ids->size(); ++i) {
-    EXPECT_LT((*ids)[i - 1], (*ids)[i]);
+  const std::span<const uint32_t> ids = index.Lookup({3});
+  ASSERT_FALSE(ids.empty());
+  for (size_t i = 1; i < ids.size(); ++i) {
+    EXPECT_LT(ids[i - 1], ids[i]);
   }
 }
 
@@ -149,15 +156,15 @@ TEST(RelationTest, StressInsertsAcrossRehashBoundaries) {
   }
   // Index groups match a brute-force scan.
   for (Value k : {0u, 17u, 511u}) {
-    const Relation::RowIdList* ids = index.Lookup({k});
-    ASSERT_NE(ids, nullptr);
-    Relation::RowIdList expected;
+    const std::span<const uint32_t> ids = index.Lookup({k});
+    ASSERT_FALSE(ids.empty());
+    std::vector<uint32_t> expected;
     for (uint32_t r = 0; r < rel.size(); ++r) {
       if (rel.view().Scan(r)[0] == k) expected.push_back(r);
     }
-    EXPECT_EQ(*ids, expected);
+    EXPECT_EQ(RowIds(ids), expected);
   }
-  EXPECT_EQ(index.Lookup({512}), nullptr);
+  EXPECT_TRUE(index.Lookup({512}).empty());
 }
 
 TEST(RelationTest, IndexConsistentAfterClear) {
@@ -168,9 +175,85 @@ TEST(RelationTest, IndexConsistentAfterClear) {
   EXPECT_FALSE(rel.Contains(std::vector<Value>{1, 2}));
   rel.Insert(std::vector<Value>{3, 4});
   const Relation::Index& index = rel.GetIndex({1});
-  EXPECT_EQ(index.Lookup({2}), nullptr);  // old tuples gone
-  ASSERT_NE(index.Lookup({4}), nullptr);
-  EXPECT_EQ(index.Lookup({4})->size(), 1u);
+  EXPECT_TRUE(index.Lookup({2}).empty());  // old tuples gone
+  ASSERT_FALSE(index.Lookup({4}).empty());
+  EXPECT_EQ(index.Lookup({4}).size(), 1u);
+}
+
+// An index maintained through skewed inserts (in-place appends, run
+// relocations, compactions) and one built afterwards in a single CSR pass
+// must agree row for row with a scan of the arena.
+TEST(RelationTest, IncrementalAndBuiltIndexesAgreeUnderSkew) {
+  Relation incremental(2);
+  const Relation::Index& early = incremental.GetIndex({0});
+  Relation built(2);
+  Rng rng(42);
+  constexpr uint32_t kInserts = 50000;
+  for (uint32_t i = 0; i < kInserts; ++i) {
+    // Skewed keys: small ids are far more frequent than large ones.
+    const Value key = static_cast<Value>(rng.Below(rng.Below(2048) + 1));
+    const std::vector<Value> row = {key, static_cast<Value>(rng.Below(4096))};
+    EXPECT_EQ(incremental.Insert(row), built.Insert(row));
+  }
+  ASSERT_EQ(incremental.size(), built.size());
+  const Relation::Index& late = built.GetIndex({0});
+  EXPECT_EQ(late.pool_size(), built.size());  // exact CSR, no slack
+  std::vector<std::vector<uint32_t>> expected(2049);
+  for (uint32_t r = 0; r < built.size(); ++r) {
+    expected[built.view().Scan(r)[0]].push_back(r);
+  }
+  for (Value key = 0; key < expected.size(); ++key) {
+    const std::span<const uint32_t> a = early.Lookup({key});
+    const std::span<const uint32_t> b = late.Lookup({key});
+    EXPECT_EQ(RowIds(a), expected[key]) << "key " << key;
+    EXPECT_EQ(RowIds(b), expected[key]) << "key " << key;
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+  }
+}
+
+// A copy-on-write detach copies the index arrays: inserting through the
+// copy leaves the original's index (and spans into it) untouched.
+TEST(RelationTest, DetachedCopyIndexesIndependently) {
+  Relation original(2);
+  for (Value v = 0; v < 100; ++v) original.Insert(std::vector<Value>{v % 7, v});
+  const std::span<const uint32_t> before = original.GetIndex({0}).Lookup({3});
+  const std::vector<uint32_t> before_ids = RowIds(before);
+  Relation copy = original;
+  ASSERT_TRUE(copy.SharesStorageWith(original));
+  ASSERT_TRUE(copy.Insert(std::vector<Value>{3, 1000}));
+  EXPECT_FALSE(copy.SharesStorageWith(original));
+
+  EXPECT_EQ(RowIds(before), before_ids);
+  EXPECT_EQ(RowIds(original.GetIndex({0}).Lookup({3})), before_ids);
+  EXPECT_EQ(original.GetIndex({0}).num_rows(), 100u);
+
+  std::vector<uint32_t> with_new = before_ids;
+  with_new.push_back(100);
+  EXPECT_EQ(RowIds(copy.GetIndex({0}).Lookup({3})), with_new);
+  EXPECT_EQ(copy.GetIndex({0}).num_rows(), 101u);
+  EXPECT_GT(copy.storage_bytes(), 0u);
+}
+
+// The pool never holds more than 2 * rows + 64 slots: relocation holes and
+// spare capacity are compacted away. The hot group sits first in the pool,
+// so after every compaction its next inserts must relocate it again.
+TEST(RelationTest, IndexPoolStaysWithinBound) {
+  Relation rel(2);
+  const Relation::Index& index = rel.GetIndex({0});
+  Rng rng(7);
+  Value next = 0;
+  for (uint32_t i = 0; i < 30000; ++i) {
+    const Value key =
+        rng.Chance(0.5) ? 0 : static_cast<Value>(1 + rng.Below(3000));
+    ASSERT_TRUE(rel.Insert(std::vector<Value>{key, next++}));
+    ASSERT_LE(index.pool_size(), 2 * index.num_rows() + 64) << "insert " << i;
+  }
+  EXPECT_EQ(index.num_rows(), rel.size());
+  std::vector<uint32_t> hot;
+  for (uint32_t r = 0; r < rel.size(); ++r) {
+    if (rel.view().Scan(r)[0] == 0) hot.push_back(r);
+  }
+  EXPECT_EQ(RowIds(index.Lookup({0})), hot);
 }
 
 TEST(RelationTest, HeterogeneousLookupAgreesWithVectorKeys) {
@@ -186,10 +269,11 @@ TEST(RelationTest, HeterogeneousLookupAgreesWithVectorKeys) {
   for (Value a = 0; a < 25; ++a) {
     Value strided[4] = {a, 999, static_cast<Value>(a + 3), 999};
     StridedKey view{strided, 2, 2};
-    const Relation::RowIdList* via_view = index.LookupKey(view);
-    const Relation::RowIdList* via_vec =
+    const std::span<const uint32_t> via_view = index.LookupKey(view);
+    const std::span<const uint32_t> via_vec =
         index.Lookup(std::vector<Value>{a, a + 3});
-    EXPECT_EQ(via_view, via_vec);
+    EXPECT_EQ(via_view.data(), via_vec.data());
+    EXPECT_EQ(via_view.size(), via_vec.size());
 
     Value full[6] = {a, 999, 3, 999, static_cast<Value>(a + 3), 999};
     StridedKey row_view{full, 2, 3};
