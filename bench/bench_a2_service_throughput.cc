@@ -11,6 +11,7 @@
 
 #include "bench_util.h"
 #include "service/query_service.h"
+#include "util/string_util.h"
 
 namespace exdl::bench {
 namespace {
@@ -32,7 +33,7 @@ std::string ChainFacts() {
 std::vector<QueryRequest> MakeRequests() {
   std::vector<QueryRequest> requests;
   for (int q = 0; q < kDistinctQueries; ++q) {
-    const std::string start = "n" + std::to_string(q);
+    const std::string start = StrCat("n", std::to_string(q));
     requests.push_back(QueryRequest{
         .source = "tc(X, Y) :- e(X, Y).\n"
                   "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"

@@ -35,6 +35,7 @@
 #include "bench_util.h"
 #include "service/answer_text.h"
 #include "service/query_service.h"
+#include "util/string_util.h"
 
 namespace exdl::bench {
 namespace {
@@ -53,7 +54,7 @@ constexpr int kGenerations = 6;
 constexpr int kStandingQueries = 8;
 
 std::string NodeName(int chain, int pos) {
-  return "c" + std::to_string(chain) + "x" + std::to_string(pos);
+  return StrCat("c", std::to_string(chain), "x", std::to_string(pos));
 }
 
 /// The base EDB: `chains` disjoint chains of kChainLen edges each.

@@ -8,6 +8,7 @@
 #include "bench_util.h"
 
 #include "equiv/summary_closure.h"
+#include "util/string_util.h"
 
 namespace exdl::bench {
 namespace {
@@ -17,9 +18,9 @@ namespace {
 std::string LayeredProgram(int depth, int width) {
   std::string out = "query(X) :- l0(X, Y).\n?- query(X).\n";
   for (int d = 0; d < depth; ++d) {
-    std::string self = "l" + std::to_string(d);
+    std::string self = StrCat("l", std::to_string(d));
     std::string next =
-        d + 1 == depth ? "base" : ("l" + std::to_string(d + 1));
+        d + 1 == depth ? "base" : StrCat("l", std::to_string(d + 1));
     out += self + "(X, Y) :- " + next + "(X, Y).\n";  // unit rule
     for (int w = 0; w < width; ++w) {
       out += self + "(X, Y) :- " + next + "(X, Z), e" + std::to_string(w) +

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "ast/printer.h"
 #include "core/compiled_program.h"
@@ -78,7 +79,11 @@ void WriteBenchJson() {
 #endif
   std::string path = std::string("BENCH_") + exe + ".json";
   std::string doc;
-  Appendf(doc, "{\n  \"bench\": \"%s\",\n  \"results\": [", exe);
+  Appendf(doc, "{\n  \"bench\": \"%s\",\n", exe);
+  Appendf(doc, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  Appendf(doc, "  \"compiler\": \"%s\",\n", EXDL_BENCH_COMPILER);
+  Appendf(doc, "  \"build_type\": \"%s\",\n", EXDL_BENCH_BUILD_TYPE);
+  doc += "  \"results\": [";
   bool first = true;
   for (const auto& [name, rec] : records) {
     const double secs = rec.stats.eval_seconds;

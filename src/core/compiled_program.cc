@@ -23,10 +23,14 @@ CompiledProgram::CompiledProgram(ContextPtr ctx, Program program)
     : ctx_(std::move(ctx)), program_(std::move(program)) {}
 
 uint64_t CompiledProgram::Fingerprint(const Program& program,
-                                      const EvalOptions& eval) {
+                                      const EvalOptions& eval,
+                                      const std::optional<Atom>& seed) {
   std::string repr = ToString(program);
   repr += eval.seminaive ? "|seminaive" : "|naive";
   repr += eval.boolean_cut ? "|cut" : "|nocut";
+  // A factored query keeps its constants only in the seed, so two bound
+  // queries differing in a constant print the same rules.
+  if (seed) repr += "|seed " + ToString(program.ctx(), *seed);
   return Fnv1a(1469598103934665603ULL, repr.data(), repr.size());
 }
 
@@ -123,15 +127,12 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
     out->report_ = std::move(optimized.report);
     out->optimize_termination_ = std::move(optimized.termination);
     out->magic_seed_ = std::move(optimized.magic_seed);
-    if (out->magic_seed_) {
-      EXDL_RETURN_IF_ERROR(out->facts_.AddFact(*out->magic_seed_));
-    }
     out->optimized_ = true;
   }
   EvalOptions semantics;
   semantics.seminaive = options.seminaive;
   semantics.boolean_cut = options.boolean_cut;
-  out->fingerprint_ = Fingerprint(out->program_, semantics);
+  out->fingerprint_ = Fingerprint(out->program_, semantics, out->magic_seed_);
   return Ptr(std::move(out));
 }
 
@@ -148,12 +149,9 @@ Result<CompiledProgram::Ptr> CompiledProgram::Optimize(
   out->report_ = std::move(optimized.report);
   out->optimize_termination_ = std::move(optimized.termination);
   out->magic_seed_ = std::move(optimized.magic_seed);
-  if (out->magic_seed_) {
-    EXDL_RETURN_IF_ERROR(out->facts_.AddFact(*out->magic_seed_));
-  }
   out->optimized_ = true;
   EvalOptions semantics;  // fingerprint semantics carried from defaults
-  out->fingerprint_ = Fingerprint(out->program_, semantics);
+  out->fingerprint_ = Fingerprint(out->program_, semantics, out->magic_seed_);
   return Ptr(std::move(out));
 }
 

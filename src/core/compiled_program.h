@@ -82,18 +82,19 @@ class CompiledProgram {
                                  obs::Telemetry* telemetry = nullptr);
 
   /// Re-optimizes `base` under `options`, producing a new artifact that
-  /// shares base's Context. base's facts carry over, with the magic seed
-  /// (if the rewrite produced one) inserted.
+  /// shares base's Context. base's facts carry over; a seed the rewrite
+  /// produced is kept in magic_seed(), not in facts().
   static Result<Ptr> Optimize(const CompiledProgram& base,
                               const OptimizerOptions& options,
                               obs::Telemetry* telemetry = nullptr);
 
-  /// FNV-1a over the printed program plus the semantics-affecting options:
-  /// the printer is deterministic, and a resuming process re-derives this
-  /// from its own freshly loaded session, so equal fingerprints mean "the
-  /// same fixpoint computation". Checkpoints bind to this value.
-  static uint64_t Fingerprint(const Program& program,
-                              const EvalOptions& eval);
+  /// FNV-1a over the printed program, the seed fact (when the optimizer
+  /// produced one) and the semantics-affecting options: the printer is
+  /// deterministic, and a resuming process re-derives this from its own
+  /// freshly loaded session, so equal fingerprints mean "the same fixpoint
+  /// computation". Checkpoints bind to this value.
+  static uint64_t Fingerprint(const Program& program, const EvalOptions& eval,
+                              const std::optional<Atom>& seed);
 
   /// The full ProgramCache key: the raw source text followed by one byte
   /// per CompileOptions field that changes the artifact or its semantics
@@ -124,19 +125,23 @@ class CompiledProgram {
 
   const ContextPtr& context() const { return ctx_; }
   const Program& program() const { return program_; }
-  /// Ground facts parsed from the source, plus the magic seed when the
-  /// rewrite produced one. Copy-on-write: cloning into a session EDB is
-  /// O(#relations).
+  /// Ground facts parsed from the source. Copy-on-write: cloning into a
+  /// session EDB is O(#relations).
   const Database& facts() const { return facts_; }
   /// The EDB a session evaluates this program over: a copy-on-write clone
-  /// of `snapshot` plus facts().
+  /// of `snapshot` plus facts(). Session::Run adds the seed fact.
   Database SessionEdb(const Database& snapshot) const;
   const OptimizationReport& report() const { return report_; }
   /// OK, or kCancelled when the optimizer stopped at a phase boundary.
   const Status& optimize_termination() const { return optimize_termination_; }
+  /// The seed fact of a magic or factoring rewrite, which Session::Run
+  /// inserts into every EDB it evaluates over. Kept as one atom rather
+  /// than a one-row relation in facts(): the program cache holds one
+  /// artifact per distinct bound query.
   const std::optional<Atom>& magic_seed() const { return magic_seed_; }
   bool optimized() const { return optimized_; }
-  /// Fingerprint(program(), semantics from the CompileOptions).
+  /// Fingerprint(program(), semantics from the CompileOptions,
+  /// magic_seed()).
   uint64_t fingerprint() const { return fingerprint_; }
 
  private:

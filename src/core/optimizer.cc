@@ -8,9 +8,11 @@
 #include "transform/cleanup.h"
 #include "transform/folding.h"
 #include "transform/components.h"
+#include "transform/factoring.h"
 #include "transform/magic.h"
 #include "transform/projection.h"
 #include "transform/unit_rules.h"
+#include "util/string_util.h"
 
 namespace exdl {
 
@@ -81,6 +83,8 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
   // report and hand it back with termination = kCancelled.
   auto finalize = [&out, optimize_begin, telemetry, optimize_span] {
     out.report.final_rules = out.program.NumRules();
+    // The report lives as long as its cached compile artifact.
+    out.report.phases.shrink_to_fit();
     out.report.optimize_seconds =
         std::chrono::duration<double>(Clock::now() - optimize_begin).count();
     // Detail lines whose numbers only settle at the end of the pipeline
@@ -117,6 +121,7 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
       m.Add(m.Counter("optimize.positions_dropped"), r.positions_dropped);
       m.Add(m.Counter("optimize.booleans_created"), r.booleans_created);
       m.Add(m.Counter("optimize.unit_rules_added"), r.unit_rules_added);
+      m.Add(m.Counter("optimize.factored"), r.factored ? 1 : 0);
       m.Set(m.Gauge("optimize.final_rules"),
             static_cast<double>(r.final_rules));
       telemetry->trace().End(optimize_span);
@@ -285,6 +290,37 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
     out.report.removed_by_cleanup += cleaned.rules_removed;
     out.program = std::move(cleaned.program);
     end_phase(phase);  // its count folds into the deletion summary line
+  }
+
+  // Factoring pushes the query's constants into a linear recursive query
+  // predicate. An explicit magic request wins: magic output stays what it
+  // was, and the two rewrites never stack.
+  if (!options.apply_magic) {
+    if (cancelled_before("factor")) return out;
+    PhaseScope phase = begin_phase("factor");
+    std::string detail;
+    Result<FactoringResult> factored = FactorBoundQuery(out.program);
+    if (factored.ok()) {
+      detail = StrCat(
+          "factored ",
+          out.program.ctx().PredicateDisplayName(factored->factored), ": ",
+          std::to_string(factored->exit_rules), " exit, ",
+          std::to_string(factored->right_linear_rules), " right-linear, ",
+          std::to_string(factored->left_linear_rules), " left-linear rule(s)");
+      if (telemetry != nullptr) {
+        obs::Trace& trace = telemetry->trace();
+        trace.SetAttr(phase.span, "exit_rules",
+                      static_cast<double>(factored->exit_rules));
+        trace.SetAttr(phase.span, "right_linear_rules",
+                      static_cast<double>(factored->right_linear_rules));
+        trace.SetAttr(phase.span, "left_linear_rules",
+                      static_cast<double>(factored->left_linear_rules));
+      }
+      out.program = std::move(factored->program);
+      out.magic_seed = std::move(factored->seed_fact);
+      out.report.factored = true;
+    }
+    end_phase(phase, std::move(detail));
   }
 
   if (cancelled_before("magic")) return out;

@@ -8,6 +8,8 @@
 //        Sagiv's UE test and the optimistic Theorem 5.2 test)
 //     -> retract added unit rules that ended up load-free
 //     -> cleanup
+//     -> factor a bound query on a linear recursive predicate
+//        (transform/factoring.h; skipped when magic is requested)
 //   [ -> magic-set rewriting (orthogonal selection pushing) ]
 //
 // Every phase preserves the query answers for all instances of the input
@@ -60,7 +62,8 @@ struct OptimizerOptions {
 
 struct OptimizedProgram {
   Program program;
-  /// Set when magic was applied: insert into the EDB before evaluating.
+  /// Set when magic or factoring was applied: insert into the EDB before
+  /// evaluating (Session::Run does).
   std::optional<Atom> magic_seed;
   OptimizationReport report;
   /// OK when the full pipeline ran; kCancelled when it stopped early at a

@@ -12,7 +12,7 @@ std::string OptimizationReport::ToString() const {
   // entry with no detail produced no observable change.
   for (const OptimizationPhase& phase : phases) {
     if (phase.interrupted) {
-      out += "pipeline cancelled before phase: " + phase.name +
+      out += "pipeline cancelled before phase: " + std::string(phase.name) +
              " (program reflects the completed phases)\n";
       continue;
     }

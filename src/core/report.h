@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace exdl {
@@ -21,8 +22,10 @@ namespace exdl {
 struct OptimizationPhase {
   /// Machine name, stable across releases: "adorn", "projection",
   /// "components", "unit_rules", "deletion", "folding", "cleanup",
-  /// "magic". Trace spans are named "phase:<name>".
-  std::string name;
+  /// "factor", "magic". Trace spans are named "phase:<name>". Always a
+  /// string literal: every cached compile artifact keeps its report, so
+  /// an entry stays small.
+  std::string_view name;
   /// Wall-clock seconds inside the phase (0 for interrupted entries).
   double seconds = 0;
   size_t rules_before = 0;
@@ -79,6 +82,9 @@ struct OptimizationReport {
   size_t bodies_folded = 0;
   size_t deleted_after_folding = 0;
 
+  /// Bound-query factoring (transform/factoring.h) rewrote the query
+  /// predicate; magic_applied and factored are never both set.
+  bool factored = false;
   bool magic_applied = false;
 
   /// Wall-clock time spent inside OptimizeExistential.

@@ -51,7 +51,8 @@ Status Session::ArmResume(recovery::Snapshot snap, std::string_view origin) {
   }
   const Program& program = compiled_->program();
   if (snap.program_fingerprint !=
-      CompiledProgram::Fingerprint(program, options_.eval)) {
+      CompiledProgram::Fingerprint(program, options_.eval,
+                                   compiled_->magic_seed())) {
     return Status::FailedPrecondition(
         "checkpoint was written by a different program or evaluation "
         "options: " + std::string(origin));
@@ -100,7 +101,7 @@ Result<EvalResult> Session::Run(const Database& edb) {
   if (!options_.checkpoint.directory.empty()) {
     checkpointer_ = std::make_unique<recovery::Checkpointer>(
         options_.checkpoint.directory,
-        CompiledProgram::Fingerprint(program, eval));
+        CompiledProgram::Fingerprint(program, eval, compiled_->magic_seed()));
     eval.checkpoint_sink = checkpointer_.get();
     eval.checkpoint_every_rounds =
         std::max(1u, options_.checkpoint.every_rounds);
@@ -108,8 +109,15 @@ Result<EvalResult> Session::Run(const Database& edb) {
   std::optional<recovery::Snapshot> resume = std::move(resume_);
   resume_.reset();
   if (resume.has_value()) eval.resume = &resume->cursor;
-  Result<EvalResult> result = ::exdl::Evaluate(
-      program, resume.has_value() ? resume->db : edb, eval);
+  // The one place a rewrite's seed fact enters an EDB (a resumed database
+  // holds it already). Ground by construction, so AddFact cannot fail.
+  Result<EvalResult> result = [&] {
+    if (resume.has_value()) return ::exdl::Evaluate(program, resume->db, eval);
+    if (!compiled_->magic_seed()) return ::exdl::Evaluate(program, edb, eval);
+    Database seeded = edb.Clone();
+    (void)seeded.AddFact(*compiled_->magic_seed());
+    return ::exdl::Evaluate(program, std::move(seeded), eval);
+  }();
   if (result.ok()) summary_.Record(*result);
   return result;
 }

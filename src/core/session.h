@@ -94,7 +94,8 @@ class Session {
   /// Evaluates the bound program over `edb`, or — when a resume is armed —
   /// over the snapshot's database from its cursor. The resume is consumed
   /// either way: a failed resumed run must not silently turn a later
-  /// Run() into another resume attempt.
+  /// Run() into another resume attempt. A fresh run evaluates over `edb`
+  /// plus the program's seed fact (CompiledProgram::magic_seed), if any.
   Result<EvalResult> Run(const Database& edb);
 
   /// Summary of the last successful Run().

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -81,7 +82,7 @@ std::vector<Value> MakeNodes(Context* ctx, int count) {
   std::vector<Value> out;
   out.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
-    out.push_back(ctx->InternSymbol("n" + std::to_string(i)));
+    out.push_back(ctx->InternSymbol(StrCat("n", std::to_string(i))));
   }
   return out;
 }

@@ -4,6 +4,7 @@
 
 #include "eval/evaluator.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -50,7 +51,7 @@ Database RandomInstance(Context* ctx, const std::vector<PredId>& input_preds,
   std::vector<Value> domain;
   domain.reserve(static_cast<size_t>(domain_size));
   for (int i = 0; i < domain_size; ++i) {
-    domain.push_back(ctx->InternSymbol("c" + std::to_string(i)));
+    domain.push_back(ctx->InternSymbol(StrCat("c", std::to_string(i))));
   }
   Database db;
   for (PredId pred : input_preds) {

@@ -310,6 +310,7 @@ class Engine {
     // Catch shard contents written since the last round boundary (e.g. the
     // partial work of a discarded round); workers are quiescent here.
     MergeShards();
+    if (options_.support_sink != nullptr) options_.support_sink->Finished(*db_);
 
     stats_.eval_seconds = resumed_seconds_ + SecondsSince(eval_begin_);
     const BudgetKind trip = static_cast<BudgetKind>(
@@ -1352,6 +1353,12 @@ class Engine {
     rep_stats_.words_scanned += ws.words_scanned;
     ws.words_scanned = 0;
     const size_t base = round_values_.size();
+    // Power-of-two growth: a range insert would size the arena to
+    // max(2 * capacity, size + n), a new odd size on most rounds.
+    const size_t need = base + ws.values.size();
+    if (need > round_values_.capacity()) {
+      round_values_.reserve(std::bit_ceil(need));
+    }
     round_values_.insert(round_values_.end(), ws.values.begin(),
                          ws.values.end());
     for (PendingFact& f : ws.buffer) {
@@ -1517,8 +1524,12 @@ class Engine {
       const bool unary = f.len == 1;
       // Pre-size the arena for kernel runs. Unary only: Reserve on wider
       // relations also pre-sizes the dedup table, which would make the
-      // storage.rehashes gauge depend on the representation.
-      if (unary && f.count > 1) rel.Reserve(rel.size() + f.count);
+      // storage.rehashes gauge depend on the representation. Power-of-two
+      // sizes, like push_back growth: an exact reserve would reallocate
+      // the arena every round, each time at a new odd size.
+      if (unary && f.count > 1) {
+        rel.Reserve(std::bit_ceil(rel.size() + f.count));
+      }
       uint64_t inserted = 0;
       for (uint32_t i = 0; i < f.count; ++i) {
         const Value* row = base + static_cast<size_t>(i) * f.len;
@@ -1533,7 +1544,15 @@ class Engine {
           }
         }
         if (options_.support_sink != nullptr) {
-          options_.support_sink->Derived(f.pred, ins.key, ins.inserted);
+          // An arity-1 key is the symbol: only a new row's id is known.
+          if (!unary) {
+            options_.support_sink->Derived(f.pred, ins.key);
+          } else if (ins.inserted) {
+            options_.support_sink->Derived(
+                f.pred, static_cast<uint32_t>(rel.size() - 1));
+          } else {
+            options_.support_sink->Rederived(f.pred, *row);
+          }
         }
       }
       if (inserted > 0) {

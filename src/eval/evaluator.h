@@ -157,11 +157,16 @@ class CheckpointSink {
 class SupportSink {
  public:
   virtual ~SupportSink() = default;
-  /// One derivation of a `pred` tuple, named by its dense key in the
-  /// relation (Relation::InsertResult: row id, or symbol id for arity 1);
-  /// `inserted` is true when the tuple was new (false for a duplicate
-  /// re-derivation).
-  virtual void Derived(PredId pred, uint32_t key, bool inserted) = 0;
+  /// One derivation, new or duplicate, of the `pred` tuple at row id
+  /// `row` (0 for a 0-ary tuple).
+  virtual void Derived(PredId pred, uint32_t row) = 0;
+  /// One re-derivation of the arity-1 tuple (value), already in `pred`.
+  /// Arity-1 relations dedup through their bitset, which knows no row
+  /// ids; the sink resolves them itself, at the latest in Finished.
+  virtual void Rederived(PredId pred, Value value) = 0;
+  /// The evaluation is over (complete or stopped by its budget); `db` is
+  /// the database holding every tuple reported since the last call.
+  virtual void Finished(const Database& db) = 0;
 };
 
 /// Per-evaluation (per-session) options. EvalOptions owns no shared state:

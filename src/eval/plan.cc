@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/string_util.h"
+
 namespace exdl {
 namespace {
 
@@ -240,7 +242,7 @@ std::string PlanToString(const Context& ctx, const RulePlan& plan) {
       if (args[i].kind == ArgSpec::Kind::kConst) {
         out += ctx.SymbolName(args[i].const_value);
       } else {
-        out += "r" + std::to_string(args[i].reg);
+        out += StrCat("r", std::to_string(args[i].reg));
       }
     }
     out += ")";

@@ -2,6 +2,8 @@
 
 #include <unordered_set>
 
+#include "util/string_util.h"
+
 namespace exdl {
 namespace {
 
@@ -94,7 +96,7 @@ Result<Program> GrammarToChainProgram(const Cfg& grammar, ContextPtr ctx) {
     for (size_t i = 0; i < p.rhs.size(); ++i) {
       SymbolId next = i + 1 == p.rhs.size()
                           ? y
-                          : c.InternSymbol("Z" + std::to_string(i));
+                          : c.InternSymbol(StrCat("Z", std::to_string(i)));
       const GSym& s = p.rhs[i];
       const std::string& name = s.terminal ? grammar.TerminalName(s.id)
                                            : grammar.NonterminalName(s.id);

@@ -132,7 +132,7 @@ Result<BoundedComparison> BoundedChainUniformQueryEquivalence(
     std::set<std::vector<std::string>> out;
     for (std::vector<std::string> f : forms) {
       for (std::string& s : f) {
-        if (s == start_name) s = "?";
+        if (s == start_name) s.assign(1, '?');
       }
       out.insert(std::move(f));
     }

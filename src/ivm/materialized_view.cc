@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/session.h"
+
 namespace exdl::ivm {
 
 std::string_view FallbackName(Fallback f) {
@@ -146,12 +148,15 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
 }
 
 Status MaterializedView::Reseed(const Database& edb, uint64_t generation) {
-  EvalOptions options = eval_;
+  // Through a Session, like the seeding run: Session::Run adds the seed.
+  SessionOptions session_options;
+  session_options.eval = eval_;
   std::unique_ptr<SupportLedger> ledger;
   if (fallback_ == Fallback::kNone) ledger = std::make_unique<SupportLedger>();
-  options.support_sink = ledger.get();
-  Result<EvalResult> recomputed =
-      Evaluate(program_->program(), program_->SessionEdb(edb), options);
+  session_options.eval.support_sink = ledger.get();
+  Session session(std::move(session_options));
+  session.Bind(program_);
+  Result<EvalResult> recomputed = session.Run(program_->SessionEdb(edb));
   if (!recomputed.ok()) return recomputed.status();
   if (!recomputed->termination.ok()) return recomputed->termination;
   ++stats_.generations_applied;

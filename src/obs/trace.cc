@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/string_util.h"
+
 namespace exdl::obs {
 
 Trace::Trace(size_t max_spans)
@@ -121,9 +123,9 @@ std::string RenderTrace(const Trace& trace) {
   std::string out;
   for (SpanId root : roots) RenderSpan(trace, children, root, 0, &out);
   if (trace.dropped() > 0) {
-    out += "(" + std::to_string(trace.dropped()) +
-           " span(s) dropped at the " + std::to_string(spans.size()) +
-           "-span cap)\n";
+    out += StrCat("(", std::to_string(trace.dropped()),
+                  " span(s) dropped at the ", std::to_string(spans.size()),
+                  "-span cap)\n");
   }
   return out;
 }

@@ -36,6 +36,7 @@ QueryService::QueryService(ServiceOptions options)
   generation_id_ = metrics.Gauge("service.snapshot.generation");
   cow_detaches_id_ = metrics.Counter("service.load.cow_detaches");
   cow_bytes_copied_id_ = metrics.Counter("service.load.cow_bytes_copied");
+  compile_factored_id_ = metrics.Counter("service.compile.factored");
   // MetricsJson before the first query still labels the configured mode.
   aggregate_.representation.mode = options_.eval.representation;
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
@@ -418,6 +419,9 @@ void QueryService::ProcessOne(Active& item) {
           response.telemetry.get(), ctx_);
       if (compile_result.ok()) {
         compiled = *compile_result;
+        if (compiled->report().factored) {
+          item.shard.Add(compile_factored_id_, 1);
+        }
         item.shard.Add(cache_eviction_id_,
                        cache_.Insert(std::move(key), compiled));
       } else {
@@ -591,6 +595,11 @@ std::string QueryService::MetricsJson(
     w.UInt(metrics.CounterValue(cow_detaches_id_));
     w.Key("cow_bytes_copied");
     w.UInt(metrics.CounterValue(cow_bytes_copied_id_));
+    w.EndObject();
+    w.Key("compile");
+    w.BeginObject();
+    w.Key("factored");
+    w.UInt(metrics.CounterValue(compile_factored_id_));
     w.EndObject();
     w.EndObject();
     w.Key("ivm");

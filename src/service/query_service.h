@@ -289,6 +289,9 @@ class QueryService {
   /// snapshot, and their Relation::storage_bytes.
   obs::MetricId cow_detaches_id_;
   obs::MetricId cow_bytes_copied_id_;
+  /// Cold compiles whose optimizer factored the query (DESIGN.md
+  /// "Factoring bound queries"); cache hits do not count again.
+  obs::MetricId compile_factored_id_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< Dispatcher: queue or shutdown.

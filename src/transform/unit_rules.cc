@@ -3,6 +3,8 @@
 #include <map>
 #include <vector>
 
+#include "util/string_util.h"
+
 namespace exdl {
 
 Result<UnitRuleResult> AddCoveringUnitRules(const Program& program) {
@@ -31,7 +33,7 @@ Result<UnitRuleResult> AddCoveringUnitRules(const Program& program) {
         std::vector<Term> by_position;
         for (size_t i = 0; i < a.size(); ++i) {
           by_position.push_back(
-              Term::Var(ctx.InternSymbol("U" + std::to_string(i))));
+              Term::Var(ctx.InternSymbol(StrCat("U", std::to_string(i)))));
         }
         auto args_for = [&](PredId version,
                             const Adornment& adorn) -> std::vector<Term> {

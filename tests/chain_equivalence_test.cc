@@ -7,6 +7,7 @@
 #include "equiv/random_check.h"
 #include "grammar/equivalence.h"
 #include "testing/test_util.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -147,7 +148,7 @@ TEST(ChainEquivalenceTest, WordGraphMembershipMatchesLanguage) {
     Database db = word_db(word);
     EvalResult r = testing::MustEval(parsed.program, db);
     Value first = ctx.InternSymbol("n0");
-    Value last = ctx.InternSymbol("n" + std::to_string(word.size()));
+    Value last = ctx.InternSymbol(StrCat("n", std::to_string(word.size())));
     for (const auto& row : r.answers) {
       if (row[0] == first && row[1] == last) return true;
     }

@@ -12,6 +12,7 @@
 #include "parser/parser.h"
 #include "testing/test_util.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -54,10 +55,10 @@ TEST(EdgeCaseTest, LongBodyRule) {
   std::string facts;
   for (int i = 0; i < 10; ++i) {
     if (i > 0) body += ", ";
-    body += "e" + std::to_string(i) + "(X" + std::to_string(i) + ", X" +
-            std::to_string(i + 1) + ")";
-    facts += "e" + std::to_string(i) + "(n" + std::to_string(i) + ", n" +
-             std::to_string(i + 1) + ").\n";
+    body += StrCat("e", std::to_string(i), "(X", std::to_string(i), ", X",
+                   std::to_string(i + 1), ")");
+    facts += StrCat("e", std::to_string(i), "(n", std::to_string(i), ", n",
+                    std::to_string(i + 1), ").\n");
   }
   auto parsed =
       MustParse(facts + "path(X0, X10) :- " + body + ".\n?- path(A, B).\n");
@@ -101,10 +102,10 @@ TEST(EdgeCaseTest, SummaryClosureCapIsHonored) {
   std::string source;
   for (int i = 0; i < 6; ++i) {
     for (int j = 0; j < 6; ++j) {
-      source += "m" + std::to_string(i) + "(A,B,C,D) :- m" +
-                std::to_string(j) + "(B,A,D,C), e(A,B).\n";
+      source += StrCat("m", std::to_string(i), "(A,B,C,D) :- m",
+                       std::to_string(j), "(B,A,D,C), e(A,B).\n");
     }
-    source += "m" + std::to_string(i) + "(A,B,C,D) :- g(A,B,C,D).\n";
+    source += StrCat("m", std::to_string(i), "(A,B,C,D) :- g(A,B,C,D).\n");
   }
   source += "?- m0(A,B,C,D).\n";
   auto parsed = MustParse(source);

@@ -31,6 +31,7 @@
 #include "service/query_service.h"
 #include "storage/representation.h"
 #include "testing/test_util.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -63,7 +64,7 @@ const IvmCase kCases[] = {
      "?- out(X).\n"},
 };
 
-std::string Node(int i) { return "n" + std::to_string(i); }
+std::string Node(int i) { return StrCat("n", std::to_string(i)); }
 
 /// One seeded generation of facts: a mix of brand-new edges, re-sent
 /// duplicates, and edges introducing fresh nodes. `up`/`f` facts ride
@@ -342,7 +343,8 @@ TEST(SupportLedgerTest, DiamondCountsByHand) {
   auto ctx = std::make_shared<Context>();
   // a -> b -> d and a -> c -> d: tc(a, d) and reach(d) have exactly two
   // derivations (via b and via c), every other derived tuple one. reach
-  // is unary, so its counts are keyed by symbol id rather than row id.
+  // is unary: its re-derivations are matched to row ids when the
+  // evaluation finishes.
   const Database edges =
       testing::MustParseWith(ctx, "e(a, b). e(a, c). e(b, d). e(c, d).").edb;
   CompiledProgram::Ptr compiled = CompileSource(

@@ -15,6 +15,7 @@
 #include "recovery/checkpoint.h"
 #include "recovery/fault.h"
 #include "testing/test_util.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -87,8 +88,8 @@ SessionRun RunSession(const std::string& source, Fn mutate,
     out.status = compiled.status();
     return out;
   }
-  out.fingerprint =
-      CompiledProgram::Fingerprint((*compiled)->program(), options.eval);
+  out.fingerprint = CompiledProgram::Fingerprint(
+      (*compiled)->program(), options.eval, (*compiled)->magic_seed());
   Session session(std::move(options));
   session.Bind(*compiled);
   if (!resume_path.empty()) {
@@ -207,7 +208,7 @@ TEST_F(SnapshotTest, DefaultCursorEdbSnapshotRoundTrips) {
   PredId e = ctx.InternPredicate("e", 2);
   Database db;
   for (int i = 0; i < 8; ++i) {
-    Value v = ctx.InternSymbol("d" + std::to_string(i));
+    Value v = ctx.InternSymbol(StrCat("d", std::to_string(i)));
     db.GetOrCreate(p, 1).Insert(std::vector<Value>{v});
     db.GetOrCreate(e, 2).Insert(std::vector<Value>{v, v});
   }

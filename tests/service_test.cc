@@ -18,6 +18,7 @@
 #include "service/query_service.h"
 #include "storage/database.h"
 #include "testing/test_util.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -258,7 +259,7 @@ TEST(QueryServiceTest, MatchesSerialEngineAcrossPoolSizes) {
       for (size_t i = 0; i < sources.size(); ++i) {
         requests.push_back(
             QueryRequest{.source = sources[i],
-                         .name = "q" + std::to_string(i)});
+                         .name = StrCat("q", std::to_string(i))});
       }
     }
     std::vector<QueryService::Ticket> tickets =
@@ -337,6 +338,60 @@ TEST(QueryServiceTest, WarmCacheSkipsParseAndOptimize) {
   const std::string metrics = service.MetricsJson();
   EXPECT_NE(metrics.find("service.cache.hit"), std::string::npos);
   EXPECT_NE(metrics.find("\"service\""), std::string::npos);
+}
+
+TEST(QueryServiceTest, CachedBoundQueryIsFactoredUnlessMagicIsAsked) {
+  ServiceOptions options;
+  options.compile.optimize = true;
+  options.collect_telemetry = true;
+  QueryService service(options);
+  const std::vector<std::string> expected = SerialAnswers(kTcChain);
+
+  QueryResponse cold =
+      service.Await(service.Submit({.source = kTcChain, .name = "cold"}));
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  ASSERT_NE(cold.program, nullptr);
+  EXPECT_TRUE(cold.program->report().factored);
+  ASSERT_TRUE(cold.program->magic_seed().has_value());
+  // The seed is an atom of the artifact, not a row of its facts.
+  EXPECT_EQ(cold.program->facts().Find(cold.program->magic_seed()->pred),
+            nullptr);
+  EXPECT_EQ(AnswerStrings(*service.ctx(), cold.result.answers), expected);
+  // The per-query document shows the rewrite: the phase detail names the
+  // predicate, the phase span counts the rules by kind.
+  EXPECT_NE(cold.telemetry_json.find("factored tc@nn"), std::string::npos);
+  EXPECT_NE(cold.telemetry_json.find("\"right_linear_rules\":1"),
+            std::string::npos);
+  EXPECT_NE(cold.telemetry_json.find("\"name\":\"optimize.factored\""),
+            std::string::npos);
+
+  QueryResponse warm =
+      service.Await(service.Submit({.source = kTcChain, .name = "warm"}));
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.program.get(), cold.program.get());
+  EXPECT_EQ(AnswerStrings(*service.ctx(), warm.result.answers), expected);
+  const std::string metrics = service.MetricsJson();
+  EXPECT_NE(metrics.find("\"compile\":{\"factored\":1}"), std::string::npos);
+  EXPECT_NE(metrics.find("service.compile.factored"), std::string::npos);
+
+  // An explicit magic request wins: the artifact is the magic rewrite.
+  ServiceOptions magic_options = options;
+  magic_options.compile.optimizer.apply_magic = true;
+  QueryService magic_service(magic_options);
+  QueryResponse magic = magic_service.Await(
+      magic_service.Submit({.source = kTcChain, .name = "magic"}));
+  ASSERT_TRUE(magic.status.ok()) << magic.status.ToString();
+  EXPECT_TRUE(magic.program->report().magic_applied);
+  EXPECT_FALSE(magic.program->report().factored);
+  ASSERT_TRUE(magic.program->magic_seed().has_value());
+  EXPECT_EQ(magic_service.ctx()->PredicateDisplayName(
+                magic.program->magic_seed()->pred),
+            "magic_tc@nn_bf");
+  EXPECT_EQ(AnswerStrings(*magic_service.ctx(), magic.result.answers),
+            expected);
+  EXPECT_NE(magic_service.MetricsJson().find("\"compile\":{\"factored\":0}"),
+            std::string::npos);
 }
 
 TEST(QueryServiceTest, SnapshotGenerationsIsolateFactLoads) {
@@ -493,8 +548,9 @@ TEST(CompiledProgramTest, FingerprintBindsSemantics) {
   EvalOptions seminaive;
   EvalOptions naive;
   naive.seminaive = false;
-  EXPECT_NE(CompiledProgram::Fingerprint(parsed.program, seminaive),
-            CompiledProgram::Fingerprint(parsed.program, naive));
+  EXPECT_NE(CompiledProgram::Fingerprint(parsed.program, seminaive,
+                                         std::nullopt),
+            CompiledProgram::Fingerprint(parsed.program, naive, std::nullopt));
 }
 
 TEST(SessionTest, ManySessionsShareOneCompiledProgram) {

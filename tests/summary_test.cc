@@ -296,6 +296,7 @@ TEST(SummaryClosureTest, RecursiveProgramClosureTerminates) {
 // chains of projections.
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -315,7 +316,7 @@ TEST_P(SummaryAlgebraProperty, ComposeEqualsBruteForcePathConnectivity) {
   for (int i = 0; i <= k; ++i) {
     arity[static_cast<size_t>(i)] = 1 + static_cast<uint32_t>(rng.Below(3));
     preds[static_cast<size_t>(i)] =
-        ctx.InternPredicate("P" + std::to_string(i),
+        ctx.InternPredicate(StrCat("P", std::to_string(i)),
                             arity[static_cast<size_t>(i)]);
   }
   // Variables per rule: a small pool forces sharing and zigzags.
@@ -324,8 +325,8 @@ TEST_P(SummaryAlgebraProperty, ComposeEqualsBruteForcePathConnectivity) {
   for (int i = 0; i < k; ++i) {
     std::vector<SymbolId> pool;
     for (int v = 0; v < 3; ++v) {
-      pool.push_back(
-          ctx.InternSymbol("r" + std::to_string(i) + "v" + std::to_string(v)));
+      pool.push_back(ctx.InternSymbol(
+          StrCat("r", std::to_string(i), "v", std::to_string(v))));
     }
     auto make_atom = [&](PredId pred, uint32_t a) {
       Atom atom;

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace exdl::testing {
 
@@ -65,20 +66,20 @@ Program RandomProgram(ContextPtr ctx, const RandomProgramOptions& options) {
   std::vector<PredId> edb;
   for (int i = 0; i < options.num_edb; ++i) {
     uint32_t arity = 1 + static_cast<uint32_t>(rng.Below(2));
-    edb.push_back(c.InternPredicate("e" + std::to_string(i), arity));
+    edb.push_back(c.InternPredicate(StrCat("e", std::to_string(i)), arity));
   }
   std::vector<PredId> idb;
   for (int i = 0; i < options.num_idb; ++i) {
     uint32_t arity = 1 + static_cast<uint32_t>(rng.Below(3));
-    idb.push_back(c.InternPredicate("p" + std::to_string(i), arity));
+    idb.push_back(c.InternPredicate(StrCat("p", std::to_string(i)), arity));
   }
   std::vector<SymbolId> var_pool;
   for (int i = 0; i < 6; ++i) {
-    var_pool.push_back(c.InternSymbol("V" + std::to_string(i)));
+    var_pool.push_back(c.InternSymbol(StrCat("V", std::to_string(i))));
   }
   std::vector<SymbolId> const_pool;
   for (int i = 0; i < 3; ++i) {
-    const_pool.push_back(c.InternSymbol("c" + std::to_string(i)));
+    const_pool.push_back(c.InternSymbol(StrCat("c", std::to_string(i))));
   }
 
   Program program(ctx);
@@ -160,11 +161,11 @@ Program RandomChainProgram(ContextPtr ctx,
   Context& c = *ctx;
   std::vector<PredId> nts;
   for (int i = 0; i < options.num_nonterminals; ++i) {
-    nts.push_back(c.InternPredicate("nt" + std::to_string(i), 2));
+    nts.push_back(c.InternPredicate(StrCat("nt", std::to_string(i)), 2));
   }
   std::vector<PredId> ts;
   for (int i = 0; i < options.num_terminals; ++i) {
-    ts.push_back(c.InternPredicate("t" + std::to_string(i), 2));
+    ts.push_back(c.InternPredicate(StrCat("t", std::to_string(i)), 2));
   }
   Program program(ctx);
   for (int n = 0; n < options.num_nonterminals; ++n) {
@@ -180,7 +181,7 @@ Program RandomChainProgram(ContextPtr ctx,
       SymbolId current = x;
       for (int i = 0; i < body; ++i) {
         SymbolId next =
-            i + 1 == body ? y : c.InternSymbol("Z" + std::to_string(i));
+            i + 1 == body ? y : c.InternSymbol(StrCat("Z", std::to_string(i)));
         // Mostly terminals so languages stay finite-ish at small depth;
         // ~30% nonterminals for recursion.
         PredId pred = rng.Chance(0.3)
@@ -212,12 +213,12 @@ Program RandomStratifiedProgram(ContextPtr ctx,
     for (int p = 0; p < options.preds_per_layer; ++p) {
       uint32_t arity = 1 + static_cast<uint32_t>(rng.Below(2));
       layers.back().push_back(c.InternPredicate(
-          "s" + std::to_string(l) + "_" + std::to_string(p), arity));
+          StrCat("s", std::to_string(l), "_", std::to_string(p)), arity));
     }
   }
   std::vector<SymbolId> vars;
   for (int i = 0; i < 4; ++i) {
-    vars.push_back(c.InternSymbol("V" + std::to_string(i)));
+    vars.push_back(c.InternSymbol(StrCat("V", std::to_string(i))));
   }
   Program program(ctx);
   for (int l = 0; l < options.layers; ++l) {

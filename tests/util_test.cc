@@ -133,6 +133,16 @@ TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"solo"}, ", "), "solo");
 }
 
+TEST(StringUtilTest, StrCatSizesOnce) {
+  const std::string tail = std::to_string(42);
+  const std::string joined =
+      StrCat("longer than the small-string buffer: n", tail,
+             std::string_view("/x"), "");
+  EXPECT_EQ(joined, "longer than the small-string buffer: n42/x");
+  EXPECT_EQ(joined.capacity(), joined.size());  // One exact allocation.
+  EXPECT_EQ(StrCat("solo"), "solo");
+}
+
 TEST(StringUtilTest, SplitTrims) {
   std::vector<std::string> parts = Split(" a , b ,c ", ',');
   ASSERT_EQ(parts.size(), 3u);

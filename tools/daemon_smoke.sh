@@ -151,6 +151,27 @@ if [ -f "$METRICS" ]; then
 fi
 say "SIGTERM drained cleanly and the exit metrics document validates"
 
+# --- 4b. optimizing daemon: bound queries are served factored --------------
+# Both batch files query tc with a bound first argument, so an --optimize
+# daemon factors them; answers stay byte-identical to the reference.
+start_daemon "--optimize" || { flunk "exdld --optimize did not start"; exit 1; }
+$RUN "$EXDLC" connect "$F1" "$F2" --socket "$SOCK" \
+  >"$WORK/factored.out" 2>"$WORK/factored.err" \
+  || flunk "batch against the optimizing daemon failed"
+cmp -s "$REF" "$WORK/factored.out" \
+  || { flunk "factored answers differ from exdlc run --jobs 1"; diff "$REF" "$WORK/factored.out" | head; }
+$RUN "$EXDLC" connect --socket "$SOCK" --stats >"$WORK/factored_stats.json" \
+  2>&1 || flunk "exdlc connect --stats failed on the optimizing daemon"
+python3 - "$WORK/factored_stats.json" <<'EOF' || fail=1
+import json, sys
+doc = json.load(open(sys.argv[1]))
+factored = doc["service"]["compile"]["factored"]
+assert factored == 2, "expected both bound queries factored, got %d" % factored
+EOF
+kill -TERM "$DPID" 2>/dev/null
+wait "$DPID" 2>/dev/null
+say "optimizing daemon served both bound queries factored, byte-identical"
+
 # --- 5. durability: kill -9 mid-LOAD_FACTS stream, restart --data-dir ------
 DATA="$WORK/smoke_data"
 rm -rf "$DATA"

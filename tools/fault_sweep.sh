@@ -81,12 +81,15 @@ RUN="timeout 120"
 # Engine sweep: crash + checkpoint/resume recovery.
 
 # $1 = program file, $2 = thread count, $3 = label for messages
-run_engine_sweep() {
+run_engine_sweep() {  # $4 = extra exdlc run flags (may be empty)
   prog=$1
   threads=$2
   label=$3
+  extra=${4:-}
   ref="$WORK/ref_$label.out"
-  if ! $RUN "$EXDLC" run "$prog" --threads "$threads" >"$ref" 2>/dev/null; then
+  # shellcheck disable=SC2086  # extra is intentionally split
+  if ! $RUN "$EXDLC" run "$prog" --threads "$threads" $extra >"$ref" \
+      2>/dev/null; then
     echo "FAIL: $label reference run did not complete"
     fail=1
     return
@@ -97,8 +100,9 @@ run_engine_sweep() {
       dir="$WORK/ckpt_${label}_${site}_${n}"
       mkdir -p "$dir"
       out="$WORK/out.txt"
+      # shellcheck disable=SC2086  # extra is intentionally split
       EXDL_FAULT_SPEC="$site:$n:abort" $RUN "$EXDLC" run "$prog" \
-        --threads "$threads" --checkpoint-dir "$dir" \
+        --threads "$threads" $extra --checkpoint-dir "$dir" \
         --checkpoint-every-rounds 1 >"$out" 2>"$WORK/err.txt"
       rc=$?
       if [ "$rc" -eq 0 ]; then
@@ -120,9 +124,9 @@ run_engine_sweep() {
       if [ -f "$dir/checkpoint.exdl" ]; then
         resume_args="--resume $dir/checkpoint.exdl"
       fi
-      # shellcheck disable=SC2086  # resume_args is intentionally split
-      if ! $RUN "$EXDLC" run "$prog" --threads "$threads" $resume_args \
-          >"$out" 2>"$WORK/err.txt"; then
+      # shellcheck disable=SC2086  # resume_args, extra: intentionally split
+      if ! $RUN "$EXDLC" run "$prog" --threads "$threads" $extra \
+          $resume_args >"$out" 2>"$WORK/err.txt"; then
         echo "FAIL: $label $site:$n recovery run failed"
         sed 's/^/    /' "$WORK/err.txt" | head -5
         fail=1
@@ -497,6 +501,11 @@ run_durability_sweep() {  # $1 = jobs, $2 = label
 # snapshot I/O site; eval.pool_dispatch is unreachable serially (counts as
 # "completed identical" at every depth, which the sweep verifies too).
 run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" 1 serial
+
+# Sweep 1b: the same example optimized. Its bound query ?- tc(n0, Y) is
+# factored into the unary reach/ans program, so the crash and resume paths
+# cover a seeded rewrite whose fingerprint carries the query constant.
+run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" 1 factored --optimize
 
 # Sweep 2: 128 disjoint 40-edge chains, 4 threads. Their semi-naive delta
 # rounds stay above the evaluator's 4096-row pool gate for the first
