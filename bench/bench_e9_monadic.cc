@@ -4,10 +4,10 @@
 //
 // Language: a b* c over a random labeled graph. Rows: the original binary
 // chain program (computing all (X, Y) pairs, then projecting) vs the
-// DFA-derived monadic program (computing target nodes only), the latter
-// under both physical representations (DESIGN.md §14) — the monadic
-// program is exactly the shape the bitset kernels target, so
-// Monadic_tuple vs Monadic_bitset isolates the executor.
+// DFA-derived monadic program (computing target nodes only), which is
+// exactly the shape the bitset kernels target (DESIGN.md §14). The
+// Monadic_bitset row name predates the removal of the tuple executor and
+// is kept so its history stays comparable.
 //
 // Every case records a JSON row (BENCH_bench_e9_monadic.json); with
 // EXDL_BENCH_METRICS=1 the rows carry the full telemetry document, and
@@ -51,36 +51,23 @@ void BM_BinaryChain(benchmark::State& state) {
   ReportResult(state, "BinaryChain/" + std::to_string(state.range(0)), best);
 }
 
-void RunMonadic(benchmark::State& state, Representation representation) {
+void BM_Monadic(benchmark::State& state) {
   Setup setup = ParseOrDie(kChain);
   Result<Program> monadic = MonadicEquivalent(setup.program);
   if (!monadic.ok()) std::abort();
   state.counters["rules"] = static_cast<double>(monadic->NumRules());
   Database edb = MakeEdb(setup.ctx.get(), static_cast<int>(state.range(0)));
-  EvalOptions options;
-  options.representation = representation;
   EvalResult best;
   for (auto _ : state) {
-    KeepFastest(EvalOrDie(*monadic, edb, options), &best);
+    KeepFastest(EvalOrDie(*monadic, edb), &best);
   }
-  ReportResult(state,
-               std::string("Monadic_") + RepresentationName(representation) +
-                   "/" + std::to_string(state.range(0)),
+  ReportResult(state, "Monadic_bitset/" + std::to_string(state.range(0)),
                best);
-}
-
-void BM_Monadic_Tuple(benchmark::State& state) {
-  RunMonadic(state, Representation::kTuple);
-}
-void BM_Monadic_Bitset(benchmark::State& state) {
-  RunMonadic(state, Representation::kBitset);
 }
 
 BENCHMARK(BM_BinaryChain)->Arg(200)->Arg(800)->Arg(3200)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Monadic_Tuple)->Arg(200)->Arg(800)->Arg(3200)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Monadic_Bitset)->Arg(200)->Arg(800)->Arg(3200)
+BENCHMARK(BM_Monadic)->Arg(200)->Arg(800)->Arg(3200)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "core/compiled_program.h"
 
 #include "ast/printer.h"
-#include "core/query_request.h"
 #include "parser/parser.h"
 
 namespace exdl {
@@ -59,23 +58,12 @@ std::string CompiledProgram::CacheKeyMaterial(std::string_view source,
       static_cast<unsigned char>(o.deletion.use_sagiv),
       static_cast<unsigned char>(o.deletion.use_optimistic),
       static_cast<unsigned char>(o.deletion.cleanup),
-      0xC4,
-      static_cast<unsigned char>(options.representation),
   };
   std::string material;
   material.reserve(source.size() + sizeof(bits));
   material.append(source.data(), source.size());
   material.append(reinterpret_cast<const char*>(bits), sizeof(bits));
   return material;
-}
-
-std::string CompiledProgram::CacheKeyMaterial(const QueryRequest& request,
-                                              const CompileOptions& options) {
-  CompileOptions effective = options;
-  if (request.representation.has_value()) {
-    effective.representation = *request.representation;
-  }
-  return CacheKeyMaterial(request.source, effective);
 }
 
 uint64_t CompiledProgram::CacheKey(std::string_view source,

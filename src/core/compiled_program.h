@@ -36,8 +36,6 @@ namespace obs {
 class Telemetry;
 }  // namespace obs
 
-struct QueryRequest;
-
 /// Everything that determines the compile artifact (and therefore the
 /// cache key): the optimizer pipeline toggles, whether it runs at all,
 /// and the evaluation semantics the fingerprint binds to.
@@ -52,13 +50,6 @@ struct CompileOptions {
   /// naive or cut-free evaluation of the same text.
   bool seminaive = true;
   bool boolean_cut = true;
-  /// Physical representation the artifact's evaluations will request
-  /// (DESIGN.md §14). Not part of the Fingerprint — answers and
-  /// checkpoints are representation-independent by contract — but part
-  /// of the cache key, so a service configured per-representation never
-  /// hands a cached artifact to a session expecting the other mode's
-  /// telemetry.
-  Representation representation = Representation::kBitset;
 };
 
 class CompiledProgram {
@@ -107,15 +98,6 @@ class CompiledProgram {
   /// alias an entry (FNV-1a is not collision-resistant, and a collision
   /// would silently serve the wrong artifact).
   static std::string CacheKeyMaterial(std::string_view source,
-                                      const CompileOptions& options);
-
-  /// CacheKeyMaterial for a full QueryRequest: folds the request's
-  /// artifact-affecting overrides (today: representation) into `options`
-  /// before keying. Service-only knobs — tenant, budget, cancellation,
-  /// checkpointing, the standing flag — are deliberately excluded: they
-  /// change how an evaluation runs, never what the compile produces, so
-  /// including them would only shatter the cache.
-  static std::string CacheKeyMaterial(const QueryRequest& request,
                                       const CompileOptions& options);
 
   /// FNV-1a over CacheKeyMaterial — a compact fingerprint of the cache

@@ -6,10 +6,10 @@
 // these knobs". This struct collapses them. A request is plain data —
 // buildable field-by-field, aggregate-initializable at call sites that
 // only need `{source, name}` — and flows unchanged from the wire (or the
-// CLI flag parser) down to QueryService::Submit and into
-// CompiledProgram::CacheKeyMaterial, so a knob added here is
-// automatically part of the cache key discussion instead of a new
-// parameter threaded through four layers.
+// CLI flag parser) down to QueryService::Submit, so a knob added here
+// is one field instead of a new parameter threaded through four layers.
+// None of its fields feeds the program-cache key: they change how an
+// evaluation runs, never what the compile produces.
 //
 // Field order is append-only: existing aggregate initializers like
 // `QueryRequest{source, name}` must keep meaning what they meant.
@@ -46,11 +46,6 @@ struct QueryRequest {
   /// (the daemon cancels abandoned queries through this on client
   /// disconnect). Overrides any token in `budget`.
   CancellationToken* cancellation = nullptr;
-  /// Per-request physical representation override (DESIGN.md §14). When
-  /// set it replaces the service template's mode for this query — and
-  /// feeds the program-cache key, so a kTuple request never receives an
-  /// artifact compiled for kBitset telemetry.
-  std::optional<Representation> representation{};
   /// Admission-control identity the request was admitted under; "" means
   /// the default quota. The daemon stamps this from the connection's
   /// HELLO — the service records it for observability only and applies no

@@ -280,15 +280,13 @@ std::string RenderTelemetryDoc(
   w.Key("dropped_spans");
   w.UInt(telemetry != nullptr ? telemetry->trace().dropped() : 0);
 
-  // Physical-representation counters (DESIGN.md §14). This is the only
-  // section allowed to differ between tuple and bitset runs of the same
-  // program; equivalence checks strip it before comparing documents.
+  // Bitset-kernel counters (DESIGN.md §14). This is the only section
+  // allowed to differ between a kernel run and a generic (provenance) run
+  // of the same program; equivalence checks strip it before comparing.
   w.Key("storage");
   w.BeginObject();
   w.Key("representation");
   w.BeginObject();
-  w.Key("mode");
-  w.String(RepresentationName(run.representation.mode));
   w.Key("bitset_relations");
   w.UInt(run.representation.bitset_relations);
   w.Key("words_scanned");

@@ -51,10 +51,10 @@ struct RunSummary {
   EvalStats stats;
   size_t answers = 0;
   Status termination;
-  /// Representation counters of the run (DESIGN.md §14); the one summary
-  /// row that is allowed to differ between tuple and bitset runs of the
-  /// same program. Rendered as the telemetry document's top-level
-  /// "storage" object.
+  /// Bitset-kernel counters of the run (DESIGN.md §14); the one summary
+  /// row that is allowed to differ between a kernel run and a generic
+  /// (provenance) run of the same program. Rendered as the telemetry
+  /// document's top-level "storage" object.
   RepresentationStats representation;
 
   /// Records `result` as the last successful evaluation.

@@ -138,9 +138,7 @@ Status DaemonClient::Submit(const SubmitMsg& submit, bool* admitted,
                             ErrorMsg* error) {
   *admitted = false;
   Frame reply;
-  // Encode for the negotiated version: a v1 server must not see the v2
-  // representation tail.
-  EXDL_RETURN_IF_ERROR(RoundTrip(Encode(submit, version_), &reply));
+  EXDL_RETURN_IF_ERROR(RoundTrip(Encode(submit), &reply));
   switch (reply.type) {
     case MsgType::kTicket: {
       EXDL_RETURN_IF_ERROR(Decode(reply.body, ticket));

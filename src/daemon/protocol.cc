@@ -136,15 +136,14 @@ Status Decode(std::string_view body, HelloAckMsg* out) {
 namespace {
 
 // SUBMIT and REGISTER_QUERY share one body layout; only the type tag
-// differs. The representation tail is a protocol-2 addition: encoded only
-// on v2 connections, tolerated as absent by the decoder.
-void EncodeSubmitBody(WireWriter& w, const SubmitMsg& m, uint32_t version) {
+// differs. Clients built while the v2 representation tail was live send
+// one more byte; the decoder skips it.
+void EncodeSubmitBody(WireWriter& w, const SubmitMsg& m) {
   w.Str(m.name);
   w.Str(m.source);
   w.U64(m.deadline_ms);
   w.U64(m.max_tuples);
   w.U64(m.max_bytes);
-  if (version >= 2) w.U8(m.representation);
 }
 
 Status DecodeSubmitBody(WireReader& r, SubmitMsg* out) {
@@ -154,16 +153,17 @@ Status DecodeSubmitBody(WireReader& r, SubmitMsg* out) {
   EXDL_RETURN_IF_ERROR(r.U64(&out->max_tuples));
   EXDL_RETURN_IF_ERROR(r.U64(&out->max_bytes));
   if (!r.AtEnd()) {
-    EXDL_RETURN_IF_ERROR(r.U8(&out->representation));
+    uint8_t retired_representation = 0;
+    EXDL_RETURN_IF_ERROR(r.U8(&retired_representation));
   }
   return r.Finish();
 }
 
 }  // namespace
 
-std::string Encode(const SubmitMsg& m, uint32_t version) {
+std::string Encode(const SubmitMsg& m) {
   WireWriter w = Begin(MsgType::kSubmit);
-  EncodeSubmitBody(w, m, version);
+  EncodeSubmitBody(w, m);
   return w.Take();
 }
 
@@ -174,7 +174,7 @@ Status Decode(std::string_view body, SubmitMsg* out) {
 
 std::string Encode(const RegisterQueryMsg& m) {
   WireWriter w = Begin(MsgType::kRegisterQuery);
-  EncodeSubmitBody(w, m.submit, /*version=*/2);
+  EncodeSubmitBody(w, m.submit);
   return w.Take();
 }
 

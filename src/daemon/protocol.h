@@ -29,11 +29,9 @@
 #define EXDL_DAEMON_PROTOCOL_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "storage/representation.h"
 #include "util/status.h"
 
 namespace exdl::daemon {
@@ -50,10 +48,11 @@ inline constexpr uint32_t kProtocolMagic = 0x4C445845u;
 /// Version history:
 ///   1  initial protocol (SUBMIT .. ERROR).
 ///   2  standing queries (REGISTER_QUERY, REGISTERED, UNREGISTER_QUERY,
-///      POLL_RESULT, STANDING_RESULT) and the SUBMIT representation tail.
-///      A v1 peer never sees either: the tail is encoded only on v2
-///      connections, and the server answers v2-only message types on a
-///      v1 connection with ERROR (kFailedPrecondition), not a drop.
+///      POLL_RESULT, STANDING_RESULT). The server answers these on a v1
+///      connection with ERROR (kFailedPrecondition), not a drop. Version 2
+///      once also added a one-byte representation tail to SUBMIT and
+///      REGISTER_QUERY; it is retired: nothing writes it, and the decoder
+///      skips it when a client built before its retirement sends one.
 inline constexpr uint32_t kProtocolVersionMin = 1;
 inline constexpr uint32_t kProtocolVersionMax = 2;
 
@@ -118,10 +117,6 @@ struct SubmitMsg {
   uint64_t deadline_ms = 0;
   uint64_t max_tuples = 0;
   uint64_t max_bytes = 0;
-  /// Requested physical representation (protocol >= 2): 0 = server
-  /// default, else RepresentationToWire. Encoded only on v2 connections;
-  /// the decoder tolerates its absence, so v1 SUBMIT frames still parse.
-  uint8_t representation = 0;
 };
 
 /// REGISTER_QUERY carries exactly a SUBMIT body (same codec, different
@@ -220,10 +215,7 @@ struct ErrorMsg {
 
 std::string Encode(const HelloMsg& m);
 std::string Encode(const HelloAckMsg& m);
-/// `version` is the connection's negotiated protocol version: the v2
-/// representation tail is encoded only when version >= 2, so a v1 server
-/// never sees trailing bytes it would reject.
-std::string Encode(const SubmitMsg& m, uint32_t version = kProtocolVersionMax);
+std::string Encode(const SubmitMsg& m);
 std::string Encode(const RegisterQueryMsg& m);
 std::string Encode(const RegisteredMsg& m);
 std::string Encode(const UnregisterQueryMsg& m);
@@ -243,7 +235,9 @@ std::string EncodeEmpty(MsgType type);
 // ---------------------------------------------------------------------------
 // Decoding. `body` is Frame::body (the bytes after the type tag). Every
 // decoder consumes the exact body and returns kInvalidArgument on a
-// truncated, oversized, or trailing-garbage body.
+// truncated, oversized, or trailing-garbage body. (The one exception is
+// the retired representation byte, which SUBMIT and REGISTER_QUERY
+// accept and ignore after their last field.)
 
 Status Decode(std::string_view body, HelloMsg* out);
 Status Decode(std::string_view body, HelloAckMsg* out);
@@ -265,22 +259,6 @@ Status Decode(std::string_view body, ErrorMsg* out);
 /// Reconstructs a Status from an ErrorMsg, mapping unknown code values to
 /// kInternal so a newer server cannot make an older client misbehave.
 Status StatusFromWire(uint32_t code, std::string message);
-
-/// SubmitMsg::representation codec: 0 means "server default", any other
-/// value is 1 + the Representation enumerator (2 = tuple, 3 = bitset; 1 is
-/// retired). FromWire rejects values this build does not know (nullopt),
-/// so a newer client cannot smuggle an out-of-range enum into the
-/// evaluator.
-inline uint8_t RepresentationToWire(Representation r) {
-  return static_cast<uint8_t>(static_cast<uint8_t>(r) + 1);
-}
-inline std::optional<Representation> RepresentationFromWire(uint8_t wire) {
-  if (wire < RepresentationToWire(Representation::kTuple) ||
-      wire > RepresentationToWire(Representation::kBitset)) {
-    return std::nullopt;
-  }
-  return static_cast<Representation>(wire - 1);
-}
 
 // ---------------------------------------------------------------------------
 // Bounds-checked little-endian readers/writers (exposed for tests and the

@@ -469,19 +469,6 @@ Status DaemonServer::HandleSubmit(Connection& conn, std::string_view body) {
   budget.cancellation = token.get();
   request.budget = budget;
   request.cancellation = token.get();
-  if (submit.representation != 0) {
-    std::optional<Representation> repr =
-        RepresentationFromWire(submit.representation);
-    if (!repr.has_value()) {
-      admission_.Release(conn.tenant);
-      ErrorMsg err;
-      err.code = static_cast<uint32_t>(StatusCode::kInvalidArgument);
-      err.message = "unknown representation wire value " +
-                    std::to_string(submit.representation);
-      return ServerWriteFrame(conn.fd, Encode(err));
-    }
-    request.representation = repr;
-  }
   const QueryService::Ticket ticket = service_.Submit(std::move(request));
   conn.inflight.emplace(ticket, std::move(token));
   {
@@ -626,19 +613,6 @@ Status DaemonServer::HandleRegisterQuery(Connection& conn,
   budget.max_tuples = decision.effective.max_tuples;
   budget.max_arena_bytes = decision.effective.max_bytes;
   request.budget = budget;
-  if (msg.submit.representation != 0) {
-    std::optional<Representation> repr =
-        RepresentationFromWire(msg.submit.representation);
-    if (!repr.has_value()) {
-      admission_.Release(conn.tenant);
-      ErrorMsg err;
-      err.code = static_cast<uint32_t>(StatusCode::kInvalidArgument);
-      err.message = "unknown representation wire value " +
-                    std::to_string(msg.submit.representation);
-      return ServerWriteFrame(conn.fd, Encode(err));
-    }
-    request.representation = repr;
-  }
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.submits_admitted;

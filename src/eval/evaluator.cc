@@ -236,12 +236,16 @@ class Engine {
   /// detach — the property standing-query maintenance depends on.
   Result<EvalResult> RunOwned(Database input) {
     eval_begin_ = Clock::now();
-    // The bitset kernels never record provenance (they have no per-row
-    // descent spine); provenance runs take the generic path for every
-    // rule, counted as fallbacks.
-    use_bitset_ = UseBitsetKernels(options_.representation) &&
-                  !options_.record_provenance;
-    rep_stats_.mode = options_.representation;
+    // On IVM re-entry these are the grown EDB predicates; a checkpoint
+    // cursor leaves none behind (see EvalOptions::resume).
+    resume_behind_.clear();
+    if (options_.resume != nullptr) {
+      for (const auto& [pred, lo] : options_.resume->delta_lo) {
+        const Relation* rel = input.Find(pred);
+        if (rel != nullptr && lo < rel->size()) resume_behind_.push_back(pred);
+      }
+      std::sort(resume_behind_.begin(), resume_behind_.end());
+    }
     pool_min_delta_rows_ = options_.pool_min_delta_rows != 0
                                ? options_.pool_min_delta_rows
                                : kDefaultPoolMinDeltaRows;
@@ -380,23 +384,21 @@ class Engine {
         }
       }
     }
-    // IVM re-entry (DESIGN.md §16): body literals over extra_delta_preds
-    // also read deltas — new EDB facts appended to a maintained database,
-    // which idb_steps cannot name (it only lists derived predicates). Scan
-    // every step: EDB literals are not in idb_steps. Negated steps stay
-    // full reads (anti-joins have no delta semantics), and predicates that
-    // already grow in this stratum keep their single existing variant.
-    if (!options_.extra_delta_preds.empty()) {
-      const std::vector<PredId>& extra = options_.extra_delta_preds;
+    const bool resuming = options_.resume != nullptr &&
+                          stratum_index == options_.resume->stratum;
+    // IVM re-entry (DESIGN.md §16): on the resume stratum, body literals
+    // over predicates behind their cursor watermark also read deltas —
+    // new EDB facts, which idb_steps cannot name (it only lists derived
+    // predicates). Negated steps stay full reads (anti-joins have no
+    // delta semantics), and predicates that already grow in this stratum
+    // keep their single existing variant.
+    if (resuming && !resume_behind_.empty()) {
       for (size_t k = 0; k < rule_indices.size(); ++k) {
         const CompiledRule& cr = rules_[rule_indices[k]];
         for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
           const LiteralStep& step = cr.plan.steps[s];
           if (step.negated || is_growing(step.pred)) continue;
-          if (std::find(extra.begin(), extra.end(), step.pred) ==
-              extra.end()) {
-            continue;
-          }
+          if (!ResumeBehind(step.pred)) continue;
           delta_steps_of[k].push_back(s);
         }
         std::sort(delta_steps_of[k].begin(), delta_steps_of[k].end());
@@ -405,8 +407,6 @@ class Engine {
 
     Clock::time_point round_begin;
     SizeMap delta_lo;
-    const bool resuming = options_.resume != nullptr &&
-                          stratum_index == options_.resume->stratum;
     if (resuming) {
       // The checkpoint was cut at a completed round boundary of this
       // stratum (round 0 included): skip straight to the delta loop with
@@ -617,6 +617,11 @@ class Engine {
 
   bool Tripped() const {
     return trip_.load(std::memory_order_relaxed) != 0;
+  }
+
+  bool ResumeBehind(PredId pred) const {
+    return std::binary_search(resume_behind_.begin(), resume_behind_.end(),
+                              pred);
   }
 
   /// Records the first budget trip; later trips lose the race and keep
@@ -869,18 +874,16 @@ class Engine {
         if (a.kind == ArgSpec::Kind::kReg) cr.single_tuple_head = false;
       }
       // A rule the bitset path cannot take (ineligible plan shape, or
-      // provenance forcing the generic descent) is a fallback when this
-      // run asked for bitset kernels.
-      if (UseBitsetKernels(options_.representation) &&
-          (!cr.plan.bitset_eligible || options_.record_provenance)) {
+      // provenance forcing the generic descent) is a fallback.
+      if (!cr.plan.bitset_eligible || options_.record_provenance) {
         ++rep_stats_.fallbacks;
       }
       // Delta-first variants for every step that can carry a delta in
       // semi-naive rounds: IDB literals plus (on IVM re-entry) literals
-      // over extra-delta predicates. A step already outermost keeps the
-      // main plan. Compile failure just means no variant (the main plan
-      // is always a sound fallback), but forcing a positive literal first
-      // cannot make an orderable rule unorderable.
+      // over predicates behind the resume cursor. A step already outermost
+      // keeps the main plan. Compile failure just means no variant (the
+      // main plan is always a sound fallback), but forcing a positive
+      // literal first cannot make an orderable rule unorderable.
       if (options_.seminaive) {
         for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
           const LiteralStep& step = cr.plan.steps[s];
@@ -888,11 +891,7 @@ class Engine {
           const bool idb_step =
               std::find(cr.idb_steps.begin(), cr.idb_steps.end(), s) !=
               cr.idb_steps.end();
-          const bool extra_step =
-              std::find(options_.extra_delta_preds.begin(),
-                        options_.extra_delta_preds.end(),
-                        step.pred) != options_.extra_delta_preds.end();
-          if (!idb_step && !extra_step) continue;
+          if (!idb_step && !ResumeBehind(step.pred)) continue;
           PlanOptions delta_opts = options_.plan;
           delta_opts.first_body_position = step.body_position;
           Result<RulePlan> delta_plan =
@@ -984,11 +983,11 @@ class Engine {
     // same EDB pay for an index build once.
     //
     // Unary membership steps (step.bitset_eligible) never resolve a hash
-    // index: in every representation they probe the relation's word-packed
-    // bitset instead — full bits when the step reads the whole relation,
-    // a scratch bitset built from the arena rows [lo, hi) when it reads a
-    // semi-naive delta. This keeps index builds (and the storage.rehashes
-    // gauge) identical across representations.
+    // index: on the kernels and the generic descent alike they probe the
+    // relation's word-packed bitset instead — full bits when the step
+    // reads the whole relation, a scratch bitset built from the arena rows
+    // [lo, hi) when it reads a semi-naive delta. This keeps index builds
+    // (and the storage.rehashes gauge) identical on both paths.
     step_rels_.assign(plan.steps.size(), nullptr);
     step_indexes_.assign(plan.steps.size(), nullptr);
     step_bits_.assign(plan.steps.size(), nullptr);
@@ -1000,8 +999,7 @@ class Engine {
         continue;
       }
       // Provenance needs row ids, which a membership bit cannot supply;
-      // explain runs resolve the hash index like any other step (in every
-      // representation, so the comparison stays apples-to-apples).
+      // explain runs resolve the hash index like any other step.
       if (step.bitset_eligible && !options_.record_provenance &&
           rel->arity() == 1) {
         const Relation::View v = rel->view();
@@ -1033,8 +1031,10 @@ class Engine {
         pool_skipped_this_round_ = true;
       }
     }
-    bool kernel =
-        use_bitset_ && plan.bitset_eligible && !stop_after_first_;
+    // The bitset kernels never record provenance (they have no per-row
+    // descent spine): provenance runs take the generic descent everywhere.
+    bool kernel = !options_.record_provenance && plan.bitset_eligible &&
+                  !stop_after_first_;
     if (kernel && !PrepareBitsetVariant(plan, ranges)) kernel = false;
     if (workers <= 1) {
       serial_.regs.assign(plan.num_regs, 0);
@@ -1524,7 +1524,7 @@ class Engine {
       const bool unary = f.len == 1;
       // Pre-size the arena for kernel runs. Unary only: Reserve on wider
       // relations also pre-sizes the dedup table, which would make the
-      // storage.rehashes gauge depend on the representation. Power-of-two
+      // storage.rehashes gauge depend on the executor. Power-of-two
       // sizes, like push_back growth: an exact reserve would reallocate
       // the arena every round, each time at a new odd size.
       if (unary && f.count > 1) {
@@ -1654,9 +1654,9 @@ class Engine {
   /// duration, like the caches above).
   std::vector<BitProbe> pre_probes_;
   std::vector<BitProbe> post_probes_;
-  /// Run the batched bitset kernels for eligible rules this evaluation
-  /// (representation != tuple and no provenance)?
-  bool use_bitset_ = false;
+  /// Predicates whose resume-cursor watermark is below their input size,
+  /// sorted; they get delta variants on the resume stratum.
+  std::vector<PredId> resume_behind_;
   RepresentationStats rep_stats_;
   /// Resolved pool-skip threshold (kDefaultPoolMinDeltaRows when the
   /// option is 0) and the per-round "gate fired" flag FinishRound turns

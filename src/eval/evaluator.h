@@ -25,7 +25,6 @@
 #include "ast/program.h"
 #include "eval/plan.h"
 #include "storage/database.h"
-#include "storage/representation.h"
 #include "util/cancellation.h"
 #include "util/status.h"
 
@@ -151,7 +150,7 @@ class CheckpointSink {
 /// substrate for counting-based incremental view maintenance (DESIGN.md
 /// §16): a ledger that tallies derivations per tuple can later support
 /// retraction by decrementing instead of recomputing. The call sequence is
-/// deterministic across thread counts and representations (derivations are
+/// deterministic across thread counts and executors (derivations are
 /// drained in partition order before the flush). Null sink = a never-taken
 /// branch on the flush path.
 class SupportSink {
@@ -191,20 +190,13 @@ struct EvalOptions {
   /// are byte-identical to serial evaluation. <= 1 — or record_provenance —
   /// evaluates serially.
   uint32_t num_threads = 1;
-  /// Physical executor for bitset-eligible rules (DESIGN.md §14): kTuple
-  /// forces the generic descent everywhere, kBitset runs eligible rules
-  /// through the batched word-wise kernels. Answers and all
-  /// pre-existing telemetry are byte-identical across representations;
-  /// only the storage.representation.* counters differ.
-  Representation representation = Representation::kBitset;
   /// Semi-naive rounds whose delta is smaller than this row count stay on
   /// the calling thread even when num_threads > 1 — tiny rounds otherwise
   /// pay full pool-dispatch overhead and parallel chains run slower than
   /// serial. 0 means the built-in default (4096). Set to 1 to dispatch every
   /// parallel-eligible variant regardless of delta size (tests and fault
-  /// sweeps that must reach the pool use this). The skip decision is
-  /// representation-independent; eval.pool.skipped_rounds counts rounds
-  /// where it fired.
+  /// sweeps that must reach the pool use this). eval.pool.skipped_rounds
+  /// counts rounds where the skip fired.
   uint32_t pool_min_delta_rows = 0;
   /// Resource governance (deadline, memory, cancellation); see EvalBudget.
   EvalBudget budget;
@@ -228,17 +220,16 @@ struct EvalOptions {
   /// strata and rounds and continues the fixpoint exactly where the
   /// checkpoint was cut, producing relations and answers byte-identical to
   /// an uninterrupted run. Not owned; must outlive the evaluation.
+  ///
+  /// Incremental view maintenance (DESIGN.md §16) re-enters the same way:
+  /// it appends new EDB facts to a maintained database and passes the
+  /// pre-insert watermarks as the cursor. On the resume stratum every
+  /// non-growing body predicate whose watermark is below its current size
+  /// gets a semi-naive delta variant too, so the delta loop joins the fact
+  /// delta against the maintained fixpoint instead of re-running round 0.
+  /// (A checkpoint cursor leaves no such predicate: EDB and lower-stratum
+  /// watermarks equal their sizes at the boundary.)
   const EvalCursor* resume = nullptr;
-  /// Incremental view maintenance (DESIGN.md §16): predicates whose body
-  /// literals get semi-naive delta variants *in addition to* the stratum's
-  /// growing head predicates. Checkpoint resume only re-derives from
-  /// derived-predicate deltas (EDB relations never grow mid-fixpoint);
-  /// IVM re-entry appends new EDB facts to a maintained database and names
-  /// their predicates here, with the cursor's delta_lo carrying the
-  /// pre-insert watermarks, so the delta loop joins the fact delta against
-  /// the maintained fixpoint instead of re-running round 0. Meaningful only
-  /// together with `resume` under semi-naive evaluation.
-  std::vector<PredId> extra_delta_preds;
   /// Counting-support hook (see SupportSink). Not owned.
   SupportSink* support_sink = nullptr;
   /// Leave EvalResult::answers (and ground_query_true) unset instead of
@@ -270,23 +261,19 @@ struct EvalStats {
   std::string ToString() const;
 };
 
-/// Representation telemetry for one evaluation (DESIGN.md §14). Kept out
+/// Bitset-kernel telemetry for one evaluation (DESIGN.md §14). Kept out
 /// of EvalStats on purpose: EvalStats::ToString feeds daemon stats lines
-/// and checkpoints, which must stay byte-identical across
-/// representations. Rendered as the optional top-level "storage" object
-/// of the telemetry document.
+/// and checkpoints, which must stay byte-identical between the kernels
+/// and the generic descent. Rendered as the optional top-level "storage"
+/// object of the telemetry document.
 struct RepresentationStats {
-  /// The representation this evaluation ran with.
-  Representation mode = Representation::kBitset;
   /// Arity-1 relations (all carry a word-packed bitset) in the final
   /// database.
   uint64_t bitset_relations = 0;
-  /// 64-bit words read by the batched bitset kernels (0 under kTuple).
+  /// 64-bit words read by the batched bitset kernels.
   uint64_t words_scanned = 0;
-  /// Rules that requested the bitset path (kBitset) but ran the
-  /// generic descent because their plan is not bitset-eligible (or
-  /// provenance recording forced the generic path). Always 0 under
-  /// kTuple.
+  /// Rules that ran the generic descent because their plan is not
+  /// bitset-eligible (or provenance recording forced the generic path).
   uint64_t fallbacks = 0;
 
   RepresentationStats& operator+=(const RepresentationStats& o) {
@@ -320,8 +307,8 @@ struct Provenance {
 struct EvalResult {
   Database db;        ///< Input plus all derived tuples.
   EvalStats stats;
-  /// Representation counters (never part of the cross-representation
-  /// byte-identity contract; see RepresentationStats).
+  /// Bitset-kernel counters (never part of the byte-identity contract;
+  /// see RepresentationStats).
   RepresentationStats representation;
   /// OK after full convergence. After a budget trip: kDeadlineExceeded /
   /// kResourceExhausted / kCancelled, and db/answers/stats hold the

@@ -198,9 +198,9 @@ Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options) {
   // pure scan over an arity-1/2 relation binding only fresh distinct
   // registers, and every later step must be a unary membership test except
   // at most one binary index probe binding exactly one fresh register.
-  // Rules outside this shape run the generic descent in every
-  // representation (a storage.representation.fallbacks count under
-  // bitset/auto); answers and counters are identical either way.
+  // Rules outside this shape run the generic descent (counted in
+  // storage.representation.fallbacks); answers and counters are identical
+  // either way.
   plan.bitset_eligible = !plan.steps.empty();
   for (size_t s = 0; s < plan.steps.size(); ++s) {
     LiteralStep& step = plan.steps[s];

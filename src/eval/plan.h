@@ -51,8 +51,8 @@ struct LiteralStep {
   bool negated = false;
   /// Bitset-eligible literal (DESIGN.md §14): a unary membership test —
   /// arity 1 with the single position fully bound (index_columns == {0}),
-  /// positive or negated. Executors answer these from the relation's
-  /// word-packed bitset instead of a hash index, in every representation.
+  /// positive or negated. The kernels and the generic descent alike
+  /// answer these from the relation's word-packed bitset, not a hash index.
   bool bitset_eligible = false;
 };
 
@@ -69,8 +69,8 @@ struct RulePlan {
   /// pure scan binding only fresh distinct registers over an arity-1 or
   /// arity-2 relation, every later step is a unary membership test
   /// (bitset_eligible above) except at most one binary index probe that
-  /// binds exactly one fresh register. Under --representation=bitset/auto
-  /// the evaluator runs such rules through the batched bitset kernels;
+  /// binds exactly one fresh register. The evaluator runs such rules
+  /// through the batched bitset kernels (unless it records provenance);
   /// anything else falls back to the generic descent (counted in
   /// storage.representation.fallbacks), with byte-identical answers and
   /// counters either way.

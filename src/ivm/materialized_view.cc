@@ -55,7 +55,6 @@ MaterializedView::MaterializedView(CompiledProgram::Ptr program,
   eval_.checkpoint_sink = nullptr;
   eval_.resume = nullptr;
   eval_.support_sink = nullptr;
-  eval_.extra_delta_preds.clear();
   eval_.skip_answers = false;  // Reseed needs the full extraction.
 }
 
@@ -88,11 +87,11 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
   for (const Atom& fact : facts) {
     EXDL_RETURN_IF_ERROR(result_.db.AddFact(fact));
   }
-  const std::vector<PredId> grown = marks.GrownSince(result_.db);
-  stats_.facts_absorbed += marks.RowsSince(result_.db);
+  const uint64_t absorbed = marks.RowsSince(result_.db);
+  stats_.facts_absorbed += absorbed;
   ++stats_.generations_applied;
   generation_ = generation;
-  if (grown.empty()) {
+  if (absorbed == 0) {
     // Every fact was already present: the maintained fixpoint is already
     // the fixpoint of this generation.
     last_incremental_ = true;
@@ -101,13 +100,12 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
 
   // Re-enter the semi-naive delta loop on the maintained database: the
   // cursor's watermarks mark the appended suffixes as the only deltas,
-  // and extra_delta_preds gives the grown EDB predicates delta variants
+  // and the evaluator gives every grown EDB predicate a delta variant
   // (round 0 never re-fires — see DESIGN.md §16).
   EvalOptions options = eval_;
   EvalCursor cursor;  // Stratum 0: the program is negation-free.
   cursor.delta_lo = marks.CursorEntries(result_.db);
   options.resume = &cursor;
-  options.extra_delta_preds = grown;
   options.support_sink = support_.get();
   options.skip_answers = true;
   std::vector<std::vector<Value>> prior_answers = std::move(result_.answers);

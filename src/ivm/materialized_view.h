@@ -4,8 +4,8 @@
 // The view owns the full EDB ∪ IDB database of its last evaluation; each
 // generation's new facts are appended to it and re-derived from through
 // the evaluator's semi-naive watermark machinery (a synthesized
-// EvalCursor, EvalOptions::resume and extra_delta_preds), so a generation
-// costs O(changed facts and their consequences), not O(database).
+// EvalCursor and EvalOptions::resume), so a generation costs O(changed
+// facts and their consequences), not O(database).
 // Insertions over a negation-free semi-naive program are monotone, and
 // ExtractAnswers sorts + dedups, so answers are byte-identical to a cold
 // run. Programs outside that fragment (see Fallback) recompute every

@@ -37,8 +37,6 @@ QueryService::QueryService(ServiceOptions options)
   cow_detaches_id_ = metrics.Counter("service.load.cow_detaches");
   cow_bytes_copied_id_ = metrics.Counter("service.load.cow_bytes_copied");
   compile_factored_id_ = metrics.Counter("service.compile.factored");
-  // MetricsJson before the first query still labels the configured mode.
-  aggregate_.representation.mode = options_.eval.representation;
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -366,10 +364,7 @@ void QueryService::DispatcherLoop() {
           aggregate_.has_run = true;
           aggregate_.stats += item.summary.stats;
           aggregate_.answers += item.summary.answers;
-          // Counters sum across queries; the mode is the service-wide
-          // eval template's, identical for every session.
           aggregate_.representation += item.summary.representation;
-          aggregate_.representation.mode = item.summary.representation.mode;
           if (aggregate_.termination.ok() && !item.summary.termination.ok()) {
             aggregate_.termination = item.summary.termination;
           }
@@ -392,15 +387,8 @@ void QueryService::ProcessOne(Active& item) {
   if (options_.collect_telemetry) {
     response.telemetry = std::make_shared<obs::Telemetry>();
   }
-  // The request struct is the single source of compile-affecting
-  // overrides: the key and the compile below must see the same effective
-  // options or a cache hit could hand back the wrong artifact.
-  CompileOptions compile_options = options_.compile;
-  if (item.pending.request.representation.has_value()) {
-    compile_options.representation = *item.pending.request.representation;
-  }
-  std::string key =
-      CompiledProgram::CacheKeyMaterial(item.pending.request, options_.compile);
+  std::string key = CompiledProgram::CacheKeyMaterial(
+      item.pending.request.source, options_.compile);
   CompiledProgram::Ptr compiled;
   {
     // Compile turnstile: cache fills and Context interning happen in
@@ -415,7 +403,7 @@ void QueryService::ProcessOne(Active& item) {
     } else {
       item.shard.Add(cache_miss_id_, 1);
       Result<CompiledProgram::Ptr> compile_result = CompiledProgram::Compile(
-          item.pending.request.source, compile_options,
+          item.pending.request.source, options_.compile,
           response.telemetry.get(), ctx_);
       if (compile_result.ok()) {
         compiled = *compile_result;
@@ -451,10 +439,6 @@ void QueryService::ProcessOne(Active& item) {
         item.pending.request.cancellation;
   }
   session_options.eval.budget = EvalBudget::FromEnv(session_options.eval.budget);
-  if (item.pending.request.representation.has_value()) {
-    session_options.eval.representation =
-        *item.pending.request.representation;
-  }
   if (!item.pending.request.checkpoint_directory.empty()) {
     session_options.checkpoint.directory =
         item.pending.request.checkpoint_directory;

@@ -47,18 +47,6 @@ class DeltaWatermarks {
     return it != marks_.end() && it->first == pred ? it->second : 0;
   }
 
-  /// Predicates of `db` that grew past their watermark since capture —
-  /// the extra-delta predicate set for EvalOptions::extra_delta_preds.
-  /// Sorted by PredId so downstream iteration order is deterministic.
-  std::vector<PredId> GrownSince(const Database& db) const {
-    std::vector<PredId> grown;
-    for (const auto& [pred, rel] : db.relations()) {
-      if (rel.size() > WatermarkOf(pred)) grown.push_back(pred);
-    }
-    std::sort(grown.begin(), grown.end());
-    return grown;
-  }
-
   /// Rows past the watermark, summed over every relation of `db`.
   uint64_t RowsSince(const Database& db) const {
     uint64_t rows = 0;

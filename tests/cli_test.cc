@@ -289,12 +289,14 @@ TEST_F(CliObsTest, UnknownFlagIsUsageError) {
       << out;
 }
 
-TEST_F(CliObsTest, RepresentationAutoIsUsageError) {
+// There is one executor: the retired --representation flag is unknown.
+TEST_F(CliObsTest, RepresentationFlagIsUsageError) {
   int status = 0;
   std::string out = RunCommand(
-      Exdlc() + " run " + program_path_ + " --representation auto", &status);
+      Exdlc() + " run " + program_path_ + " --representation bitset", &status);
   EXPECT_EQ(DecodeExitCode(status), 2) << out;
-  EXPECT_NE(out.find("must be tuple or bitset"), std::string::npos) << out;
+  EXPECT_NE(out.find("unknown flag: --representation"), std::string::npos)
+      << out;
 }
 
 class CliRecoveryTest : public CliBudgetTest {

@@ -331,58 +331,55 @@ TEST_F(DaemonTest, LoadFactsFeedsLaterQueries) {
   server.Stop();
 }
 
-// SUBMIT's representation byte: 0 selects the server default, tuple (2)
-// and bitset (3) round-trip, and anything else — including the retired 1 —
-// is refused with ERROR.
-TEST_F(DaemonTest, RepresentationWireByte) {
-  for (Representation r : {Representation::kTuple, Representation::kBitset}) {
-    EXPECT_EQ(RepresentationFromWire(RepresentationToWire(r)), r);
-  }
-  for (uint8_t wire : {0, 1, 4}) {
-    EXPECT_FALSE(RepresentationFromWire(wire).has_value()) << int{wire};
-  }
-
-  DaemonOptions options = Options();
-  options.service.eval.representation = Representation::kTuple;
-  DaemonServer server(options);
+// A v2 SUBMIT from a client built while the representation tail was live
+// carries one more byte (2 = tuple, 3 = bitset). The tail is retired: the
+// server skips it and answers exactly as it answers the frame without it.
+TEST_F(DaemonTest, LegacyRepresentationByteIsIgnored) {
+  DaemonServer server(Options());
   ASSERT_TRUE(server.Start().ok());
-  DaemonClient client;
-  ASSERT_TRUE(client.Connect(endpoint(), "").ok());
-  auto submit = [&](uint8_t wire, ErrorMsg* error) -> bool {
-    SubmitMsg msg;
-    msg.name = "q";
-    msg.source = kTinyQuery;
-    msg.representation = wire;
-    bool admitted = false;
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path_.c_str(),
+               sizeof addr.sun_path - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_TRUE(WriteFrame(fd, Encode(HelloMsg())).ok());
+  Frame reply;
+  bool clean_eof = false;
+  ASSERT_TRUE(ReadFrame(fd, &reply, &clean_eof).ok());
+  ASSERT_EQ(reply.type, MsgType::kHelloAck);
+  HelloAckMsg ack;
+  ASSERT_TRUE(Decode(reply.body, &ack).ok());
+  ASSERT_EQ(ack.version, 2u);
+
+  SubmitMsg submit;
+  submit.name = "q";
+  submit.source = kTinyQuery;
+  const std::string plain = Encode(submit);
+  for (const std::string& frame :
+       {plain + '\x02', plain, plain + '\x03'}) {
+    ASSERT_TRUE(WriteFrame(fd, frame).ok());
+    ASSERT_TRUE(ReadFrame(fd, &reply, &clean_eof).ok());
+    ASSERT_EQ(reply.type, MsgType::kTicket) << frame.size();
     TicketMsg ticket;
-    RetryLaterMsg retry;
-    EXPECT_TRUE(client.Submit(msg, &admitted, &ticket, &retry, error).ok());
-    if (!admitted) return false;
+    ASSERT_TRUE(Decode(reply.body, &ticket).ok());
+    AwaitMsg await;
+    await.ticket = ticket.ticket;
+    ASSERT_TRUE(WriteFrame(fd, Encode(await)).ok());
+    ASSERT_TRUE(ReadFrame(fd, &reply, &clean_eof).ok());
+    ASSERT_EQ(reply.type, MsgType::kResult);
     ResultMsg result;
-    EXPECT_TRUE(client.Await(ticket.ticket, &result).ok());
-    EXPECT_EQ(result.answers, "b\nc\n");
-    return true;
-  };
-  // The service document reports the mode the last query ran with.
-  auto ran_with = [&](const char* mode) {
-    const std::string needle =
-        std::string("\"representation\":{\"mode\":\"") + mode + "\"";
-    return Eventually(
-        [&] { return server.MetricsJson().find(needle) != std::string::npos; });
-  };
-  ErrorMsg error;
-  const struct {
-    uint8_t wire;
-    const char* mode;
-  } kAccepted[] = {{3, "bitset"}, {0, "tuple"}, {3, "bitset"}, {2, "tuple"}};
-  for (const auto& c : kAccepted) {
-    ASSERT_TRUE(submit(c.wire, &error)) << int{c.wire};
-    EXPECT_TRUE(ran_with(c.mode)) << int{c.wire};
+    ASSERT_TRUE(Decode(reply.body, &result).ok());
+    EXPECT_EQ(result.status_code, 0u);
+    EXPECT_EQ(result.answers, "b\nc\n") << frame.size();
   }
-  for (uint8_t wire : {1, 4}) {
-    EXPECT_FALSE(submit(wire, &error)) << int{wire};
-    EXPECT_EQ(error.code, static_cast<uint32_t>(StatusCode::kInvalidArgument));
-  }
+  // One skipped byte, not a tail of any length: two are trailing garbage.
+  const std::string body = plain.substr(1);
+  SubmitMsg decoded;
+  EXPECT_TRUE(Decode(body + '\x02', &decoded).ok());
+  EXPECT_FALSE(Decode(body + "\x02\x02", &decoded).ok());
+  ::close(fd);
   server.Stop();
 }
 

@@ -2,7 +2,7 @@
 // fail-closed policy, the FactLog file lifecycle (including the unwind
 // guarantee under injected faults), and whole-service crash recovery —
 // answers after restart byte-identical to the uninterrupted service,
-// across tuple/bitset representations and 1/4-worker pools.
+// across 1/4-worker pools.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -23,7 +23,6 @@
 #include "service/answer_text.h"
 #include "service/edb_recovery.h"
 #include "service/query_service.h"
-#include "storage/representation.h"
 
 namespace exdl {
 namespace {
@@ -260,54 +259,49 @@ std::string LoadFive(QueryService& service) {
   return QueryAnswers(service, kQuery);
 }
 
-ServiceOptions ServiceConfig(Representation rep, uint32_t workers,
+ServiceOptions ServiceConfig(uint32_t workers,
                              std::shared_ptr<DurableEdb> durable = nullptr) {
   ServiceOptions options;
   options.num_workers = workers;
-  options.eval.representation = rep;
   options.durable = std::move(durable);
   return options;
 }
 
-TEST_F(DurabilityTest, RecoveryIsByteIdenticalAcrossRepresentationsAndPools) {
+TEST_F(DurabilityTest, RecoveryIsByteIdenticalAcrossPools) {
   std::string reference;
-  for (Representation rep : {Representation::kTuple, Representation::kBitset}) {
-    for (uint32_t workers : {1u, 4u}) {
-      SCOPED_TRACE(std::string("rep=") +
-                   (rep == Representation::kTuple ? "tuple" : "bitset") +
-                   " workers=" + std::to_string(workers));
-      const std::string dir = MakeTempDir();
-      auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
-      ASSERT_TRUE(edb->Open().ok());
-      std::string live;
-      {
-        QueryService service(ServiceConfig(rep, workers, edb));
-        live = LoadFive(service);
-      }
-      ASSERT_FALSE(live.empty());
-      DurabilityCounters counters = edb->counters();
-      EXPECT_EQ(counters.records_appended, 5u);
-      EXPECT_EQ(counters.compactions, 2u);  // after loads 2 and 4
-      EXPECT_EQ(counters.snapshot_generation, 4u);
-
-      // "Restart": a fresh DurableEdb + service over the same directory.
-      auto recovered_edb =
-          std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
-      ASSERT_TRUE(recovered_edb->Open().ok());
-      EXPECT_EQ(recovered_edb->snapshot_generation(), 4u);
-      ASSERT_EQ(recovered_edb->tail().size(), 1u);  // only generation 5
-      QueryService recovered(ServiceConfig(rep, workers));
-      Status status = RecoverDurableEdb(*recovered_edb, recovered);
-      ASSERT_TRUE(status.ok()) << status.ToString();
-      recovered.AttachDurability(recovered_edb);
-      EXPECT_EQ(recovered_edb->counters().records_replayed, 1u);
-      EXPECT_EQ(recovered.snapshot().generation(), 5u);
-      EXPECT_EQ(QueryAnswers(recovered, kQuery), live);
-
-      if (reference.empty()) reference = live;
-      EXPECT_EQ(live, reference)
-          << "answers differ across representations / pool sizes";
+  for (uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const std::string dir = MakeTempDir();
+    auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
+    ASSERT_TRUE(edb->Open().ok());
+    std::string live;
+    {
+      QueryService service(ServiceConfig(workers, edb));
+      live = LoadFive(service);
     }
+    ASSERT_FALSE(live.empty());
+    DurabilityCounters counters = edb->counters();
+    EXPECT_EQ(counters.records_appended, 5u);
+    EXPECT_EQ(counters.compactions, 2u);  // after loads 2 and 4
+    EXPECT_EQ(counters.snapshot_generation, 4u);
+
+    // "Restart": a fresh DurableEdb + service over the same directory.
+    auto recovered_edb =
+        std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
+    ASSERT_TRUE(recovered_edb->Open().ok());
+    EXPECT_EQ(recovered_edb->snapshot_generation(), 4u);
+    ASSERT_EQ(recovered_edb->tail().size(), 1u);  // only generation 5
+    QueryService recovered(ServiceConfig(workers));
+    Status status = RecoverDurableEdb(*recovered_edb, recovered);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    recovered.AttachDurability(recovered_edb);
+    EXPECT_EQ(recovered_edb->counters().records_replayed, 1u);
+    EXPECT_EQ(recovered.snapshot().generation(), 5u);
+    EXPECT_EQ(QueryAnswers(recovered, kQuery), live);
+
+    if (reference.empty()) reference = live;
+    EXPECT_EQ(live, reference)
+        << "answers differ across pool sizes";
   }
 }
 
@@ -317,14 +311,14 @@ TEST_F(DurabilityTest, RecoveredServiceKeepsLoadingDurably) {
     auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
     ASSERT_TRUE(edb->Open().ok());
     QueryService service(
-        ServiceConfig(Representation::kTuple, 1, edb));
+        ServiceConfig(1, edb));
     LoadFive(service);
   }
   std::string extended;
   {
     auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
     ASSERT_TRUE(edb->Open().ok());
-    QueryService service(ServiceConfig(Representation::kTuple, 1));
+    QueryService service(ServiceConfig(1));
     ASSERT_TRUE(RecoverDurableEdb(*edb, service).ok());
     service.AttachDurability(edb);
     // Generation numbering continues from the recovered state.
@@ -334,7 +328,7 @@ TEST_F(DurabilityTest, RecoveredServiceKeepsLoadingDurably) {
   }
   auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
   ASSERT_TRUE(edb->Open().ok());
-  QueryService service(ServiceConfig(Representation::kTuple, 1));
+  QueryService service(ServiceConfig(1));
   ASSERT_TRUE(RecoverDurableEdb(*edb, service).ok());
   EXPECT_EQ(QueryAnswers(service, kQuery), extended);
 }
@@ -345,7 +339,7 @@ TEST_F(DurabilityTest, TornLogTailIsTruncatedOnRecovery) {
   {
     auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
     ASSERT_TRUE(edb->Open().ok());
-    QueryService service(ServiceConfig(Representation::kTuple, 1, edb));
+    QueryService service(ServiceConfig(1, edb));
     live = LoadFive(service);
   }
   // Simulate a crash mid-append: half of generation 6 on disk, unsynced.
@@ -355,7 +349,7 @@ TEST_F(DurabilityTest, TornLogTailIsTruncatedOnRecovery) {
   auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
   ASSERT_TRUE(edb->Open().ok());
   EXPECT_EQ(edb->counters().truncated_tail_bytes, torn.size() / 2);
-  QueryService service(ServiceConfig(Representation::kTuple, 1));
+  QueryService service(ServiceConfig(1));
   ASSERT_TRUE(RecoverDurableEdb(*edb, service).ok());
   // d6 was never acknowledged; everything acknowledged survives.
   EXPECT_EQ(QueryAnswers(service, kQuery), live);
@@ -366,7 +360,7 @@ TEST_F(DurabilityTest, MidLogCorruptionFailsClosed) {
   {
     auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 0});
     ASSERT_TRUE(edb->Open().ok());
-    QueryService service(ServiceConfig(Representation::kTuple, 1, edb));
+    QueryService service(ServiceConfig(1, edb));
     LoadFive(service);
   }
   const std::string path = DurableEdb::LogPathIn(dir);
@@ -396,7 +390,7 @@ TEST_F(DurabilityTest, StaleRecordsBelowSnapshotGenerationAreFiltered) {
   {
     auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 2});
     ASSERT_TRUE(edb->Open().ok());
-    QueryService service(ServiceConfig(Representation::kTuple, 1, edb));
+    QueryService service(ServiceConfig(1, edb));
     live = LoadFive(service);  // snapshot at generation 4, tail = {5}
   }
   // Simulate a crash between the compaction rename and the log truncate:
@@ -409,7 +403,7 @@ TEST_F(DurabilityTest, StaleRecordsBelowSnapshotGenerationAreFiltered) {
   ASSERT_TRUE(edb->Open().ok());
   ASSERT_EQ(edb->tail().size(), 1u);  // 3 and 4 filtered, 5 replayed
   EXPECT_EQ(edb->tail()[0].generation, 5u);
-  QueryService service(ServiceConfig(Representation::kTuple, 1));
+  QueryService service(ServiceConfig(1));
   ASSERT_TRUE(RecoverDurableEdb(*edb, service).ok());
   EXPECT_EQ(QueryAnswers(service, kQuery), live);
 }
@@ -418,7 +412,7 @@ TEST_F(DurabilityTest, FailedAppendNeverPublishesAGeneration) {
   const std::string dir = MakeTempDir();
   auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 0});
   ASSERT_TRUE(edb->Open().ok());
-  QueryService service(ServiceConfig(Representation::kTuple, 1, edb));
+  QueryService service(ServiceConfig(1, edb));
   ASSERT_TRUE(service.LoadFacts("p(a).\n").ok());
 
   ASSERT_TRUE(FaultPlan::Global().Arm("factlog.fsync:1").ok());
@@ -434,7 +428,7 @@ TEST_F(DurabilityTest, FailedAppendNeverPublishesAGeneration) {
 
   auto recovered_edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 0});
   ASSERT_TRUE(recovered_edb->Open().ok());
-  QueryService recovered(ServiceConfig(Representation::kTuple, 1));
+  QueryService recovered(ServiceConfig(1));
   ASSERT_TRUE(RecoverDurableEdb(*recovered_edb, recovered).ok());
   EXPECT_EQ(QueryAnswers(recovered, kQuery), "a\nb\n");
 }

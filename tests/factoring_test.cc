@@ -4,9 +4,9 @@
 // The shape tests pin which programs the rewrite accepts and that each
 // rejection names its reason. The equivalence tests hold the rewrite to
 // the byte-identity contract: a factored compile answers exactly like the
-// unoptimized program on seeded random graphs, in both representations
-// and at 1 and 4 threads, as a standing view maintained over several
-// fact loads, and across a checkpoint/resume.
+// unoptimized program on seeded random graphs at 1 and 4 threads, as a
+// standing view maintained over several fact loads, and across a
+// checkpoint/resume.
 
 #include <cstdio>
 #include <cstdlib>
@@ -274,18 +274,15 @@ std::string RandomGraph(uint64_t seed, int nodes, int edges) {
 
 /// Compiles and runs `source`, returning the rendered answer rows.
 std::string Answers(const std::string& source, bool optimize,
-                    Representation rep, uint32_t threads,
-                    bool* factored = nullptr) {
+                    uint32_t threads, bool* factored = nullptr) {
   CompileOptions compile;
   compile.optimize = optimize;
-  compile.representation = rep;
   Result<CompiledProgram::Ptr> compiled = CompiledProgram::Compile(source,
                                                                    compile);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   if (!compiled.ok()) return "";
   if (factored != nullptr) *factored = (*compiled)->report().factored;
   SessionOptions options;
-  options.eval.representation = rep;
   options.eval.num_threads = threads;
   // Send even tiny deltas to the pool so the 4-thread arm partitions.
   if (threads > 1) options.eval.pool_min_delta_rows = 1;
@@ -298,7 +295,7 @@ std::string Answers(const std::string& source, bool optimize,
   return RenderAnswerRows(*(*compiled)->context(), result->answers);
 }
 
-TEST(FactoringEquivalenceTest, RandomGraphsAcrossRepresentationsAndThreads) {
+TEST(FactoringEquivalenceTest, RandomGraphsAcrossThreads) {
   struct Shape {
     const char* rules;
     const char* query;
@@ -315,17 +312,13 @@ TEST(FactoringEquivalenceTest, RandomGraphsAcrossRepresentationsAndThreads) {
       const std::string source = std::string(shape.rules) + facts +
                                  shape.query;
       const std::string reference =
-          Answers(source, /*optimize=*/false, Representation::kTuple, 1);
-      for (Representation rep :
-           {Representation::kTuple, Representation::kBitset}) {
-        for (uint32_t threads : {1u, 4u}) {
-          bool factored = false;
-          EXPECT_EQ(Answers(source, /*optimize=*/true, rep, threads,
-                            &factored),
-                    reference)
-              << RepresentationName(rep) << " threads " << threads;
-          EXPECT_TRUE(factored);
-        }
+          Answers(source, /*optimize=*/false, 1);
+      for (uint32_t threads : {1u, 4u}) {
+        bool factored = false;
+        EXPECT_EQ(Answers(source, /*optimize=*/true, threads, &factored),
+                  reference)
+            << "threads " << threads;
+        EXPECT_TRUE(factored);
       }
     }
   }
@@ -477,35 +470,31 @@ TEST(FactoringEquivalenceTest, AcceptedNearLinearProgramsAnswerAlike) {
 // --- Standing views ---------------------------------------------------------
 
 TEST(FactoringServiceTest, StandingViewMatchesColdSubmitAcrossLoads) {
-  for (Representation rep :
-       {Representation::kTuple, Representation::kBitset}) {
-    ServiceOptions options;
-    options.compile.optimize = true;
-    options.eval.representation = rep;
-    QueryService service(options);
-    ASSERT_TRUE(service.LoadFacts(RandomGraph(5, 60, 40)).ok());
-    QueryRequest request{.source = std::string(kMixed) + "?- tc(n0, Y).\n",
-                         .name = "factored"};
-    Result<uint64_t> id = service.RegisterStandingQuery(request);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    for (uint64_t g = 0; g < 6; ++g) {
-      ASSERT_TRUE(service.LoadFacts(RandomGraph(100 + g, 60, 12)).ok());
-      Result<StandingQueryResult> polled = service.PollStandingQuery(*id);
-      ASSERT_TRUE(polled.ok()) << polled.status().ToString();
-      QueryResponse cold = service.Await(service.Submit(request));
-      ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
-      ASSERT_TRUE(cold.program->report().factored);
-      EXPECT_EQ(polled->generation, cold.snapshot_generation);
-      EXPECT_EQ(polled->answers,
-                RenderAnswerRows(*service.ctx(), cold.result.answers))
-          << RepresentationName(rep) << " generation " << g;
-      EXPECT_EQ(polled->stats.full_recomputes, 0u);
-      EXPECT_TRUE(polled->last_was_incremental);
-    }
-    // One cold compile for the view, then cache hits: counted once.
-    EXPECT_NE(service.MetricsJson().find("\"compile\":{\"factored\":1}"),
-              std::string::npos);
+  ServiceOptions options;
+  options.compile.optimize = true;
+  QueryService service(options);
+  ASSERT_TRUE(service.LoadFacts(RandomGraph(5, 60, 40)).ok());
+  QueryRequest request{.source = std::string(kMixed) + "?- tc(n0, Y).\n",
+                       .name = "factored"};
+  Result<uint64_t> id = service.RegisterStandingQuery(request);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  for (uint64_t g = 0; g < 6; ++g) {
+    ASSERT_TRUE(service.LoadFacts(RandomGraph(100 + g, 60, 12)).ok());
+    Result<StandingQueryResult> polled = service.PollStandingQuery(*id);
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    QueryResponse cold = service.Await(service.Submit(request));
+    ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+    ASSERT_TRUE(cold.program->report().factored);
+    EXPECT_EQ(polled->generation, cold.snapshot_generation);
+    EXPECT_EQ(polled->answers,
+              RenderAnswerRows(*service.ctx(), cold.result.answers))
+        << "generation " << g;
+    EXPECT_EQ(polled->stats.full_recomputes, 0u);
+    EXPECT_TRUE(polled->last_was_incremental);
   }
+  // One cold compile for the view, then cache hits: counted once.
+  EXPECT_NE(service.MetricsJson().find("\"compile\":{\"factored\":1}"),
+            std::string::npos);
 }
 
 TEST(FactoringServiceTest, LookalikeFactsAndLoadsAnswerLikeTheOriginal) {
@@ -515,11 +504,8 @@ TEST(FactoringServiceTest, LookalikeFactsAndLoadsAnswerLikeTheOriginal) {
   const std::string source =
       std::string(kRightLinear) + kSmallGraph + lookalikes + "?- tc(a, Y).\n";
   bool factored = false;
-  const std::string reference =
-      Answers(source, /*optimize=*/false, Representation::kBitset, 1);
-  EXPECT_EQ(Answers(source, /*optimize=*/true, Representation::kBitset, 1,
-                    &factored),
-            reference);
+  const std::string reference = Answers(source, /*optimize=*/false, 1);
+  EXPECT_EQ(Answers(source, /*optimize=*/true, 1, &factored), reference);
   EXPECT_TRUE(factored);
   EXPECT_EQ(reference.find("zz"), std::string::npos);
 

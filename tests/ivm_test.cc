@@ -2,15 +2,14 @@
 //
 // The contract under test: a registered standing query's polled answers
 // are byte-identical to a cold re-evaluation of the same source at the
-// same generation — after every fact load, for every physical
-// representation, at every pool size — and the maintenance that keeps
-// them so is incremental (ivm.full_recomputes stays 0) whenever the
-// program is in the incremental fragment. The randomized section drives
-// seeded fact-delta schedules (duplicates, new nodes, chain extensions)
-// through programs with different plan shapes, so the delta-first
-// variant plans and the answer-suffix merge are exercised well past the
-// hand-written cases. The concurrency section is TSan fodder:
-// register / load / poll / unregister racing on one service.
+// same generation — after every fact load, at every pool size — and the
+// maintenance that keeps them so is incremental (ivm.full_recomputes
+// stays 0) whenever the program is in the incremental fragment. The
+// randomized section drives seeded fact-delta schedules (duplicates, new
+// nodes, chain extensions) through programs with different plan shapes,
+// so the delta-first variant plans and the answer-suffix merge are
+// exercised well past the hand-written cases. The concurrency section is
+// TSan fodder: register / load / poll / unregister racing on one service.
 
 #include <atomic>
 #include <cstdint>
@@ -29,7 +28,6 @@
 #include "parser/parser.h"
 #include "service/answer_text.h"
 #include "service/query_service.h"
-#include "storage/representation.h"
 #include "testing/test_util.h"
 #include "util/string_util.h"
 
@@ -109,11 +107,10 @@ std::string BaseFacts(std::mt19937& rng, int* next_node) {
   return facts;
 }
 
-ServiceOptions MakeOptions(uint32_t workers, Representation rep) {
+ServiceOptions MakeOptions(uint32_t workers) {
   ServiceOptions options;
   options.num_workers = workers;
   options.eval.num_threads = workers;
-  options.eval.representation = rep;
   options.compile.optimize = true;
   return options;
 }
@@ -139,37 +136,32 @@ void ExpectPollMatchesCold(QueryService& service, uint64_t id,
 }
 
 TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
-  const Representation reps[] = {Representation::kTuple,
-                                 Representation::kBitset};
   for (uint32_t workers : {1u, 4u}) {
-    for (Representation rep : reps) {
-      for (uint32_t seed : {7u, 1234u}) {
-        std::mt19937 rng(seed);
-        int next_node = 0;
-        const std::string base = BaseFacts(rng, &next_node);
-        QueryService service(MakeOptions(workers, rep));
-        ASSERT_TRUE(service.LoadFacts(base).ok());
-        std::vector<QueryRequest> requests;
-        std::vector<uint64_t> ids;
-        for (const IvmCase& c : kCases) {
-          QueryRequest request{.source = c.source, .name = c.label};
-          Result<uint64_t> id = service.RegisterStandingQuery(request);
-          ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().ToString();
-          requests.push_back(std::move(request));
-          ids.push_back(*id);
-        }
-        for (int g = 0; g < 5; ++g) {
-          ASSERT_TRUE(
-              service.LoadFacts(RandomDelta(rng, &next_node)).ok());
-          for (size_t q = 0; q < ids.size(); ++q) {
-            SCOPED_TRACE(std::string(kCases[q].label) + " workers=" +
-                         std::to_string(workers) + " rep=" +
-                         RepresentationName(rep) + " seed=" +
-                         std::to_string(seed) + " gen=" +
-                         std::to_string(g));
-            ExpectPollMatchesCold(service, ids[q], requests[q],
-                                  /*expect_incremental=*/true);
-          }
+    for (uint32_t seed : {7u, 1234u}) {
+      std::mt19937 rng(seed);
+      int next_node = 0;
+      const std::string base = BaseFacts(rng, &next_node);
+      QueryService service(MakeOptions(workers));
+      ASSERT_TRUE(service.LoadFacts(base).ok());
+      std::vector<QueryRequest> requests;
+      std::vector<uint64_t> ids;
+      for (const IvmCase& c : kCases) {
+        QueryRequest request{.source = c.source, .name = c.label};
+        Result<uint64_t> id = service.RegisterStandingQuery(request);
+        ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().ToString();
+        requests.push_back(std::move(request));
+        ids.push_back(*id);
+      }
+      for (int g = 0; g < 5; ++g) {
+        ASSERT_TRUE(
+            service.LoadFacts(RandomDelta(rng, &next_node)).ok());
+        for (size_t q = 0; q < ids.size(); ++q) {
+          SCOPED_TRACE(std::string(kCases[q].label) + " workers=" +
+                       std::to_string(workers) + " seed=" +
+                       std::to_string(seed) + " gen=" +
+                       std::to_string(g));
+          ExpectPollMatchesCold(service, ids[q], requests[q],
+                                /*expect_incremental=*/true);
         }
       }
     }
@@ -177,7 +169,7 @@ TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
 }
 
 TEST(IvmTest, PollReflectsRegistrationSnapshot) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
       .source = "tc(X, Y) :- e(X, Y).\n"
@@ -195,7 +187,7 @@ TEST(IvmTest, PollReflectsRegistrationSnapshot) {
 }
 
 TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c).").ok());
   QueryRequest request{
       .source = "tc(X, Y) :- e(X, Y).\n"
@@ -215,7 +207,7 @@ TEST(IvmTest, DuplicateLoadIsANoOpGeneration) {
 }
 
 TEST(IvmTest, GroundQueryFlipsAndStays) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
       .source = "tc(X, Y) :- e(X, Y).\n"
@@ -235,7 +227,7 @@ TEST(IvmTest, GroundQueryFlipsAndStays) {
 }
 
 TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b). e(b, c). blocked(c).").ok());
   QueryRequest request{
       .source = "ok(X, Y) :- e(X, Y), not blocked(Y).\n"
@@ -258,7 +250,7 @@ TEST(IvmTest, NegationFallsBackToReseedAndStaysCorrect) {
 }
 
 TEST(IvmTest, UnregisterRetiresTheView) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{.source = "p(X, Y) :- e(X, Y).\n?- p(X, Y).\n",
                        .name = "p"};
@@ -273,7 +265,7 @@ TEST(IvmTest, UnregisterRetiresTheView) {
 }
 
 TEST(IvmTest, MetricsJsonCarriesIvmObject) {
-  QueryService service(MakeOptions(1, Representation::kBitset));
+  QueryService service(MakeOptions(1));
   ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
   QueryRequest request{
       .source = "tc(X, Y) :- e(X, Y).\n"
@@ -402,7 +394,7 @@ TEST(SupportLedgerTest, DiamondCountsByHand) {
   EXPECT_EQ(SumOfCounts(*support), support->total_derivations());
 }
 
-TEST(SupportLedgerTest, CountsIdenticalAcrossThreadsAndRepresentations) {
+TEST(SupportLedgerTest, CountsIdenticalAcrossThreads) {
   for (uint32_t seed : {7u, 1234u}) {
     for (const IvmCase& c : kCases) {
       SCOPED_TRACE(std::string(c.label) + " seed=" + std::to_string(seed));
@@ -422,33 +414,28 @@ TEST(SupportLedgerTest, CountsIdenticalAcrossThreadsAndRepresentations) {
       }
       std::optional<std::vector<std::vector<uint32_t>>> reference;
       for (uint32_t threads : {1u, 4u}) {
-        for (Representation rep :
-             {Representation::kTuple, Representation::kBitset}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads) + " rep=" +
-                       RepresentationName(rep));
-          EvalOptions eval;
-          eval.num_threads = threads;
-          eval.representation = rep;
-          Database snapshot = base.Clone();
-          auto view = ReseededView(compiled, eval, snapshot);
-          for (size_t g = 0; g < deltas.size(); ++g) {
-            for (const Atom& fact : deltas[g]) {
-              ASSERT_TRUE(snapshot.AddFact(fact).ok());
-            }
-            ASSERT_TRUE(view->Apply(deltas[g], g + 2, snapshot).ok());
-            ASSERT_TRUE(view->last_was_incremental());
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EvalOptions eval;
+        eval.num_threads = threads;
+        Database snapshot = base.Clone();
+        auto view = ReseededView(compiled, eval, snapshot);
+        for (size_t g = 0; g < deltas.size(); ++g) {
+          for (const Atom& fact : deltas[g]) {
+            ASSERT_TRUE(snapshot.AddFact(fact).ok());
           }
-          const ivm::SupportLedger* support = view->support();
-          ASSERT_NE(support, nullptr);
-          // The optimizer deletes edb_query's rules (the query reads e
-          // itself), so that view derives nothing; the rest must count.
-          if (std::string_view(c.label) != "edb_query") {
-            EXPECT_GT(support->tracked_tuples(), 0u);
-          }
-          EXPECT_EQ(SumOfCounts(*support), support->total_derivations());
-          if (!reference) reference = support->columns();
-          EXPECT_EQ(support->columns(), *reference);
+          ASSERT_TRUE(view->Apply(deltas[g], g + 2, snapshot).ok());
+          ASSERT_TRUE(view->last_was_incremental());
         }
+        const ivm::SupportLedger* support = view->support();
+        ASSERT_NE(support, nullptr);
+        // The optimizer deletes edb_query's rules (the query reads e
+        // itself), so that view derives nothing; the rest must count.
+        if (std::string_view(c.label) != "edb_query") {
+          EXPECT_GT(support->tracked_tuples(), 0u);
+        }
+        EXPECT_EQ(SumOfCounts(*support), support->total_derivations());
+        if (!reference) reference = support->columns();
+        EXPECT_EQ(support->columns(), *reference);
       }
     }
   }
@@ -495,7 +482,7 @@ TEST(SupportLedgerTest, OnlyIncrementalViewsKeepALedger) {
 // polls, and unregistrations race on one service; every poll that
 // succeeds must be internally consistent.
 TEST(IvmConcurrencyTest, RegisterLoadPollRace) {
-  QueryService service(MakeOptions(4, Representation::kBitset));
+  QueryService service(MakeOptions(4));
   ASSERT_TRUE(service.LoadFacts("e(n0, n1). e(n1, n2).").ok());
   QueryRequest request{
       .source = "tc(X, Y) :- e(X, Y).\n"

@@ -178,7 +178,7 @@ TEST(ParallelEvalTest, BitsetKernelWorkloadMatchesSerial) {
   // predicates advanced through a binary probe plus unary membership
   // tests. pool_min_delta_rows=1 defeats the small-delta pool skip so the
   // kernels genuinely run on the worker pool, and the test pins parallel
-  // == serial byte-identity in every representation.
+  // == serial byte-identity.
   auto parsed = testing::MustParse(
       "odd(Y) :- even(X), p(X, Y).\n"
       "even(Y) :- odd(X), p(X, Y).\n"
@@ -199,31 +199,25 @@ TEST(ParallelEvalTest, BitsetKernelWorkloadMatchesSerial) {
   for (size_t i = 0; i < nodes.size(); i += 3) {
     edb.AddTuple(mark, std::vector<Value>{nodes[i]});
   }
-  for (Representation representation :
-       {Representation::kBitset, Representation::kTuple}) {
-    EvalOptions options;
-    options.representation = representation;
-    options.pool_min_delta_rows = 1;
-    ExpectParallelMatchesSerial(parsed.program, edb, options);
-  }
-  // Cross-representation: the two physical executors must also agree
-  // with each other, not just each with its own serial run.
-  EvalOptions bitset_options;
-  bitset_options.representation = Representation::kBitset;
-  EvalOptions tuple_options;
-  tuple_options.representation = Representation::kTuple;
-  EvalResult bitset = testing::MustEval(parsed.program, edb, bitset_options);
-  EvalResult tuple = testing::MustEval(parsed.program, edb, tuple_options);
-  ExpectIdenticalDatabases(tuple.db, bitset.db);
-  EXPECT_EQ(tuple.answers, bitset.answers);
-  EXPECT_EQ(tuple.stats.rounds, bitset.stats.rounds);
-  EXPECT_EQ(tuple.stats.rule_firings, bitset.stats.rule_firings);
-  EXPECT_EQ(tuple.stats.tuples_inserted, bitset.stats.tuples_inserted);
-  EXPECT_EQ(tuple.stats.duplicate_inserts, bitset.stats.duplicate_inserts);
-  EXPECT_EQ(tuple.stats.index_probes, bitset.stats.index_probes);
-  EXPECT_EQ(tuple.stats.rows_matched, bitset.stats.rows_matched);
-  EXPECT_GT(bitset.representation.words_scanned, 0u);
-  EXPECT_EQ(tuple.representation.words_scanned, 0u);
+  EvalOptions options;
+  options.pool_min_delta_rows = 1;
+  ExpectParallelMatchesSerial(parsed.program, edb, options);
+  // The kernels must also agree with the generic descent (a provenance
+  // run takes it on every rule), not just with their own serial run.
+  EvalResult kernels = testing::MustEval(parsed.program, edb);
+  EvalOptions generic_options;
+  generic_options.record_provenance = true;
+  EvalResult generic = testing::MustEval(parsed.program, edb, generic_options);
+  ExpectIdenticalDatabases(generic.db, kernels.db);
+  EXPECT_EQ(generic.answers, kernels.answers);
+  EXPECT_EQ(generic.stats.rounds, kernels.stats.rounds);
+  EXPECT_EQ(generic.stats.rule_firings, kernels.stats.rule_firings);
+  EXPECT_EQ(generic.stats.tuples_inserted, kernels.stats.tuples_inserted);
+  EXPECT_EQ(generic.stats.duplicate_inserts, kernels.stats.duplicate_inserts);
+  EXPECT_EQ(generic.stats.index_probes, kernels.stats.index_probes);
+  EXPECT_EQ(generic.stats.rows_matched, kernels.stats.rows_matched);
+  EXPECT_GT(kernels.representation.words_scanned, 0u);
+  EXPECT_EQ(generic.representation.words_scanned, 0u);
 }
 
 TEST(ParallelEvalTest, TimingCountersPopulated) {

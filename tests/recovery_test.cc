@@ -354,12 +354,11 @@ TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
   EXPECT_TRUE(SameDatabase(serial_resume.result.db, ref.result.db));
 }
 
-TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
+TEST_F(RecoveryTest, BitsetKernelCrashResumeIsByteIdentical) {
   // A monadic program (every rule bitset-eligible, DESIGN.md §14): the
   // checkpoints cut mid-run carry arity-1 relations whose dedup bitsets
-  // are rebuilt on load. Resume must be representation-independent — a
-  // checkpoint written under kBitset resumes under kTuple to the same
-  // converged database.
+  // are rebuilt on load. Resuming on the kernels must reach the same
+  // converged database as the uninterrupted run.
   auto monadic_source = [](int n) {
     std::string src =
         "reach(Y) :- reach(X), e(X, Y).\n"
@@ -373,16 +372,13 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
     return src;
   };
   const std::string source = monadic_source(150);
-  SessionRun ref = RunSession(source, [](SessionOptions& o) {
-    o.eval.representation = Representation::kBitset;
-  });
+  SessionRun ref = RunSession(source, [](SessionOptions&) {});
   ASSERT_TRUE(ref.status.ok());
   EXPECT_GT(ref.result.representation.words_scanned, 0u);
 
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("storage.arena_grow:40").ok());
   SessionRun crashed = RunSession(source, [&](SessionOptions& o) {
-    o.eval.representation = Representation::kBitset;
     o.checkpoint.directory = dir;
     o.checkpoint.every_rounds = 1;
   });
@@ -400,21 +396,16 @@ TEST_F(RecoveryTest, BitsetRepresentationCrashResumeIsByteIdentical) {
   }
   EXPECT_TRUE(has_unary_rows);
 
-  for (Representation representation :
-       {Representation::kBitset, Representation::kTuple}) {
-    SessionRun resumed = RunSession(
-        source,
-        [&](SessionOptions& o) { o.eval.representation = representation; },
-        Checkpointer::PathIn(dir));
-    ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-    EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
-    EXPECT_EQ(resumed.result.answers, ref.result.answers);
-    EXPECT_EQ(resumed.result.stats.rounds, ref.result.stats.rounds);
-    EXPECT_EQ(resumed.result.stats.tuples_inserted,
-              ref.result.stats.tuples_inserted);
-    EXPECT_EQ(resumed.result.stats.rule_firings,
-              ref.result.stats.rule_firings);
-  }
+  SessionRun resumed = RunSession(
+      source, [](SessionOptions&) {}, Checkpointer::PathIn(dir));
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+  EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
+  EXPECT_EQ(resumed.result.answers, ref.result.answers);
+  EXPECT_EQ(resumed.result.stats.rounds, ref.result.stats.rounds);
+  EXPECT_EQ(resumed.result.stats.tuples_inserted,
+            ref.result.stats.tuples_inserted);
+  EXPECT_EQ(resumed.result.stats.rule_firings,
+            ref.result.stats.rule_firings);
 }
 
 TEST_F(RecoveryTest, SnapshotWriteFaultLeavesPreviousCheckpointGood) {

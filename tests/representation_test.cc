@@ -1,11 +1,13 @@
-// Representation equivalence (DESIGN.md §14): the physical executor is
-// invisible. For every program shape the suite covers — monadic kernels,
-// binary closure, negation, boolean cuts, cascades, and seeded random
-// programs — kTuple and kBitset must produce byte-identical databases
-// (contents AND row order), answers, and work counters, serially and on
-// 4 threads; and the rendered telemetry documents must be byte-identical
-// once the representation-specific sections (storage.representation
-// counters, timing fields) are normalized away.
+// Kernel equivalence (DESIGN.md §14): the bitset kernels are invisible.
+// The reference is a provenance-recording run, which takes the generic
+// hash-index descent on every rule and runs serially. For every program
+// shape the suite covers — monadic kernels, binary closure, negation,
+// boolean cuts, cascades, and seeded random programs — the default
+// evaluator (kernels on eligible rules) must produce byte-identical
+// databases (contents AND row order), answers, and work counters to that
+// reference, serially and on 4 threads; and the rendered telemetry
+// documents must be byte-identical once the kernel-specific sections
+// (storage.representation counters, timing fields) are normalized away.
 
 #include <gtest/gtest.h>
 
@@ -40,38 +42,32 @@ void ExpectIdenticalDatabases(const Database& a, const Database& b) {
   }
 }
 
-void ExpectSameOutcome(const EvalResult& tuple, const EvalResult& bitset) {
-  ExpectIdenticalDatabases(tuple.db, bitset.db);
-  EXPECT_EQ(tuple.answers, bitset.answers);
-  EXPECT_EQ(tuple.ground_query_true, bitset.ground_query_true);
-  EXPECT_EQ(tuple.stats.rounds, bitset.stats.rounds);
-  EXPECT_EQ(tuple.stats.rule_firings, bitset.stats.rule_firings);
-  EXPECT_EQ(tuple.stats.tuples_inserted, bitset.stats.tuples_inserted);
-  EXPECT_EQ(tuple.stats.duplicate_inserts, bitset.stats.duplicate_inserts);
-  EXPECT_EQ(tuple.stats.index_probes, bitset.stats.index_probes);
-  EXPECT_EQ(tuple.stats.rows_matched, bitset.stats.rows_matched);
-  EXPECT_EQ(tuple.stats.rules_retired, bitset.stats.rules_retired);
-  EXPECT_EQ(tuple.stats.budget_tripped, bitset.stats.budget_tripped);
+void ExpectSameOutcome(const EvalResult& generic, const EvalResult& run) {
+  ExpectIdenticalDatabases(generic.db, run.db);
+  EXPECT_EQ(generic.answers, run.answers);
+  EXPECT_EQ(generic.ground_query_true, run.ground_query_true);
+  EXPECT_EQ(generic.stats.rounds, run.stats.rounds);
+  EXPECT_EQ(generic.stats.rule_firings, run.stats.rule_firings);
+  EXPECT_EQ(generic.stats.tuples_inserted, run.stats.tuples_inserted);
+  EXPECT_EQ(generic.stats.duplicate_inserts, run.stats.duplicate_inserts);
+  EXPECT_EQ(generic.stats.index_probes, run.stats.index_probes);
+  EXPECT_EQ(generic.stats.rows_matched, run.stats.rows_matched);
+  EXPECT_EQ(generic.stats.rules_retired, run.stats.rules_retired);
+  EXPECT_EQ(generic.stats.budget_tripped, run.stats.budget_tripped);
 }
 
-/// Evaluates under every representation x {1, 4} threads and asserts all
-/// four runs agree with the serial tuple run.
-void ExpectRepresentationEquivalent(const Program& program,
-                                    const Database& edb) {
+/// Evaluates at {1, 4} threads and asserts both runs agree with the
+/// generic-descent reference (a provenance run: no kernels, serial).
+void ExpectKernelsEquivalent(const Program& program, const Database& edb) {
   EvalOptions reference_options;
-  reference_options.representation = Representation::kTuple;
+  reference_options.record_provenance = true;
   EvalResult reference = testing::MustEval(program, edb, reference_options);
-  for (Representation representation :
-       {Representation::kTuple, Representation::kBitset}) {
-    for (uint32_t threads : {1u, 4u}) {
-      EvalOptions options;
-      options.representation = representation;
-      options.num_threads = threads;
-      EvalResult run = testing::MustEval(program, edb, options);
-      SCOPED_TRACE(std::string(RepresentationName(representation)) + "/" +
-                   std::to_string(threads) + " threads");
-      ExpectSameOutcome(reference, run);
-    }
+  for (uint32_t threads : {1u, 4u}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    EvalResult run = testing::MustEval(program, edb, options);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ExpectSameOutcome(reference, run);
   }
 }
 
@@ -98,7 +94,7 @@ TEST(RepresentationTest, MonadicReachability) {
   for (size_t i = 0; i < nodes.size(); i += 2) {
     edb.AddTuple(mark, std::vector<Value>{nodes[i]});
   }
-  ExpectRepresentationEquivalent(parsed.program, edb);
+  ExpectKernelsEquivalent(parsed.program, edb);
 }
 
 TEST(RepresentationTest, BinaryTransitiveClosure) {
@@ -115,7 +111,7 @@ TEST(RepresentationTest, BinaryTransitiveClosure) {
   PredId p = parsed.ctx->InternPredicate("p", 2);
   Database edb;
   MakeGraph(parsed.ctx.get(), &edb, p, spec);
-  ExpectRepresentationEquivalent(parsed.program, edb);
+  ExpectKernelsEquivalent(parsed.program, edb);
 }
 
 TEST(RepresentationTest, NegationAntiJoin) {
@@ -135,7 +131,7 @@ TEST(RepresentationTest, NegationAntiJoin) {
   for (Value v : nodes) edb.AddTuple(node, std::vector<Value>{v});
   edb.AddTuple(parsed.ctx->InternPredicate("src", 1),
                std::vector<Value>{nodes[0]});
-  ExpectRepresentationEquivalent(parsed.program, edb);
+  ExpectKernelsEquivalent(parsed.program, edb);
 }
 
 TEST(RepresentationTest, BooleanCutGroundQuery) {
@@ -150,7 +146,7 @@ TEST(RepresentationTest, BooleanCutGroundQuery) {
   PredId p = parsed.ctx->InternPredicate("p", 2);
   Database edb;
   MakeGraph(parsed.ctx.get(), &edb, p, spec);
-  ExpectRepresentationEquivalent(parsed.program, edb);
+  ExpectKernelsEquivalent(parsed.program, edb);
 }
 
 TEST(RepresentationTest, CascadeShape) {
@@ -171,7 +167,7 @@ TEST(RepresentationTest, CascadeShape) {
                      parsed.ctx->InternPredicate(name, arity), n, n / 2,
                      seed++);
   }
-  ExpectRepresentationEquivalent(parsed.program, edb);
+  ExpectKernelsEquivalent(parsed.program, edb);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ TEST_P(RepresentationSeededTest, RandomProgramAgrees) {
   Database edb = RandomInstance(ctx.get(), inputs, /*domain_size=*/24,
                                 /*max_tuples_per_pred=*/60,
                                 /*seed=*/GetParam() * 131 + 17);
-  ExpectRepresentationEquivalent(program, edb);
+  ExpectKernelsEquivalent(program, edb);
 }
 
 TEST_P(RepresentationSeededTest, RandomStratifiedProgramAgrees) {
@@ -206,17 +202,17 @@ TEST_P(RepresentationSeededTest, RandomStratifiedProgramAgrees) {
   Database edb = RandomInstance(ctx.get(), inputs, /*domain_size=*/20,
                                 /*max_tuples_per_pred=*/50,
                                 /*seed=*/GetParam() * 97 + 3);
-  ExpectRepresentationEquivalent(program, edb);
+  ExpectKernelsEquivalent(program, edb);
 }
 
 // ---------------------------------------------------------------------------
 // Telemetry document byte-identity (minus the new counters)
 
-/// Normalizes a telemetry document for cross-representation comparison:
-/// zeroes every timing field (those legitimately differ run to run, in
-/// any representation), drops the storage.representation metric rows and
-/// the top-level "storage" object (the documented representation-specific
-/// section), and drops the eval.round.seconds histogram (its bucket
+/// Normalizes a telemetry document for kernel-vs-generic comparison:
+/// zeroes every timing field (those legitimately differ run to run, on
+/// either path), drops the storage.representation metric rows and the
+/// top-level "storage" object (the documented kernel-specific section),
+/// and drops the eval.round.seconds histogram (its bucket
 /// counts are timing-derived). Everything else — counters, per-rule rows,
 /// span structure — must match byte for byte.
 std::string NormalizeTelemetry(std::string doc) {
@@ -240,14 +236,13 @@ std::string NormalizeTelemetry(std::string doc) {
 }
 
 std::string TelemetryDocFor(const std::string& source,
-                            Representation representation,
-                            uint32_t threads) {
+                            bool record_provenance, uint32_t threads) {
   obs::Telemetry telemetry;
   Result<CompiledProgram::Ptr> compiled =
       CompiledProgram::Compile(source, CompileOptions());
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   SessionOptions options;
-  options.eval.representation = representation;
+  options.eval.record_provenance = record_provenance;
   options.eval.num_threads = threads;
   options.telemetry = &telemetry;
   Session session(std::move(options));
@@ -256,7 +251,7 @@ std::string TelemetryDocFor(const std::string& source,
   return session.TelemetryJson("run", "test.dl");
 }
 
-TEST(RepresentationTest, TelemetryDocsMatchModuloRepresentationSection) {
+TEST(RepresentationTest, TelemetryDocsMatchModuloKernelSection) {
   std::string source =
       "reach(Y) :- reach(X), e(X, Y).\n"
       "reach(X) :- zero(X).\n"
@@ -266,15 +261,15 @@ TEST(RepresentationTest, TelemetryDocsMatchModuloRepresentationSection) {
     source +=
         "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
   }
+  const std::string generic =
+      TelemetryDocFor(source, /*record_provenance=*/true, 1);
   for (uint32_t threads : {1u, 4u}) {
-    const std::string tuple =
-        TelemetryDocFor(source, Representation::kTuple, threads);
-    const std::string bitset =
-        TelemetryDocFor(source, Representation::kBitset, threads);
-    // The raw documents DO differ (mode + kernel counters)...
-    EXPECT_NE(tuple, bitset) << threads << " threads";
+    const std::string kernels =
+        TelemetryDocFor(source, /*record_provenance=*/false, threads);
+    // The raw documents DO differ (kernel counters)...
+    EXPECT_NE(generic, kernels) << threads << " threads";
     // ...and normalizing exactly the documented section reconciles them.
-    EXPECT_EQ(NormalizeTelemetry(tuple), NormalizeTelemetry(bitset))
+    EXPECT_EQ(NormalizeTelemetry(generic), NormalizeTelemetry(kernels))
         << threads << " threads";
   }
 }

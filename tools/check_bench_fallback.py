@@ -5,8 +5,8 @@ Usage: check_bench_fallback.py [BENCH_bench_e9_monadic.json]
 
 Reads the JSON rows written by bench_e9_monadic (run with
 EXDL_BENCH_METRICS=1 so every row carries its telemetry document) and
-fails if any case whose name requests the bitset representation
-reports storage.representation.fallbacks != 0 — i.e. a rule the monadic
+fails if any monadic case (Monadic_bitset/N rows) reports
+storage.representation.fallbacks != 0 — i.e. a rule the monadic
 synthesis produced was not bitset-eligible and silently fell back to the
 generic descent. The monadic programs of Theorem 3.3 are exactly the
 shape DESIGN.md §14 promises to run as kernels, so a nonzero fallback
@@ -32,8 +32,8 @@ def main(argv):
     checked = 0
     for row in doc.get("results", []):
         name = row.get("name", "")
-        # Monadic_bitset/N requests the kernel path; Monadic_tuple/N and
-        # BinaryChain/N legitimately report zero.
+        # Monadic_bitset/N must run kernel-only; BinaryChain/N has binary
+        # recursion, which legitimately falls back.
         if not name.startswith("Monadic_bitset/"):
             continue
         checked += 1

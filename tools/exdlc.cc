@@ -6,8 +6,8 @@
 //       Print the optimized program and the per-phase report.
 //
 //   exdlc run <file...> [--jobs N] [--naive] [--no-cut] [--optimize]
-//                    [--threads N] [--representation tuple|bitset]
-//                    [--deadline-ms N] [--max-tuples N] [--max-bytes N]
+//                    [--threads N] [--deadline-ms N] [--max-tuples N]
+//                    [--max-bytes N]
 //                    [--checkpoint-dir DIR] [--checkpoint-every-rounds N]
 //                    [--resume FILE] [--trace] [--metrics-json FILE]
 //       Evaluate the program over the facts in the same file and print
@@ -33,13 +33,6 @@
 //       pass a ticket-ordered turnstile). --metrics-json then writes the
 //       merged service document (with a "service" object); checkpoint/
 //       resume flags are rejected in batch mode.
-//       --representation picks the physical executor (DESIGN.md §14):
-//       "tuple" forces the generic arena/index path, "bitset" (the
-//       default) runs eligible monadic rules through the word-packed
-//       kernels with per-rule fallback. Answers and all pre-existing
-//       output are byte-identical across modes; only the telemetry
-//       document's storage.representation counters differ. Anything else
-//       exits 2.
 //
 //   exdlc grammar <file>
 //       For a binary chain program: print the grammar, regularity
@@ -61,7 +54,6 @@
 //                 [--max-bytes N] [--retries N] [--retry-base-ms N]
 //                 [--load-facts FILE] [--stats] [--shutdown]
 //                 [--register] [--poll ID] [--unregister ID]
-//                 [--representation tuple|bitset]
 //       Run the files as a batch against a running exdld daemon
 //       (tools/exdld.cc). Output is per file under a "== <file> =="
 //       header, byte-identical to `exdlc run <file...> --jobs 1` against
@@ -83,8 +75,7 @@
 //       the same source at the same generation) plus maintenance stats on
 //       stderr; --unregister ID drops the view. Views are not tied to the
 //       registering connection: register in one invocation, poll from
-//       another. --representation requests the physical executor for the
-//       submitted/registered queries (server default when omitted).
+//       another.
 //
 //   exdlc fault-sites
 //       Print every registered fault-injection site, one per line (the
@@ -219,7 +210,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"--optimize", false, kCmdRun},
     {"--threads", true, kCmdRun},
     {"--jobs", true, kCmdRun},
-    {"--representation", true, kCmdRun | kCmdConnect},
     // budgets (requests under `connect`: the daemon clamps them)
     {"--deadline-ms", true, kCmdRun | kCmdConnect},
     {"--max-tuples", true, kCmdRun | kCmdConnect},
@@ -351,19 +341,6 @@ std::string FlagString(const std::vector<std::string>& args,
   return fallback;
 }
 
-/// Parses --representation. Absent = bitset; an unknown value exits 2
-/// like every other flag violation.
-Representation FlagRepresentation(const std::vector<std::string>& flags) {
-  const std::string text = FlagString(flags, "--representation", "bitset");
-  Representation r = Representation::kBitset;
-  if (!ParseRepresentation(text, &r)) {
-    std::cerr << "--representation must be tuple or bitset, got '" << text
-              << "'\n";
-    std::exit(2);
-  }
-  return r;
-}
-
 /// True when --trace or --metrics-json asks for a telemetry sink.
 bool WantsTelemetry(const std::vector<std::string>& flags) {
   return HasFlag(flags, "--trace") || HasFlag(flags, "--metrics-json");
@@ -464,7 +441,6 @@ int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
   options.eval.seminaive = !HasFlag(flags, "--naive");
   options.eval.boolean_cut = !HasFlag(flags, "--no-cut");
   options.eval.num_threads = FlagValue(flags, "--threads", 1);
-  options.eval.representation = FlagRepresentation(flags);
   // Budget precedence: explicit flags, then EXDL_BUDGET_* environment
   // variables for whatever the flags left unset (see EvalBudget::FromEnv).
   options.eval.budget = EvalBudget::FromEnv(EvalBudget::FromFlags(
@@ -483,7 +459,6 @@ int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
   compile.optimizer.cancellation = &g_interrupted;
   compile.seminaive = options.eval.seminaive;
   compile.boolean_cut = options.eval.boolean_cut;
-  compile.representation = options.eval.representation;
   CompiledProgram::Ptr compiled = CompileFile(path, compile, telemetry.get());
   if (compiled == nullptr) return 1;
   Session session(std::move(options));
@@ -548,12 +523,8 @@ int CmdRunService(const std::vector<std::string>& files,
       FlagValue64(flags, "--max-bytes", 0), &g_interrupted);
   options.compile.optimize = HasFlag(flags, "--optimize");
   options.compile.optimizer.cancellation = &g_interrupted;
-  options.eval.representation = FlagRepresentation(flags);
   options.compile.seminaive = options.eval.seminaive;
   options.compile.boolean_cut = options.eval.boolean_cut;
-  // Mirrored into the cache key: a cached artifact is only reused by
-  // sessions running the same representation.
-  options.compile.representation = options.eval.representation;
   options.collect_telemetry = WantsTelemetry(flags);
   std::vector<QueryRequest> requests;
   for (const std::string& file : files) {
@@ -701,10 +672,6 @@ int CmdConnect(const std::vector<std::string>& files,
         submit.deadline_ms = options.deadline_ms;
         submit.max_tuples = options.max_tuples;
         submit.max_bytes = options.max_bytes;
-        if (HasFlag(flags, "--representation")) {
-          submit.representation =
-              daemon::RepresentationToWire(FlagRepresentation(flags));
-        }
         daemon::RegisteredMsg registered;
         Status status = client.RegisterQuery(submit, &registered);
         if (!status.ok()) {
