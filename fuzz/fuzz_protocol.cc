@@ -9,9 +9,8 @@
 // bytes. (The retired SUBMIT representation byte is accepted and dropped,
 // so a legacy frame re-encodes one byte shorter, then stays fixed.)
 //
-// Build with -DEXDL_FUZZ=ON. Under Clang this links libFuzzer; elsewhere
-// EXDL_FUZZ_STANDALONE provides a main() that replays files given on the
-// command line (used by the CI fuzz smoke job).
+// The default build links fuzz/replay_main.cc and replays the seed corpus
+// as a ctest; -DEXDL_FUZZ=ON under Clang links libFuzzer instead.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,27 +76,3 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   return 0;
 }
-
-#ifdef EXDL_FUZZ_STANDALONE
-// Minimal replay driver for compilers without -fsanitize=fuzzer.
-#include <fstream>
-#include <iostream>
-#include <sstream>
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::ifstream in(argv[i], std::ios::binary);
-    if (!in) {
-      std::cerr << "cannot open " << argv[i] << "\n";
-      return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string bytes = buffer.str();
-    LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(bytes.data()),
-                           bytes.size());
-    std::cout << argv[i] << ": ok\n";
-  }
-  return 0;
-}
-#endif  // EXDL_FUZZ_STANDALONE

@@ -35,15 +35,13 @@ uint64_t CompiledProgram::Fingerprint(const Program& program,
 
 std::string CompiledProgram::CacheKeyMaterial(std::string_view source,
                                               const CompileOptions& options) {
-  // Every toggle that changes the artifact or the semantics it is bound
-  // to gets one byte; the leading marker bytes keep fields from eliding
-  // into each other if more are appended later.
+  // Every toggle that changes the artifact gets one byte; the leading
+  // marker bytes keep fields from eliding into each other if more are
+  // appended later.
   const OptimizerOptions& o = options.optimizer;
   const unsigned char bits[] = {
       0xC1,
       static_cast<unsigned char>(options.optimize),
-      static_cast<unsigned char>(options.seminaive),
-      static_cast<unsigned char>(options.boolean_cut),
       0xC2,
       static_cast<unsigned char>(o.adorn),
       static_cast<unsigned char>(o.push_projections),
@@ -117,10 +115,6 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
     out->magic_seed_ = std::move(optimized.magic_seed);
     out->optimized_ = true;
   }
-  EvalOptions semantics;
-  semantics.seminaive = options.seminaive;
-  semantics.boolean_cut = options.boolean_cut;
-  out->fingerprint_ = Fingerprint(out->program_, semantics, out->magic_seed_);
   return Ptr(std::move(out));
 }
 
@@ -138,8 +132,6 @@ Result<CompiledProgram::Ptr> CompiledProgram::Optimize(
   out->optimize_termination_ = std::move(optimized.termination);
   out->magic_seed_ = std::move(optimized.magic_seed);
   out->optimized_ = true;
-  EvalOptions semantics;  // fingerprint semantics carried from defaults
-  out->fingerprint_ = Fingerprint(out->program_, semantics, out->magic_seed_);
   return Ptr(std::move(out));
 }
 

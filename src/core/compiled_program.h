@@ -5,8 +5,8 @@
 // -> projection pushing -> rule deletion, §2–§3.3) is a compile-time
 // transformation: the rewritten program depends only on the source text
 // and the compile options, never on the data. A CompiledProgram captures
-// that artifact once — parsed program, parsed facts, optimization report,
-// magic seed, and the program/semantics fingerprint — and is then shared
+// that artifact once — parsed program, parsed facts, optimization report
+// and magic seed — and is then shared
 // by value (shared_ptr<const CompiledProgram>) across any number of
 // concurrent sessions. After construction nothing in it mutates, so no
 // locking is needed to evaluate the same compiled program from many
@@ -37,19 +37,15 @@ class Telemetry;
 }  // namespace obs
 
 /// Everything that determines the compile artifact (and therefore the
-/// cache key): the optimizer pipeline toggles, whether it runs at all,
-/// and the evaluation semantics the fingerprint binds to.
+/// cache key): the optimizer pipeline toggles and whether it runs at all.
+/// Evaluation semantics (naive or semi-naive, boolean cut) are not here:
+/// the rewrites do not depend on them, so they live only in EvalOptions.
 struct CompileOptions {
   /// Optimizer pipeline configuration; used only when `optimize` is set.
   OptimizerOptions optimizer;
   /// Run the optimizer pipeline as part of compilation. When false the
   /// artifact is the parsed program as written.
   bool optimize = false;
-  /// Evaluation semantics stamped into the fingerprint — a checkpoint or
-  /// cache entry produced under semi-naive+cut must never be reused for a
-  /// naive or cut-free evaluation of the same text.
-  bool seminaive = true;
-  bool boolean_cut = true;
 };
 
 class CompiledProgram {
@@ -80,23 +76,23 @@ class CompiledProgram {
                               obs::Telemetry* telemetry = nullptr);
 
   /// FNV-1a over the printed program, the seed fact (when the optimizer
-  /// produced one) and the semantics-affecting options: the printer is
-  /// deterministic, and a resuming process re-derives this from its own
+  /// produced one) and the semantics-affecting eval options: the printer
+  /// is deterministic, and a resuming process re-derives this from its own
   /// freshly loaded session, so equal fingerprints mean "the same fixpoint
-  /// computation". Checkpoints bind to this value.
+  /// computation". Session stamps it into checkpoints and checks it on
+  /// resume.
   static uint64_t Fingerprint(const Program& program, const EvalOptions& eval,
                               const std::optional<Atom>& seed);
 
   /// The full ProgramCache key: the raw source text followed by one byte
-  /// per CompileOptions field that changes the artifact or its semantics
-  /// (framed by marker bytes so fields cannot elide into each other).
-  /// Computable without parsing — that is the point: a cache hit skips
-  /// the parser and the optimizer entirely. Distinct semantics (e.g.
-  /// naive vs semi-naive) therefore never share an entry even though the
-  /// rewritten rules would be identical. ProgramCache keys on this full
-  /// byte string, not on a hash of it, so two distinct programs can never
-  /// alias an entry (FNV-1a is not collision-resistant, and a collision
-  /// would silently serve the wrong artifact).
+  /// per CompileOptions toggle (framed by marker bytes so fields cannot
+  /// elide into each other). Computable without parsing — that is the
+  /// point: a cache hit skips the parser and the optimizer entirely. The
+  /// artifact is the same under every evaluation semantics, so naive and
+  /// semi-naive evaluations of one source share an entry. ProgramCache
+  /// keys on this full byte string, not on a hash of it, so two distinct
+  /// programs can never alias an entry (FNV-1a is not collision-resistant,
+  /// and a collision would silently serve the wrong artifact).
   static std::string CacheKeyMaterial(std::string_view source,
                                       const CompileOptions& options);
 
@@ -122,9 +118,6 @@ class CompiledProgram {
   /// artifact per distinct bound query.
   const std::optional<Atom>& magic_seed() const { return magic_seed_; }
   bool optimized() const { return optimized_; }
-  /// Fingerprint(program(), semantics from the CompileOptions,
-  /// magic_seed()).
-  uint64_t fingerprint() const { return fingerprint_; }
 
  private:
   CompiledProgram(ContextPtr ctx, Program program);
@@ -136,7 +129,6 @@ class CompiledProgram {
   Status optimize_termination_;
   std::optional<Atom> magic_seed_;
   bool optimized_ = false;
-  uint64_t fingerprint_ = 0;
 };
 
 }  // namespace exdl

@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "ast/printer.h"
@@ -97,14 +96,11 @@ Result<EvalResult> Session::Run(const Database& edb) {
   }
   const Program& program = compiled_->program();
   EvalOptions eval = options_.eval;
-  if (eval.telemetry == nullptr) eval.telemetry = options_.telemetry;
-  if (!options_.checkpoint.directory.empty()) {
+  if (!options_.checkpoint_directory.empty()) {
     checkpointer_ = std::make_unique<recovery::Checkpointer>(
-        options_.checkpoint.directory,
+        options_.checkpoint_directory,
         CompiledProgram::Fingerprint(program, eval, compiled_->magic_seed()));
     eval.checkpoint_sink = checkpointer_.get();
-    eval.checkpoint_every_rounds =
-        std::max(1u, options_.checkpoint.every_rounds);
   }
   std::optional<recovery::Snapshot> resume = std::move(resume_);
   resume_.reset();
@@ -127,7 +123,7 @@ std::string Session::TelemetryJson(std::string_view command,
   if (compiled_ == nullptr) {
     return RenderTelemetryDoc(command, source, summary_, {}, false,
                               OptimizationReport(), Status::Ok(),
-                              options_.telemetry);
+                              options_.eval.telemetry);
   }
   std::vector<std::string> rule_texts;
   for (const Rule& rule : compiled_->program().rules()) {
@@ -136,7 +132,7 @@ std::string Session::TelemetryJson(std::string_view command,
   return RenderTelemetryDoc(command, source, summary_, rule_texts,
                             compiled_->optimized(), compiled_->report(),
                             compiled_->optimize_termination(),
-                            options_.telemetry);
+                            options_.eval.telemetry);
 }
 
 std::string RenderTelemetryDoc(

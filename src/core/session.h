@@ -33,16 +33,6 @@ namespace obs {
 class Telemetry;
 }  // namespace obs
 
-/// Durable checkpointing of Run() (DESIGN.md §11). With a non-empty
-/// directory the session writes `<directory>/checkpoint.exdl` atomically
-/// every `every_rounds` completed fixpoint rounds; an armed resume picks
-/// the latest one back up. With the directory empty (the default) no
-/// checkpoint code runs anywhere.
-struct CheckpointOptions {
-  std::string directory;
-  uint32_t every_rounds = 1;
-};
-
 /// Summary of a session's last successful evaluation — the inputs of the
 /// telemetry document's top-level rows. The query service aggregates one
 /// of these across all queries of a batch.
@@ -62,13 +52,16 @@ struct RunSummary {
 };
 
 struct SessionOptions {
-  /// Evaluation configuration, including the EvalBudget. Owned by value —
-  /// sessions never contend through shared options.
+  /// Evaluation configuration: the EvalBudget, the telemetry sink and the
+  /// checkpoint cadence (`checkpoint_every_rounds`) included. Owned by
+  /// value — sessions never contend through shared options.
   EvalOptions eval;
-  /// Round-boundary checkpointing; disabled when the directory is empty.
-  CheckpointOptions checkpoint;
-  /// Observability sink for this session; borrowed, may be null.
-  obs::Telemetry* telemetry = nullptr;
+  /// Durable checkpointing of Run() (DESIGN.md §11). When non-empty the
+  /// session writes `<checkpoint_directory>/checkpoint.exdl` atomically
+  /// every `eval.checkpoint_every_rounds` completed fixpoint rounds; an
+  /// armed resume picks the latest one back up. When empty (the default)
+  /// no checkpoint code runs anywhere.
+  std::string checkpoint_directory;
 };
 
 class Session {

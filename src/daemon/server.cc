@@ -19,6 +19,7 @@
 #include "recovery/fault.h"
 #include "service/answer_text.h"
 #include "service/edb_recovery.h"
+#include "util/string_util.h"
 
 namespace exdl::daemon {
 
@@ -314,19 +315,14 @@ void DaemonServer::HandleConnection(uint64_t conn_id, int fd) {
       const uint32_t version =
           std::min(kProtocolVersionMax, hello.max_version);
       if (version < kProtocolVersionMin || version < hello.min_version) {
-        ErrorMsg err;
-        err.code = static_cast<uint32_t>(StatusCode::kFailedPrecondition);
-        err.message = "no common protocol version (server speaks " +
-                      std::to_string(kProtocolVersionMin) + ".." +
-                      std::to_string(kProtocolVersionMax) + ")";
-        ServerWriteFrame(fd, Encode(err));
-        status = Status::FailedPrecondition(err.message);
+        status = Status::FailedPrecondition(
+            "no common protocol version (server speaks " +
+            std::to_string(kProtocolVersionMin) + ".." +
+            std::to_string(kProtocolVersionMax) + ")");
+        WriteError(fd, status);
       } else if (draining()) {
-        ErrorMsg err;
-        err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-        err.message = "server is draining";
-        ServerWriteFrame(fd, Encode(err));
-        status = Status::Unavailable(err.message);
+        status = Status::Unavailable("server is draining");
+        WriteError(fd, status);
       } else {
         SetRecvTimeout(fd, 0);
         conn.tenant = hello.tenant;
@@ -400,12 +396,10 @@ Status DaemonServer::ServeFrames(Connection& conn) {
         if (conn.version < 2) {
           // Known-but-too-new type on a v1 connection: a protocol error
           // the client caused, not a reason to drop it.
-          ErrorMsg err;
-          err.code = static_cast<uint32_t>(StatusCode::kFailedPrecondition);
-          err.message =
-              "standing queries need protocol version 2 (connection "
-              "negotiated 1)";
-          status = ServerWriteFrame(conn.fd, Encode(err));
+          status = WriteError(
+              conn.fd, Status::FailedPrecondition(
+                           "standing queries need protocol version 2 "
+                           "(connection negotiated 1)"));
           break;
         }
         if (frame.type == MsgType::kRegisterQuery) {
@@ -417,33 +411,35 @@ Status DaemonServer::ServeFrames(Connection& conn) {
         }
         break;
       }
-      default: {
-        ErrorMsg err;
-        err.code = static_cast<uint32_t>(StatusCode::kInvalidArgument);
-        err.message = "unexpected message type from client";
-        status = ServerWriteFrame(conn.fd, Encode(err));
+      default:
+        status = WriteError(
+            conn.fd,
+            Status::InvalidArgument("unexpected message type from client"));
         break;
-      }
     }
     if (!status.ok()) return status;
   }
 }
 
-Status DaemonServer::HandleSubmit(Connection& conn, std::string_view body) {
-  SubmitMsg submit;
-  Status decoded = Decode(body, &submit);
-  if (!decoded.ok()) return decoded;  // Protocol violation: drop the peer.
+Status DaemonServer::WriteError(int fd, const Status& status) {
+  ErrorMsg err;
+  err.code = static_cast<uint32_t>(status.code());
+  err.message = status.message();
+  return ServerWriteFrame(fd, Encode(err));
+}
+
+std::optional<QueryRequest> DaemonServer::AdmitRequest(
+    Connection& conn, SubmitMsg submit, std::string_view fault_site,
+    Status* written) {
   if (draining()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "server is draining";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    *written = WriteError(conn.fd, Status::Unavailable("server is draining"));
+    return std::nullopt;
   }
-  if (FaultAt("daemon.dispatch")) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "injected fault at daemon.dispatch";
-    return ServerWriteFrame(conn.fd, Encode(err));
+  if (!fault_site.empty() && FaultAt(fault_site)) {
+    *written = WriteError(
+        conn.fd,
+        Status::Unavailable(StrCat("injected fault at ", fault_site)));
+    return std::nullopt;
   }
   AdmissionController::Decision decision = admission_.TryAdmit(
       conn.tenant, submit.deadline_ms, submit.max_tuples, submit.max_bytes);
@@ -455,32 +451,47 @@ Status DaemonServer::HandleSubmit(Connection& conn, std::string_view body) {
     RetryLaterMsg retry;
     retry.backoff_ms = decision.retry_after_ms;
     retry.reason = decision.reason;
-    return ServerWriteFrame(conn.fd, Encode(retry));
+    *written = ServerWriteFrame(conn.fd, Encode(retry));
+    return std::nullopt;
   }
-  auto token = std::make_shared<CancellationToken>();
-  QueryRequest request;
-  request.source = std::move(submit.source);
-  request.name = std::move(submit.name);
-  request.tenant = conn.tenant;
-  EvalBudget budget;
-  budget.deadline_ms = decision.effective.deadline_ms;
-  budget.max_tuples = decision.effective.max_tuples;
-  budget.max_arena_bytes = decision.effective.max_bytes;
-  budget.cancellation = token.get();
-  request.budget = budget;
-  request.cancellation = token.get();
-  const QueryService::Ticket ticket = service_.Submit(std::move(request));
-  conn.inflight.emplace(ticket, std::move(token));
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.submits_admitted;
     counters_.queue_depth = admission_.inflight();
   }
+  EvalBudget budget;
+  budget.deadline_ms = decision.effective.deadline_ms;
+  budget.max_tuples = decision.effective.max_tuples;
+  budget.max_arena_bytes = decision.effective.max_bytes;
+  return QueryRequest{.source = std::move(submit.source),
+                      .name = std::move(submit.name),
+                      .budget = budget};
+}
+
+void DaemonServer::ReleaseSlot(const Connection& conn) {
+  admission_.Release(conn.tenant);
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  counters_.queue_depth = admission_.inflight();
+}
+
+Status DaemonServer::HandleSubmit(Connection& conn, std::string_view body) {
+  SubmitMsg submit;
+  Status decoded = Decode(body, &submit);
+  if (!decoded.ok()) return decoded;  // Protocol violation: drop the peer.
+  Status written;
+  std::optional<QueryRequest> request =
+      AdmitRequest(conn, std::move(submit), "daemon.dispatch", &written);
+  if (!request.has_value()) return written;
+  // The connection owns the token: abandoning or cancelling the ticket
+  // cancels the evaluation through its budget.
+  auto token = std::make_shared<CancellationToken>();
+  request->budget->cancellation = token.get();
   TicketMsg reply;
-  reply.ticket = ticket;
-  reply.deadline_ms = decision.effective.deadline_ms;
-  reply.max_tuples = decision.effective.max_tuples;
-  reply.max_bytes = decision.effective.max_bytes;
+  reply.deadline_ms = request->budget->deadline_ms;
+  reply.max_tuples = request->budget->max_tuples;
+  reply.max_bytes = request->budget->max_arena_bytes;
+  reply.ticket = service_.Submit(std::move(*request));
+  conn.inflight.emplace(reply.ticket, std::move(token));
   return ServerWriteFrame(conn.fd, Encode(reply));
 }
 
@@ -489,11 +500,9 @@ Status DaemonServer::HandleAwait(Connection& conn, std::string_view body) {
   Status decoded = Decode(body, &await);
   if (!decoded.ok()) return decoded;
   if (conn.inflight.find(await.ticket) == conn.inflight.end()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kNotFound);
-    err.message = "ticket " + std::to_string(await.ticket) +
-                  " is not in flight on this connection";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, Status::NotFound(
+                                   "ticket " + std::to_string(await.ticket) +
+                                   " is not in flight on this connection"));
   }
   std::optional<QueryResponse> response;
   while (true) {
@@ -506,11 +515,7 @@ Status DaemonServer::HandleAwait(Connection& conn, std::string_view body) {
     }
   }
   conn.inflight.erase(await.ticket);
-  admission_.Release(conn.tenant);
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    counters_.queue_depth = admission_.inflight();
-  }
+  ReleaseSlot(conn);
   ResultMsg result;
   result.ticket = await.ticket;
   result.status_code = static_cast<uint32_t>(response->status.code());
@@ -534,28 +539,22 @@ Status DaemonServer::HandleLoadFacts(Connection& conn, std::string_view body) {
   Status decoded = Decode(body, &msg);
   if (!decoded.ok()) return decoded;
   if (draining()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "server is draining";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, Status::Unavailable("server is draining"));
   }
   if (options_.max_facts_bytes != 0 &&
       msg.source.size() > options_.max_facts_bytes) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kResourceExhausted);
-    err.message = "LOAD_FACTS source of " + std::to_string(msg.source.size()) +
-                  " bytes exceeds the server's --max-facts-bytes quota (" +
-                  std::to_string(options_.max_facts_bytes) + ")";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(
+        conn.fd,
+        Status::ResourceExhausted(
+            "LOAD_FACTS source of " + std::to_string(msg.source.size()) +
+            " bytes exceeds the server's --max-facts-bytes quota (" +
+            std::to_string(options_.max_facts_bytes) + ")"));
   }
   Status loaded = service_.LoadFacts(msg.source);
   if (loaded.ok()) {
     return ServerWriteFrame(conn.fd, EncodeEmpty(MsgType::kOk));
   }
-  ErrorMsg err;
-  err.code = static_cast<uint32_t>(loaded.code());
-  err.message = loaded.message();
-  return ServerWriteFrame(conn.fd, Encode(err));
+  return WriteError(conn.fd, loaded);
 }
 
 Status DaemonServer::HandleCancel(Connection& conn, std::string_view body) {
@@ -564,11 +563,9 @@ Status DaemonServer::HandleCancel(Connection& conn, std::string_view body) {
   if (!decoded.ok()) return decoded;
   const auto it = conn.inflight.find(msg.ticket);
   if (it == conn.inflight.end()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kNotFound);
-    err.message = "ticket " + std::to_string(msg.ticket) +
-                  " is not in flight on this connection";
-    return ServerWriteFrame(conn.fd, Encode(err));
+    return WriteError(conn.fd, Status::NotFound(
+                                   "ticket " + std::to_string(msg.ticket) +
+                                   " is not in flight on this connection"));
   }
   it->second->Cancel();
   // The ticket stays in flight: the client may still AWAIT it for the
@@ -581,56 +578,18 @@ Status DaemonServer::HandleRegisterQuery(Connection& conn,
   RegisterQueryMsg msg;
   Status decoded = Decode(body, &msg);
   if (!decoded.ok()) return decoded;  // Protocol violation: drop the peer.
-  if (draining()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(StatusCode::kUnavailable);
-    err.message = "server is draining";
-    return ServerWriteFrame(conn.fd, Encode(err));
-  }
   // The seeding evaluation is a full query: it takes an admission slot
   // under the tenant's quota like any SUBMIT, held for the (synchronous)
   // registration. Maintenance afterwards is server-internal and not
   // admission-controlled.
-  AdmissionController::Decision decision =
-      admission_.TryAdmit(conn.tenant, msg.submit.deadline_ms,
-                          msg.submit.max_tuples, msg.submit.max_bytes);
-  if (!decision.admitted) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.backpressure_events;
-    }
-    RetryLaterMsg retry;
-    retry.backoff_ms = decision.retry_after_ms;
-    retry.reason = decision.reason;
-    return ServerWriteFrame(conn.fd, Encode(retry));
-  }
-  QueryRequest request;
-  request.source = std::move(msg.submit.source);
-  request.name = std::move(msg.submit.name);
-  request.tenant = conn.tenant;
-  EvalBudget budget;
-  budget.deadline_ms = decision.effective.deadline_ms;
-  budget.max_tuples = decision.effective.max_tuples;
-  budget.max_arena_bytes = decision.effective.max_bytes;
-  request.budget = budget;
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    ++counters_.submits_admitted;
-    counters_.queue_depth = admission_.inflight();
-  }
+  Status written;
+  std::optional<QueryRequest> request =
+      AdmitRequest(conn, std::move(msg.submit), /*fault_site=*/"", &written);
+  if (!request.has_value()) return written;
   Result<uint64_t> registered =
-      service_.RegisterStandingQuery(std::move(request));
-  admission_.Release(conn.tenant);
-  {
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    counters_.queue_depth = admission_.inflight();
-  }
-  if (!registered.ok()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(registered.status().code());
-    err.message = registered.status().message();
-    return ServerWriteFrame(conn.fd, Encode(err));
-  }
+      service_.RegisterStandingQuery(std::move(*request));
+  ReleaseSlot(conn);
+  if (!registered.ok()) return WriteError(conn.fd, registered.status());
   Result<StandingQueryResult> seeded = service_.PollStandingQuery(*registered);
   RegisteredMsg reply;
   reply.standing_id = *registered;
@@ -651,10 +610,7 @@ Status DaemonServer::HandleUnregisterQuery(Connection& conn,
   if (unregistered.ok()) {
     return ServerWriteFrame(conn.fd, EncodeEmpty(MsgType::kOk));
   }
-  ErrorMsg err;
-  err.code = static_cast<uint32_t>(unregistered.code());
-  err.message = unregistered.message();
-  return ServerWriteFrame(conn.fd, Encode(err));
+  return WriteError(conn.fd, unregistered);
 }
 
 Status DaemonServer::HandlePollResult(Connection& conn,
@@ -664,12 +620,7 @@ Status DaemonServer::HandlePollResult(Connection& conn,
   if (!decoded.ok()) return decoded;
   Result<StandingQueryResult> polled =
       service_.PollStandingQuery(msg.standing_id);
-  if (!polled.ok()) {
-    ErrorMsg err;
-    err.code = static_cast<uint32_t>(polled.status().code());
-    err.message = polled.status().message();
-    return ServerWriteFrame(conn.fd, Encode(err));
-  }
+  if (!polled.ok()) return WriteError(conn.fd, polled.status());
   StandingResultMsg reply;
   reply.standing_id = polled->standing_id;
   reply.generation = polled->generation;
@@ -715,12 +666,11 @@ void DaemonServer::ReclaimConnection(Connection& conn) {
         response.result.termination.code() == StatusCode::kCancelled) {
       ++cancelled;
     }
-    admission_.Release(conn.tenant);
+    ReleaseSlot(conn);
   }
   conn.inflight.clear();
   std::lock_guard<std::mutex> lock(counters_mu_);
   counters_.cancelled_on_disconnect += cancelled;
-  counters_.queue_depth = admission_.inflight();
 }
 
 DaemonCounters DaemonServer::counters() const {

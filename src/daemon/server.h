@@ -32,7 +32,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -134,6 +136,7 @@ class DaemonServer {
   struct Connection {
     uint64_t id = 0;
     int fd = -1;
+    /// Admission-control identity from HELLO; "" means the default quota.
     std::string tenant;
     /// Negotiated protocol version; gates the v2-only message types.
     /// Standing-query ids are deliberately NOT connection-scoped: a
@@ -153,6 +156,19 @@ class DaemonServer {
   /// Serves one negotiated connection until EOF/torn/error; returns the
   /// reason the loop ended (ok = clean client close).
   Status ServeFrames(Connection& conn);
+  /// Writes `status` (code and message) as an ERROR frame.
+  Status WriteError(int fd, const Status& status);
+  /// The shared front half of SUBMIT and REGISTER_QUERY. Refuses while
+  /// draining (ERROR), at an injected `fault_site` ("" = none; ERROR), or
+  /// over the tenant's quota (RETRY_LATER, counted as backpressure).
+  /// Otherwise takes an admission slot and returns the request with the
+  /// clamped budget. On refusal returns nullopt and sets `*written` to
+  /// the status of writing the refusal frame.
+  std::optional<QueryRequest> AdmitRequest(Connection& conn, SubmitMsg submit,
+                                           std::string_view fault_site,
+                                           Status* written);
+  /// Returns one admission slot of `conn`'s tenant.
+  void ReleaseSlot(const Connection& conn);
   Status HandleSubmit(Connection& conn, std::string_view body);
   Status HandleAwait(Connection& conn, std::string_view body);
   Status HandleRegisterQuery(Connection& conn, std::string_view body);

@@ -4,74 +4,12 @@
 #include <cstring>
 #include <utility>
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "eval/evaluator.h"
-#include "recovery/fault.h"
+#include "recovery/atomic_file.h"
 
 namespace exdl::durability {
-
-namespace {
-
-bool FaultAt(std::string_view site) {
-  return FaultPlan::Global().armed() && FaultPlan::Global().ShouldFail(site);
-}
-
-bool WriteAll(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
-}
-
-/// tmp + fsync + rename, like recovery::AtomicWriteFile, but guarded by
-/// the factlog.compact_rename site (the snapshot.* sites belong to the
-/// engine checkpoint path and must keep their own hit counts).
-Status AtomicWriteSnapshot(const std::string& path, std::string_view data) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) {
-    return Status::Internal("open(" + tmp + "): " + std::strerror(errno));
-  }
-  if (!WriteAll(fd, data.data(), data.size())) {
-    const Status failed =
-        Status::Internal("write(" + tmp + "): " + std::strerror(errno));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return failed;
-  }
-  if (::fsync(fd) != 0) {
-    const Status failed =
-        Status::Internal("fsync(" + tmp + "): " + std::strerror(errno));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return failed;
-  }
-  ::close(fd);
-  if (FaultAt("factlog.compact_rename")) {
-    // The complete temp file stays behind; `path` still holds the
-    // previous snapshot, so recovery is unaffected.
-    return Status::Internal("injected fault at factlog.compact_rename");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status failed = Status::Internal("rename(" + tmp + " -> " + path +
-                                           "): " + std::strerror(errno));
-    ::unlink(tmp.c_str());
-    return failed;
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 DurableEdb::DurableEdb(DurabilityOptions options)
     : options_(std::move(options)) {}
@@ -142,8 +80,11 @@ Status DurableEdb::MaybeCompact(const Context& ctx, const Database& db,
   if (++appends_since_compact_ < options_.compact_every) return Status::Ok();
   const std::string bytes =
       recovery::EncodeSnapshot(ctx, db, EvalCursor{}, generation);
-  EXDL_RETURN_IF_ERROR(
-      AtomicWriteSnapshot(SnapshotPathIn(options_.data_dir), bytes));
+  // A failed write leaves the previous snapshot in place, so recovery is
+  // unaffected.
+  EXDL_RETURN_IF_ERROR(recovery::AtomicWriteFile(
+      SnapshotPathIn(options_.data_dir), bytes,
+      recovery::WriteFaults::kCompaction));
   // The snapshot is durable; from here the log records it covers are
   // redundant (recovery filters by generation even if the truncate is
   // lost to a crash).

@@ -51,20 +51,6 @@ bool FaultAt(std::string_view site) {
   return FaultPlan::Global().armed() && FaultPlan::Global().ShouldFail(site);
 }
 
-/// write() until done; false on any error or short kernel write.
-bool WriteAll(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string EncodeFactLogHeader() {
@@ -188,7 +174,7 @@ Status FactLog::Open(const std::string& path, FactLogScan* scan) {
                               "): " + std::strerror(errno));
     }
     const std::string header = EncodeFactLogHeader();
-    if (!WriteAll(fd_, header.data(), header.size())) {
+    if (!recovery::WriteAll(fd_, header.data(), header.size())) {
       return Status::Internal("write header(" + path +
                               "): " + std::strerror(errno));
     }
@@ -227,16 +213,16 @@ Status FactLog::Append(uint64_t generation, std::string_view source) {
     // Split write so an abort at factlog.append dies with a half-written
     // frame on disk — the torn-tail shape recovery must repair.
     const size_t half = record.size() / 2;
-    if (!WriteAll(fd_, record.data(), half)) {
+    if (!recovery::WriteAll(fd_, record.data(), half)) {
       return unwind(std::string("fact log append: ") + std::strerror(errno));
     }
     if (FaultAt("factlog.append")) {
       return unwind("injected fault at factlog.append (short write)");
     }
-    if (!WriteAll(fd_, record.data() + half, record.size() - half)) {
+    if (!recovery::WriteAll(fd_, record.data() + half, record.size() - half)) {
       return unwind(std::string("fact log append: ") + std::strerror(errno));
     }
-  } else if (!WriteAll(fd_, record.data(), record.size())) {
+  } else if (!recovery::WriteAll(fd_, record.data(), record.size())) {
     return unwind(std::string("fact log append: ") + std::strerror(errno));
   }
   if (FaultAt("factlog.fsync")) {

@@ -6,12 +6,8 @@
 #include <fstream>
 #include <sstream>
 
-#ifdef _WIN32
-#include <io.h>
-#else
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "recovery/fault.h"
 
@@ -23,8 +19,8 @@ Status IoError(const std::string& what, const std::string& path) {
   return Status::Internal(what + " " + path + ": " + std::strerror(errno));
 }
 
-bool Injected(bool fault_sites, const char* site) {
-  return fault_sites && FaultPlan::Global().armed() &&
+bool Injected(WriteFaults faults, WriteFaults owner, const char* site) {
+  return faults == owner && FaultPlan::Global().armed() &&
          FaultPlan::Global().ShouldFail(site);
 }
 
@@ -34,91 +30,69 @@ Status InjectedError(const char* site) {
 
 }  // namespace
 
-#ifdef _WIN32
-
-// Portability fallback (the project targets POSIX; CI runs Linux): plain
-// stream write + rename, no fsync, no fault instrumentation granularity.
-Status AtomicWriteFile(const std::string& path, std::string_view data,
-                       bool fault_sites) {
-  const std::string tmp = path + ".tmp";
-  if (Injected(fault_sites, "snapshot.open")) return InjectedError("snapshot.open");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::Internal("cannot open " + tmp);
-    if (Injected(fault_sites, "snapshot.write")) {
-      out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
-      return InjectedError("snapshot.write");
+bool WriteAll(int fd, const char* data, size_t n) {
+  while (n > 0) {
+    const ssize_t w = ::write(fd, data, n);
+    if (w <= 0) {
+      if (w < 0 && errno == EINTR) continue;
+      return false;
     }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out) return Status::Internal("short write to " + tmp);
+    data += w;
+    n -= static_cast<size_t>(w);
   }
-  if (Injected(fault_sites, "snapshot.fsync")) return InjectedError("snapshot.fsync");
-  if (Injected(fault_sites, "snapshot.rename")) return InjectedError("snapshot.rename");
-  std::remove(path.c_str());
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return IoError("cannot rename", tmp);
-  }
-  return Status::Ok();
+  return true;
 }
 
-#else
-
 Status AtomicWriteFile(const std::string& path, std::string_view data,
-                       bool fault_sites) {
+                       WriteFaults faults) {
   const std::string tmp = path + ".tmp";
-  if (Injected(fault_sites, "snapshot.open")) {
+  if (Injected(faults, WriteFaults::kSnapshot, "snapshot.open")) {
     return InjectedError("snapshot.open");
   }
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return IoError("cannot open", tmp);
 
   // An injected write fault is a *short* write: half the payload lands on
   // disk, then the write "fails" — the torn temp file stays behind for the
   // loader-hardening tests to chew on.
-  size_t to_write = data.size();
-  bool inject_short = false;
-  if (Injected(fault_sites, "snapshot.write")) {
-    to_write = data.size() / 2;
-    inject_short = true;
-  }
-  size_t off = 0;
-  while (off < to_write) {
-    const ssize_t n = ::write(fd, data.data() + off, to_write - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return IoError("write failed for", tmp);
-    }
-    off += static_cast<size_t>(n);
-  }
-  if (inject_short) {
+  if (Injected(faults, WriteFaults::kSnapshot, "snapshot.write")) {
+    const bool written = WriteAll(fd, data.data(), data.size() / 2);
     ::close(fd);
-    return InjectedError("snapshot.write");
+    return written ? InjectedError("snapshot.write")
+                   : IoError("write failed for", tmp);
+  }
+  if (!WriteAll(fd, data.data(), data.size())) {
+    const Status failed = IoError("write failed for", tmp);
+    ::close(fd);
+    return failed;
   }
 
-  if (Injected(fault_sites, "snapshot.fsync")) {
+  if (Injected(faults, WriteFaults::kSnapshot, "snapshot.fsync")) {
     ::close(fd);
     return InjectedError("snapshot.fsync");
   }
   if (::fsync(fd) != 0) {
+    const Status failed = IoError("fsync failed for", tmp);
     ::close(fd);
-    return IoError("fsync failed for", tmp);
+    return failed;
   }
   if (::close(fd) != 0) return IoError("close failed for", tmp);
 
   // A torn rename: the temp file is complete and durable, but `path` never
   // learns about it — exactly the state after a crash between fsync and
   // rename.
-  if (Injected(fault_sites, "snapshot.rename")) {
+  if (Injected(faults, WriteFaults::kSnapshot, "snapshot.rename")) {
     return InjectedError("snapshot.rename");
+  }
+  if (Injected(faults, WriteFaults::kCompaction, "factlog.compact_rename")) {
+    return InjectedError("factlog.compact_rename");
   }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     return IoError("cannot rename", tmp);
   }
   return Status::Ok();
 }
-
-#endif  // _WIN32
 
 Result<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -1,12 +1,13 @@
 // Atomic whole-file writes: write to `<path>.tmp`, fsync, rename over
 // `path`. A reader never observes a partially written file — it sees the
 // old contents (or no file) until the rename, and the complete new
-// contents after it. Used for checkpoints, --metrics-json, and the bench
-// BENCH_*.json reports.
+// contents after it. Used for checkpoints, durable-EDB compaction,
+// --metrics-json, and the bench BENCH_*.json reports.
 
 #ifndef EXDL_RECOVERY_ATOMIC_FILE_H_
 #define EXDL_RECOVERY_ATOMIC_FILE_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -14,14 +15,27 @@
 
 namespace exdl::recovery {
 
-/// Writes `data` to `path` atomically. When `fault_sites` is true the four
-/// snapshot fault sites (snapshot.open / snapshot.write / snapshot.fsync /
-/// snapshot.rename, see fault.h) are consulted; an injected write fault
-/// leaves a deliberately truncated temp file, an injected rename fault
-/// leaves the complete temp file but never touches `path` — in both cases
-/// `path` still holds its previous contents.
+/// Which fault sites (fault.h) an atomic write consults. Each writer has
+/// its own sites so the fault sweep's per-site hit counts stay apart.
+enum class WriteFaults {
+  kNone,
+  /// Engine checkpoints: snapshot.open / snapshot.write / snapshot.fsync /
+  /// snapshot.rename. An injected write fault leaves a deliberately
+  /// truncated temp file; an injected rename fault leaves the complete
+  /// temp file but never touches `path`.
+  kSnapshot,
+  /// Durable-EDB compaction: factlog.compact_rename only, a torn rename.
+  kCompaction,
+};
+
+/// Writes `data` to `path` atomically. After any failure, injected or
+/// not, `path` still holds its previous contents.
 Status AtomicWriteFile(const std::string& path, std::string_view data,
-                       bool fault_sites = false);
+                       WriteFaults faults = WriteFaults::kNone);
+
+/// write() until all `n` bytes are written, retrying on EINTR; false on
+/// any other error (errno is set) or a zero-byte kernel write.
+bool WriteAll(int fd, const char* data, size_t n);
 
 /// Reads the whole file into a string.
 Result<std::string> ReadFileToString(const std::string& path);

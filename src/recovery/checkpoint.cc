@@ -430,7 +430,7 @@ Checkpointer::Checkpointer(std::string directory, uint64_t program_fingerprint)
 Result<uint64_t> Checkpointer::Write(const Context& ctx, const Database& db,
                                      const EvalCursor& cursor) {
   std::string bytes = EncodeSnapshot(ctx, db, cursor, fingerprint_);
-  EXDL_RETURN_IF_ERROR(AtomicWriteFile(path_, bytes, /*fault_sites=*/true));
+  EXDL_RETURN_IF_ERROR(AtomicWriteFile(path_, bytes, WriteFaults::kSnapshot));
   return static_cast<uint64_t>(bytes.size());
 }
 

@@ -49,12 +49,18 @@ QueryService::~QueryService() {
   dispatcher_.join();
 }
 
-QueryService::Ticket QueryService::Submit(QueryRequest request) {
-  std::lock_guard<std::mutex> lock(mu_);
+QueryService::Ticket QueryService::EnqueueLocked(QueryRequest request,
+                                                 bool standing) {
   const Ticket ticket = next_ticket_++;
   ++submitted_;
   outstanding_.insert(ticket);
-  queue_.push_back(Pending{ticket, std::move(request), snapshot_});
+  queue_.push_back(Pending{ticket, std::move(request), snapshot_, standing});
+  return ticket;
+}
+
+QueryService::Ticket QueryService::Submit(QueryRequest request) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Ticket ticket = EnqueueLocked(std::move(request), /*standing=*/false);
   work_cv_.notify_one();
   return ticket;
 }
@@ -65,11 +71,7 @@ std::vector<QueryService::Ticket> QueryService::SubmitBatch(
   tickets.reserve(requests.size());
   std::lock_guard<std::mutex> lock(mu_);
   for (QueryRequest& request : requests) {
-    const Ticket ticket = next_ticket_++;
-    ++submitted_;
-    outstanding_.insert(ticket);
-    queue_.push_back(Pending{ticket, std::move(request), snapshot_});
-    tickets.push_back(ticket);
+    tickets.push_back(EnqueueLocked(std::move(request), /*standing=*/false));
   }
   work_cv_.notify_one();
   return tickets;
@@ -227,8 +229,12 @@ void QueryService::MaintainStandingViews(std::span<const Atom> facts,
 }
 
 Result<uint64_t> QueryService::RegisterStandingQuery(QueryRequest request) {
-  request.standing = true;
-  const Ticket ticket = Submit(std::move(request));
+  Ticket ticket;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ticket = EnqueueLocked(std::move(request), /*standing=*/true);
+    work_cv_.notify_one();
+  }
   QueryResponse response = Await(ticket);
   if (!response.status.ok()) return response.status;
   if (response.standing_id == 0) {
@@ -434,24 +440,16 @@ void QueryService::ProcessOne(Active& item) {
   if (item.pending.request.budget.has_value()) {
     session_options.eval.budget = *item.pending.request.budget;
   }
-  if (item.pending.request.cancellation != nullptr) {
-    session_options.eval.budget.cancellation =
-        item.pending.request.cancellation;
-  }
   session_options.eval.budget = EvalBudget::FromEnv(session_options.eval.budget);
-  if (!item.pending.request.checkpoint_directory.empty()) {
-    session_options.checkpoint.directory =
-        item.pending.request.checkpoint_directory;
-    session_options.checkpoint.every_rounds =
-        item.pending.request.checkpoint_every_rounds;
+  if (response.telemetry != nullptr) {
+    session_options.eval.telemetry = response.telemetry.get();
   }
-  session_options.telemetry = response.telemetry.get();
   // A standing request's seeding evaluation is observed by the view's
   // support ledger (counting IVM substrate) unless the program is a
   // fallback case: those views recompute every generation, so nothing
   // could ever read their counts, and they keep no ledger.
   std::unique_ptr<ivm::SupportLedger> ledger;
-  if (item.pending.request.standing &&
+  if (item.pending.standing &&
       ivm::MaterializedView::Classify(compiled->program(),
                                       session_options.eval) ==
           ivm::Fallback::kNone) {
@@ -473,7 +471,7 @@ void QueryService::ProcessOne(Active& item) {
   if (options_.collect_telemetry) {
     response.telemetry_json = session.TelemetryJson("service", response.name);
   }
-  if (item.pending.request.standing && response.result.termination.ok()) {
+  if (item.pending.standing && response.result.termination.ok()) {
     InstallStandingView(item, compiled, standing_eval, std::move(ledger));
   }
 }

@@ -71,8 +71,11 @@ struct ServiceOptions {
   /// Compile pipeline applied to every submitted query (also part of the
   /// cache key).
   CompileOptions compile;
-  /// Per-session evaluation template. Each query gets a private copy with
-  /// its budget resolved through EvalBudget::FromEnv.
+  /// Per-session evaluation template, and the one home of the evaluation
+  /// semantics (naive or semi-naive, boolean cut) for one-shot queries and
+  /// standing views alike. Each query gets a private copy with its budget
+  /// resolved through EvalBudget::FromEnv; with collect_telemetry the
+  /// copy's sink is the query's own.
   EvalOptions eval;
   /// Give every query its own obs::Telemetry sink and render a per-query
   /// telemetry document into QueryResponse::telemetry_json.
@@ -83,10 +86,6 @@ struct ServiceOptions {
   /// does not recover from it — see service/edb_recovery.h.
   std::shared_ptr<durability::DurableEdb> durable;
 };
-
-// QueryRequest moved to core/query_request.h (API v2 redesign): one
-// request struct shared by the service, the daemon wire layer, and the
-// CLI, instead of per-layer parameter lists.
 
 struct QueryResponse {
   /// OK when evaluation produced a result (even a budget-tripped one —
@@ -108,8 +107,8 @@ struct QueryResponse {
   bool cache_hit = false;
   /// QueryRequest::name echoed back.
   std::string name;
-  /// Non-zero when the request had `standing` set and the evaluation
-  /// succeeded: the id of the installed materialized view, for
+  /// Non-zero when the request came through RegisterStandingQuery and the
+  /// evaluation converged: the id of the installed materialized view, for
   /// PollStandingQuery / UnregisterStandingQuery.
   uint64_t standing_id = 0;
 };
@@ -155,8 +154,7 @@ class QueryService {
   /// through the normal Submit path (same turnstile, cache, budget), then
   /// installs the result as a materialized view that every later
   /// LoadFacts maintains incrementally. Blocks until the seeding
-  /// evaluation finishes; returns the standing id. The request's
-  /// `standing` flag is implied.
+  /// evaluation finishes; returns the standing id.
   Result<uint64_t> RegisterStandingQuery(QueryRequest request);
 
   /// Drops a standing view. Its maintenance counters are retained for
@@ -241,6 +239,9 @@ class QueryService {
     Ticket ticket = 0;
     QueryRequest request;
     DatabaseSnapshot snapshot;
+    /// Set only by RegisterStandingQuery: install the finished evaluation
+    /// as a materialized view.
+    bool standing = false;
   };
   struct Active {
     Pending pending;
@@ -249,6 +250,9 @@ class QueryService {
     obs::MetricsShard shard;
   };
 
+  /// Assigns the next ticket and queues `request` against the current
+  /// snapshot. Caller holds mu_ and notifies work_cv_.
+  Ticket EnqueueLocked(QueryRequest request, bool standing);
   void DispatcherLoop();
   /// Runs one query end to end on a worker thread: ticket-ordered compile
   /// (through the cache), then an isolated Session evaluation. Standing

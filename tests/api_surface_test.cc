@@ -170,7 +170,7 @@ TEST(FrontDoorTest, TelemetryJsonHasStableSchema) {
       options, &telemetry);
   ASSERT_TRUE(compiled.ok());
   SessionOptions session_options;
-  session_options.telemetry = &telemetry;
+  session_options.eval.telemetry = &telemetry;
   Session session(std::move(session_options));
   session.Bind(*compiled);
   // Before any run the document already lists the compiled rules.
@@ -191,7 +191,7 @@ TEST(FrontDoorTest, TelemetryOffByDefault) {
       "p(X) :- e(X).\n?- p(X).\ne(n0).\n", CompileOptions());
   ASSERT_TRUE(compiled.ok());
   Session session;
-  EXPECT_EQ(session.options().telemetry, nullptr);
+  EXPECT_EQ(session.options().eval.telemetry, nullptr);
   session.Bind(*compiled);
   ASSERT_TRUE(session.Run((*compiled)->facts()).ok());
   // The document stays valid with empty metrics/spans arrays.

@@ -571,7 +571,7 @@ TEST(FactoringRecoveryTest, BudgetTripResumesByteIdentically) {
 
   const std::string dir = MakeCheckpointDir();
   SessionOptions tripping;
-  tripping.checkpoint.directory = dir;
+  tripping.checkpoint_directory = dir;
   tripping.eval.budget.max_tuples = 200;  // 120 EDB rows + ~40 rounds
   Session tripped(tripping);
   tripped.Bind(program);
@@ -595,7 +595,10 @@ TEST(FactoringRecoveryTest, BudgetTripResumesByteIdentically) {
   // differs, and the fingerprint covers it.
   const CompiledProgram::Ptr other = compile_chain("n1");
   EXPECT_EQ(ToString(other->program()), ToString(program->program()));
-  EXPECT_NE(other->fingerprint(), program->fingerprint());
+  EXPECT_NE(CompiledProgram::Fingerprint(other->program(), EvalOptions(),
+                                         other->magic_seed()),
+            CompiledProgram::Fingerprint(program->program(), EvalOptions(),
+                                         program->magic_seed()));
   Session wrong;
   wrong.Bind(other);
   EXPECT_EQ(wrong.ArmResume(std::move(*snap), "checkpoint").code(),

@@ -181,8 +181,8 @@ TEST_F(FaultPlanTest, NthHitFiresExactlyOnce) {
 TEST_F(SnapshotTest, CheckpointFileRoundTrips) {
   const std::string dir = MakeCheckpointDir();
   SessionRun run = RunSession(ChainSource(30), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
-    o.checkpoint.every_rounds = 1;
+    o.checkpoint_directory = dir;
+    o.eval.checkpoint_every_rounds = 1;
   });
   ASSERT_TRUE(run.status.ok()) << run.status.ToString();
 
@@ -226,7 +226,7 @@ TEST_F(SnapshotTest, DefaultCursorEdbSnapshotRoundTrips) {
 TEST_F(SnapshotTest, EveryTruncationIsCorrupt) {
   const std::string dir = MakeCheckpointDir();
   SessionRun run = RunSession(ChainSource(10), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
+    o.checkpoint_directory = dir;
   });
   ASSERT_TRUE(run.status.ok());
   Result<std::string> bytes =
@@ -244,7 +244,7 @@ TEST_F(SnapshotTest, EveryTruncationIsCorrupt) {
 TEST_F(SnapshotTest, EverySingleBitFlipIsCorrupt) {
   const std::string dir = MakeCheckpointDir();
   SessionRun run = RunSession(ChainSource(10), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
+    o.checkpoint_directory = dir;
   });
   ASSERT_TRUE(run.status.ok());
   Result<std::string> bytes =
@@ -272,8 +272,8 @@ TEST_F(SnapshotTest, MissingFileIsNotFoundNotCorrupt) {
 TEST_F(SnapshotTest, CadenceHonorsEveryNRounds) {
   const std::string dir = MakeCheckpointDir();
   SessionRun run = RunSession(ChainSource(20), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
-    o.checkpoint.every_rounds = 3;
+    o.checkpoint_directory = dir;
+    o.eval.checkpoint_every_rounds = 3;
   });
   ASSERT_TRUE(run.status.ok());
   Result<Snapshot> snap = ReadSnapshotFile(Checkpointer::PathIn(dir));
@@ -292,8 +292,8 @@ TEST_F(RecoveryTest, SerialCrashResumeIsByteIdentical) {
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("storage.arena_grow:5").ok());
   SessionRun crashed = RunSession(ChainSource(150), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
-    o.checkpoint.every_rounds = 1;
+    o.checkpoint_directory = dir;
+    o.eval.checkpoint_every_rounds = 1;
   });
   // The injected fault is a hard error: no partial result escapes.
   ASSERT_FALSE(crashed.status.ok());
@@ -328,8 +328,8 @@ TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
   SessionRun crashed = RunSession(ChainSource(200), [&](SessionOptions& o) {
     o.eval.num_threads = 4;
     o.eval.pool_min_delta_rows = 1;
-    o.checkpoint.directory = dir;
-    o.checkpoint.every_rounds = 1;
+    o.checkpoint_directory = dir;
+    o.eval.checkpoint_every_rounds = 1;
   });
   ASSERT_FALSE(crashed.status.ok());
   ASSERT_GE(FaultPlan::Global().hits(), 5u);  // The pool really dispatched.
@@ -379,8 +379,8 @@ TEST_F(RecoveryTest, BitsetKernelCrashResumeIsByteIdentical) {
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("storage.arena_grow:40").ok());
   SessionRun crashed = RunSession(source, [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
-    o.checkpoint.every_rounds = 1;
+    o.checkpoint_directory = dir;
+    o.eval.checkpoint_every_rounds = 1;
   });
   ASSERT_FALSE(crashed.status.ok());
   EXPECT_EQ(crashed.status.code(), StatusCode::kInternal);
@@ -412,8 +412,8 @@ TEST_F(RecoveryTest, SnapshotWriteFaultLeavesPreviousCheckpointGood) {
   const std::string dir = MakeCheckpointDir();
   ASSERT_TRUE(FaultPlan::Global().Arm("snapshot.write:3").ok());
   SessionRun crashed = RunSession(ChainSource(60), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
-    o.checkpoint.every_rounds = 1;
+    o.checkpoint_directory = dir;
+    o.eval.checkpoint_every_rounds = 1;
   });
   // A sink failure is a hard error (fail-closed), never a silent skip.
   ASSERT_FALSE(crashed.status.ok());
@@ -438,7 +438,7 @@ TEST_F(RecoveryTest, BudgetTrippedRunLeavesResumableCheckpoint) {
 
   const std::string dir = MakeCheckpointDir();
   SessionRun tripped = RunSession(ChainSource(100), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
+    o.checkpoint_directory = dir;
     o.eval.budget.max_tuples = 1500;
   });
   // A budget trip is a partial *result*, not an error — and because the
@@ -459,7 +459,7 @@ TEST_F(RecoveryTest, BudgetTrippedRunLeavesResumableCheckpoint) {
 TEST_F(RecoveryTest, FingerprintMismatchIsRejected) {
   const std::string dir = MakeCheckpointDir();
   SessionRun run = RunSession(ChainSource(10), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
+    o.checkpoint_directory = dir;
   });
   ASSERT_TRUE(run.status.ok());
 
@@ -487,8 +487,8 @@ TEST_F(RecoveryTest, CheckpointedRunIsByteIdenticalToPlain) {
   ASSERT_TRUE(plain.status.ok());
   const std::string dir = MakeCheckpointDir();
   SessionRun observed = RunSession(ChainSource(80), [&](SessionOptions& o) {
-    o.checkpoint.directory = dir;
-    o.checkpoint.every_rounds = 1;
+    o.checkpoint_directory = dir;
+    o.eval.checkpoint_every_rounds = 1;
   });
   ASSERT_TRUE(observed.status.ok());
   EXPECT_TRUE(SameDatabase(observed.result.db, plain.result.db));
@@ -522,8 +522,8 @@ TEST_F(RecoveryTest, FaultSweepAlwaysLeavesARecoverablePath) {
       ASSERT_TRUE(FaultPlan::Global().Arm(spec).ok());
       SessionRun faulted = RunSession(source, [&](SessionOptions& o) {
         o.eval.num_threads = 4;
-        o.checkpoint.directory = dir;
-        o.checkpoint.every_rounds = 1;
+        o.checkpoint_directory = dir;
+        o.eval.checkpoint_every_rounds = 1;
       });
       FaultPlan::Global().Disarm();
 

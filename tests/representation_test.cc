@@ -244,7 +244,7 @@ std::string TelemetryDocFor(const std::string& source,
   SessionOptions options;
   options.eval.record_provenance = record_provenance;
   options.eval.num_threads = threads;
-  options.telemetry = &telemetry;
+  options.eval.telemetry = &telemetry;
   Session session(std::move(options));
   session.Bind(*compiled);
   EXPECT_TRUE(session.Run((*compiled)->facts()).ok());

@@ -5,6 +5,7 @@
 // isolate in-flight readers from fact loads, and the copy-on-write
 // storage layer underneath shares payloads until first write.
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "core/compiled_program.h"
 #include "core/session.h"
+#include "service/answer_text.h"
 #include "service/program_cache.h"
 #include "service/query_service.h"
 #include "storage/database.h"
@@ -127,25 +129,21 @@ TEST(ProgramCacheTest, DistinctSourcesNeverAlias) {
       cache.Lookup(CompiledProgram::CacheKeyMaterial(kReachBoolean,
                                                      CompileOptions())),
       reach);
-  // Same source, different semantics: distinct entries too.
-  CompileOptions naive;
-  naive.seminaive = false;
-  EXPECT_EQ(cache.Lookup(CompiledProgram::CacheKeyMaterial(kTcChain, naive)),
-            nullptr);
+  // Same source, different pipeline: distinct entries too.
+  CompileOptions optimized;
+  optimized.optimize = true;
+  EXPECT_EQ(
+      cache.Lookup(CompiledProgram::CacheKeyMaterial(kTcChain, optimized)),
+      nullptr);
 }
 
-TEST(ProgramCacheTest, KeyChangesWithSemanticsAndPipeline) {
+// Evaluation semantics are not part of the key (they do not change the
+// artifact); QueryServiceTest.NaiveSemanticsComeFromEvalOptionsAlone
+// covers a naive service sharing the compile options of a semi-naive one.
+TEST(ProgramCacheTest, KeyChangesWithPipeline) {
   CompileOptions base;
   const uint64_t k0 = CompiledProgram::CacheKey(kTcChain, base);
   EXPECT_EQ(k0, CompiledProgram::CacheKey(kTcChain, base));
-
-  CompileOptions naive = base;
-  naive.seminaive = false;
-  EXPECT_NE(k0, CompiledProgram::CacheKey(kTcChain, naive));
-
-  CompileOptions no_cut = base;
-  no_cut.boolean_cut = false;
-  EXPECT_NE(k0, CompiledProgram::CacheKey(kTcChain, no_cut));
 
   CompileOptions optimized = base;
   optimized.optimize = true;
@@ -538,6 +536,52 @@ TEST(QueryServiceTest, UnknownTicketRejected) {
   EXPECT_TRUE(service.Await(ticket).status.ok());
   EXPECT_EQ(service.Await(ticket).status.code(),
             StatusCode::kInvalidArgument);
+}
+
+// Evaluation semantics have one home, ServiceOptions::eval: a naive
+// service with untouched compile options answers byte-identically to a
+// semi-naive one, really evaluates naively, and its standing views take
+// the naive IVM fallback — a full recompute on every load.
+TEST(QueryServiceTest, NaiveSemanticsComeFromEvalOptionsAlone) {
+  ServiceOptions naive_options;
+  naive_options.eval.seminaive = false;
+  QueryService naive(naive_options);
+  QueryService seminaive;
+  for (const char* source : {kTcChain, kReachBoolean, kSameGeneration}) {
+    QueryResponse n = naive.Await(naive.Submit({.source = source}));
+    QueryResponse s = seminaive.Await(seminaive.Submit({.source = source}));
+    ASSERT_TRUE(n.status.ok()) << n.status.ToString();
+    ASSERT_TRUE(s.status.ok()) << s.status.ToString();
+    EXPECT_EQ(RenderAnswerRows(*naive.ctx(), n.result.answers),
+              RenderAnswerRows(*seminaive.ctx(), s.result.answers));
+    if (source == kTcChain) {
+      // Naive rounds re-fire every rule over the whole database.
+      EXPECT_GT(n.result.stats.rule_firings, s.result.stats.rule_firings);
+    }
+  }
+
+  constexpr char kView[] =
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "?- tc(a, Y).\n";
+  ASSERT_TRUE(naive.LoadFacts("e(a, b).\n").ok());
+  Result<uint64_t> id = naive.RegisterStandingQuery({.source = kView});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const char* loads[] = {"e(b, c).\n", "e(c, d).\n", "e(d, a).\n"};
+  for (const char* facts : loads) {
+    ASSERT_TRUE(naive.LoadFacts(facts).ok());
+  }
+  Result<StandingQueryResult> polled = naive.PollStandingQuery(*id);
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_EQ(polled->fallback, ivm::Fallback::kNaive);
+  EXPECT_FALSE(polled->last_was_incremental);
+  EXPECT_EQ(polled->stats.full_recomputes, std::size(loads));
+  EXPECT_EQ(polled->stats.delta_rounds, 0u);
+  QueryResponse cold = naive.Await(naive.Submit({.source = kView}));
+  ASSERT_TRUE(cold.status.ok());
+  EXPECT_EQ(polled->answers,
+            RenderAnswerRows(*naive.ctx(), cold.result.answers));
+  EXPECT_EQ(polled->answer_count, 4u);
 }
 
 // ---------------------------------------------------------------------------

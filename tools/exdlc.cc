@@ -375,7 +375,7 @@ CompiledProgram::Ptr CompileFile(const std::string& path,
 int EmitObservability(const Session& session,
                       const std::vector<std::string>& flags,
                       const std::string& command, const std::string& path) {
-  const obs::Telemetry* telemetry = session.options().telemetry;
+  const obs::Telemetry* telemetry = session.options().eval.telemetry;
   if (HasFlag(flags, "--trace") && telemetry != nullptr) {
     std::cerr << obs::RenderTrace(telemetry->trace());
   }
@@ -413,7 +413,7 @@ int CmdOptimize(const std::string& path,
   SessionOptions session_options;
   std::unique_ptr<obs::Telemetry> telemetry;
   if (WantsTelemetry(flags)) telemetry = std::make_unique<obs::Telemetry>();
-  session_options.telemetry = telemetry.get();
+  session_options.eval.telemetry = telemetry.get();
   CompiledProgram::Ptr compiled = CompileFile(path, options, telemetry.get());
   if (compiled == nullptr) return 1;
   std::cout << ToString(compiled->program());
@@ -447,18 +447,16 @@ int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
       FlagValue64(flags, "--deadline-ms", 0),
       FlagValue64(flags, "--max-tuples", 0),
       FlagValue64(flags, "--max-bytes", 0), &g_interrupted));
-  options.checkpoint.directory =
+  options.checkpoint_directory =
       FlagString(flags, "--checkpoint-dir", std::string());
-  options.checkpoint.every_rounds =
+  options.eval.checkpoint_every_rounds =
       FlagValue(flags, "--checkpoint-every-rounds", 1);
   std::unique_ptr<obs::Telemetry> telemetry;
   if (WantsTelemetry(flags)) telemetry = std::make_unique<obs::Telemetry>();
-  options.telemetry = telemetry.get();
+  options.eval.telemetry = telemetry.get();
   CompileOptions compile;
   compile.optimize = HasFlag(flags, "--optimize");
   compile.optimizer.cancellation = &g_interrupted;
-  compile.seminaive = options.eval.seminaive;
-  compile.boolean_cut = options.eval.boolean_cut;
   CompiledProgram::Ptr compiled = CompileFile(path, compile, telemetry.get());
   if (compiled == nullptr) return 1;
   Session session(std::move(options));
@@ -523,8 +521,6 @@ int CmdRunService(const std::vector<std::string>& files,
       FlagValue64(flags, "--max-bytes", 0), &g_interrupted);
   options.compile.optimize = HasFlag(flags, "--optimize");
   options.compile.optimizer.cancellation = &g_interrupted;
-  options.compile.seminaive = options.eval.seminaive;
-  options.compile.boolean_cut = options.eval.boolean_cut;
   options.collect_telemetry = WantsTelemetry(flags);
   std::vector<QueryRequest> requests;
   for (const std::string& file : files) {
