@@ -23,6 +23,12 @@
 // load still detaches (copies) the whole `e` relation, indexes included;
 // p50_us is the median LoadFacts latency (the JSON row records its
 // inverse as queries_per_sec: loads per second at the median).
+//
+// compact_snapshot/{encode,decode}/scale:{1,10,100} time the snapshot
+// codec (DESIGN.md §11) on the same chain EDB with no index: encode is
+// what a durable service's compaction runs every compact_every loads
+// (DESIGN.md §15), decode is what a restart runs. p50_us is the median
+// call; snapshot_bytes is the blob size.
 
 #include <algorithm>
 #include <chrono>
@@ -33,6 +39,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "recovery/checkpoint.h"
 #include "service/answer_text.h"
 #include "service/query_service.h"
 #include "util/string_util.h"
@@ -255,11 +262,59 @@ void BM_LoadFactsIndexed(benchmark::State& state) {
   if (MetricsEnabled()) AttachTelemetry(name, service.MetricsJson());
 }
 
+void RunCompactSnapshot(benchmark::State& state, bool decode) {
+  const int scale = static_cast<int>(state.range(0));
+  const std::string name = StrCat("compact_snapshot/",
+                                  decode ? "decode" : "encode",
+                                  "/scale:", std::to_string(scale));
+  QueryService service(MakeOptions(1));
+  if (!service.LoadFacts(BaseFacts(kChains * scale)).ok()) std::abort();
+  const DatabaseSnapshot published = service.snapshot();
+  const std::string bytes = recovery::EncodeSnapshot(
+      *service.ctx(), published.db(), EvalCursor{}, published.generation());
+  std::vector<double> micros;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    if (decode) {
+      Result<recovery::Snapshot> snap = recovery::DecodeSnapshot(bytes);
+      micros.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+      if (!snap.ok()) std::abort();
+    } else {
+      const std::string encoded = recovery::EncodeSnapshot(
+          *service.ctx(), published.db(), EvalCursor{},
+          published.generation());
+      micros.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+      if (encoded != bytes) std::abort();
+    }
+  }
+  std::sort(micros.begin(), micros.end());
+  const double p50 = micros.empty() ? 0 : micros[micros.size() / 2];
+  state.counters["p50_us"] = p50;
+  state.counters["snapshot_bytes"] = static_cast<double>(bytes.size());
+  ReportThroughput(state, name, EvalResult(), p50 > 0 ? 1e6 / p50 : 0);
+}
+
+void BM_CompactSnapshotEncode(benchmark::State& state) {
+  RunCompactSnapshot(state, /*decode=*/false);
+}
+
+void BM_CompactSnapshotDecode(benchmark::State& state) {
+  RunCompactSnapshot(state, /*decode=*/true);
+}
+
 BENCHMARK(BM_StandingIncremental)
     ->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StandingRecompute)
     ->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LoadFactsIndexed)
+    ->Arg(1)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CompactSnapshotEncode)
+    ->Arg(1)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CompactSnapshotDecode)
     ->Arg(1)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

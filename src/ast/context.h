@@ -20,6 +20,8 @@
 // session while another session's compile is still interning. Interning is
 // still *serialized* by callers that need deterministic ids (the service
 // compile turnstile): the lock makes concurrent access safe, not ordered.
+// A reader that walks whole tables (the snapshot encoder) goes through
+// ReadTables, which holds one lock for the whole walk.
 
 #ifndef EXDL_AST_CONTEXT_H_
 #define EXDL_AST_CONTEXT_H_
@@ -32,6 +34,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "ast/adornment.h"
 
@@ -91,6 +94,18 @@ class Context {
   /// The reference stays valid for the Context's lifetime (deque-backed).
   const PredicateInfo& predicate(PredId id) const;
   size_t NumPredicates() const;
+
+  /// Runs `fn(symbols, predicates)` — both tables, indexed by id — under
+  /// one shared lock, so the sizes `fn` sees stay fixed for the whole call
+  /// and every predicate's name id is below symbols.size(). This is the
+  /// consistent read a snapshot needs while other threads keep interning
+  /// (re-reading NumSymbols() per element is not). `fn` must not call back
+  /// into this Context: the lock is not re-entrant.
+  template <typename Fn>
+  void ReadTables(Fn&& fn) const {
+    std::shared_lock lock(mu_);
+    fn(std::as_const(symbols_), std::as_const(preds_));
+  }
 
   /// Human-readable name: "a", "a@nd", or "a@nd/1" when projected.
   std::string PredicateDisplayName(PredId id) const;

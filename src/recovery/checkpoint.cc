@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <deque>
+#include <span>
 
 #include "recovery/atomic_file.h"
 
@@ -21,34 +23,65 @@ constexpr uint32_t kTagDatabase = 2;
 constexpr uint32_t kTagCursor = 3;
 constexpr uint32_t kTagFingerprint = 4;
 
-// ---- little-endian packing -------------------------------------------
+// ---- little-endian writer --------------------------------------------
 
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-  out->push_back(static_cast<char>((v >> 16) & 0xFF));
-  out->push_back(static_cast<char>((v >> 24) & 0xFF));
-}
+constexpr size_t kSectionHeaderSize = 4 + 8;  // tag, length
 
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
+/// Appends little-endian fields to one buffer. A section is written in
+/// place: BeginSection writes its tag and a zero length, EndSection
+/// back-patches the length once the body is down.
+class Writer {
+ public:
+  void Reserve(size_t more) { out_.reserve(out_.size() + more); }
 
-void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
+  void U32(uint32_t v) {
+    const char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                       static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+    out_.append(b, sizeof b);
+  }
 
-void PutBytes(std::string* out, std::string_view bytes) {
-  out->append(bytes.data(), bytes.size());
-}
+  void U64(uint64_t v) {
+    U32(static_cast<uint32_t>(v));
+    U32(static_cast<uint32_t>(v >> 32));
+  }
 
-/// Appends a section (tag, length, body) to `out`.
-void PutSection(std::string* out, uint32_t tag, std::string_view body) {
-  PutU32(out, tag);
-  PutU64(out, body.size());
-  PutBytes(out, body);
-}
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+
+  void Bytes(std::string_view bytes) { out_.append(bytes); }
+
+  /// A relation arena as consecutive u32s: one bulk copy where the host
+  /// byte order already is the file's.
+  void Values(std::span<const Value> values) {
+    if constexpr (std::endian::native == std::endian::little) {
+      out_.append(reinterpret_cast<const char*>(values.data()),
+                  values.size_bytes());
+    } else {
+      for (Value v : values) U32(v);
+    }
+  }
+
+  size_t BeginSection(uint32_t tag) {
+    U32(tag);
+    const size_t length_at = out_.size();
+    U64(0);
+    return length_at;
+  }
+
+  void EndSection(size_t length_at) {
+    PatchU64(length_at, out_.size() - length_at - 8);
+  }
+
+  void PatchU64(size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) out_[at + i] = static_cast<char>(v >> (8 * i));
+  }
+
+  size_t size() const { return out_.size(); }
+  const std::string& bytes() const { return out_; }
+  std::string Take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
 
 /// Bounds-checked forward reader over a byte range. Every accessor sets
 /// `ok` false (and returns 0/empty) on overrun instead of reading past the
@@ -104,65 +137,82 @@ Status Corrupt(const std::string& what) {
 
 // ---- section encoders -------------------------------------------------
 
-std::string EncodeContext(const Context& ctx) {
-  std::string body;
-  PutU64(&body, ctx.NumSymbols());
-  for (SymbolId s = 0; s < ctx.NumSymbols(); ++s) {
-    const std::string& name = ctx.SymbolName(s);
-    PutU32(&body, static_cast<uint32_t>(name.size()));
-    PutBytes(&body, name);
-  }
-  PutU64(&body, ctx.NumPredicates());
-  for (PredId p = 0; p < ctx.NumPredicates(); ++p) {
-    const PredicateInfo& info = ctx.predicate(p);
-    PutU32(&body, info.name);
-    PutU32(&body, info.arity);
-    PutU32(&body, static_cast<uint32_t>(info.adornment.str().size()));
-    PutBytes(&body, info.adornment.str());
-  }
-  return body;
-}
-
-std::string EncodeDatabase(const Database& db) {
-  // Relations sorted by PredId: the unordered_map iteration order must not
-  // leak into the bytes (two checkpoints of the same state must be
-  // identical).
+/// Relations sorted by PredId: the unordered_map iteration order must not
+/// leak into the bytes (two checkpoints of the same state must be
+/// identical).
+std::vector<std::pair<PredId, const Relation*>> SortedRelations(
+    const Database& db) {
   std::vector<std::pair<PredId, const Relation*>> rels;
   rels.reserve(db.relations().size());
   for (const auto& [pred, rel] : db.relations()) rels.emplace_back(pred, &rel);
   std::sort(rels.begin(), rels.end());
-
-  std::string body;
-  PutU64(&body, rels.size());
-  for (const auto& [pred, rel] : rels) {
-    PutU32(&body, pred);
-    PutU32(&body, rel->arity());
-    PutU64(&body, rel->size());
-    for (Value v : rel->view().Raw()) PutU32(&body, v);
-  }
-  return body;
+  return rels;
 }
 
-std::string EncodeCursor(const EvalCursor& cursor) {
-  std::string body;
-  PutU32(&body, cursor.stratum);
-  PutU64(&body, cursor.rounds);
-  PutU64(&body, cursor.rule_firings);
-  PutU64(&body, cursor.tuples_inserted);
-  PutU64(&body, cursor.duplicate_inserts);
-  PutU64(&body, cursor.index_probes);
-  PutU64(&body, cursor.rows_matched);
-  PutU64(&body, cursor.rules_retired);
-  PutF64(&body, cursor.eval_seconds);
-  PutF64(&body, cursor.max_round_seconds);
-  PutU64(&body, cursor.delta_lo.size());
-  for (const auto& [pred, lo] : cursor.delta_lo) {
-    PutU32(&body, pred);
-    PutU32(&body, lo);
+/// Writes the context section from one consistent read of the interning
+/// tables: the counts are taken once, under the same lock as the entries,
+/// so a concurrent intern cannot make the section disagree with itself.
+/// `more` is what the rest of the snapshot needs, reserved together with
+/// this section so the whole blob lands in one allocation.
+void PutContext(Writer& w, const Context& ctx, size_t more) {
+  ctx.ReadTables([&](const std::deque<std::string>& symbols,
+                     const std::deque<PredicateInfo>& preds) {
+    size_t bytes = kSectionHeaderSize + 8 + 8;
+    for (const std::string& name : symbols) bytes += 4 + name.size();
+    for (const PredicateInfo& info : preds) {
+      bytes += 12 + info.adornment.str().size();
+    }
+    w.Reserve(bytes + more);
+    const size_t section = w.BeginSection(kTagContext);
+    w.U64(symbols.size());
+    for (const std::string& name : symbols) {
+      w.U32(static_cast<uint32_t>(name.size()));
+      w.Bytes(name);
+    }
+    w.U64(preds.size());
+    for (const PredicateInfo& info : preds) {
+      w.U32(info.name);
+      w.U32(info.arity);
+      w.U32(static_cast<uint32_t>(info.adornment.str().size()));
+      w.Bytes(info.adornment.str());
+    }
+    w.EndSection(section);
+  });
+}
+
+void PutDatabase(Writer& w,
+                 std::span<const std::pair<PredId, const Relation*>> rels) {
+  const size_t section = w.BeginSection(kTagDatabase);
+  w.U64(rels.size());
+  for (const auto& [pred, rel] : rels) {
+    w.U32(pred);
+    w.U32(rel->arity());
+    w.U64(rel->size());
+    w.Values(rel->view().Raw());
   }
-  PutU64(&body, cursor.retired_rules.size());
-  for (uint32_t r : cursor.retired_rules) PutU32(&body, r);
-  return body;
+  w.EndSection(section);
+}
+
+void PutCursor(Writer& w, const EvalCursor& cursor) {
+  const size_t section = w.BeginSection(kTagCursor);
+  w.U32(cursor.stratum);
+  w.U64(cursor.rounds);
+  w.U64(cursor.rule_firings);
+  w.U64(cursor.tuples_inserted);
+  w.U64(cursor.duplicate_inserts);
+  w.U64(cursor.index_probes);
+  w.U64(cursor.rows_matched);
+  w.U64(cursor.rules_retired);
+  w.F64(cursor.eval_seconds);
+  w.F64(cursor.max_round_seconds);
+  w.U64(cursor.delta_lo.size());
+  for (const auto& [pred, lo] : cursor.delta_lo) {
+    w.U32(pred);
+    w.U32(lo);
+  }
+  w.U64(cursor.retired_rules.size());
+  for (uint32_t r : cursor.retired_rules) w.U32(r);
+  w.EndSection(section);
 }
 
 // ---- section decoders -------------------------------------------------
@@ -210,6 +260,7 @@ Status DecodeDatabaseSection(Reader r, Snapshot* snap) {
   if (!r.ok || num_relations > r.remaining() / 16) {
     return Corrupt("relation table overruns section");
   }
+  std::vector<Value> values;  // Reused across relations.
   for (uint64_t i = 0; i < num_relations; ++i) {
     const PredId pred = r.U32();
     const uint32_t arity = r.U32();
@@ -230,14 +281,22 @@ Status DecodeDatabaseSection(Reader r, Snapshot* snap) {
     if (arity == 0 && num_rows > 1) {
       return Corrupt("0-ary relation with more than one row");
     }
-    std::vector<Value> values;
-    values.reserve(num_values);
-    for (uint64_t v = 0; v < num_values; ++v) {
-      const Value value = r.U32();
-      if (value >= snap->symbols.size()) return Corrupt("tuple value out of range");
-      values.push_back(value);
-    }
+    std::string_view bytes = r.Bytes(num_values * 4);
     if (!r.ok) return Corrupt("truncated relation rows");
+    values.resize(num_values);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!bytes.empty()) std::memcpy(values.data(), bytes.data(), bytes.size());
+    } else {
+      Reader rows(bytes.data(), bytes.size());
+      for (Value& value : values) value = rows.U32();
+    }
+    // One pass for the maximum, then one comparison: the same "every value
+    // names an interned symbol" check, without a branch per value.
+    Value max_value = 0;
+    for (Value value : values) max_value = std::max(max_value, value);
+    if (!values.empty() && max_value >= snap->symbols.size()) {
+      return Corrupt("tuple value out of range");
+    }
     Relation& rel = snap->db.GetOrCreate(pred, arity);
     if (!rel.LoadRows(values, num_rows)) {
       return Corrupt("duplicate tuple in relation");
@@ -299,47 +358,33 @@ Status DecodeCursorSection(Reader r, Snapshot* snap) {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t n) {
-  // Table for the reflected Castagnoli polynomial 0x1EDC6F41 (reversed
-  // 0x82F63B78), built on first use.
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int k = 0; k < 8; ++k) {
-        crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 std::string EncodeSnapshot(const Context& ctx, const Database& db,
                            const EvalCursor& cursor, uint64_t fingerprint) {
-  std::string payload;
-  PutSection(&payload, kTagContext, EncodeContext(ctx));
-  PutSection(&payload, kTagDatabase, EncodeDatabase(db));
-  PutSection(&payload, kTagCursor, EncodeCursor(cursor));
-  std::string fp;
-  PutU64(&fp, fingerprint);
-  PutSection(&payload, kTagFingerprint, fp);
+  const std::vector<std::pair<PredId, const Relation*>> rels =
+      SortedRelations(db);
+  // Everything after the context section, for the one up-front reserve.
+  size_t more = kSectionHeaderSize + 8;  // database section, relation count
+  for (const auto& [pred, rel] : rels) {
+    more += 16 + rel->view().Raw().size_bytes();
+  }
+  more += kSectionHeaderSize + 128 + 8 * cursor.delta_lo.size() +
+          4 * cursor.retired_rules.size();  // cursor (fixed part < 128)
+  more += kSectionHeaderSize + 8 + kTrailerSize;  // fingerprint, CRC
 
-  std::string out;
-  out.reserve(kHeaderSize + payload.size() + kTrailerSize);
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, kSnapshotVersion);
-  PutU32(&out, 0);  // flags
-  PutU64(&out, payload.size());
-  PutBytes(&out, payload);
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  return out;
+  Writer w;
+  w.Bytes(std::string_view(kMagic, sizeof(kMagic)));
+  w.U32(kSnapshotVersion);
+  w.U32(0);  // flags
+  w.U64(0);  // payload length, patched below
+  PutContext(w, ctx, more);
+  PutDatabase(w, rels);
+  PutCursor(w, cursor);
+  const size_t fp = w.BeginSection(kTagFingerprint);
+  w.U64(fingerprint);
+  w.EndSection(fp);
+  w.PatchU64(kHeaderSize - 8, w.size() - kHeaderSize);
+  w.U32(Crc32c(w.bytes().data(), w.size()));
+  return w.Take();
 }
 
 Result<Snapshot> DecodeSnapshot(std::string_view bytes) {

@@ -181,13 +181,34 @@ bool Relation::LoadRows(std::span<const Value> data, size_t rows) {
   if (payload_->num_rows != 0) return false;
   if (data.size() != rows * payload_->arity) return false;
   Reserve(rows);
-  const uint32_t arity = payload_->arity;
+  Payload& p = *payload_;
+  const uint32_t arity = p.arity;
+  p.data.assign(data.begin(), data.end());
+  p.num_rows = rows;
+  p.insert_attempts += rows;
+  // One pass over the copied arena builds the same dedup state row-by-row
+  // Insert would (bitset for arity 1, slots in row order otherwise; Reserve
+  // sized the slots so they never grow) and stops at the first repeat.
+  const size_t mask = p.slots.size() - 1;
   for (size_t r = 0; r < rows; ++r) {
-    if (!Insert(data.subspan(r * arity, arity))) {
-      Clear();
-      return false;
+    const std::span<const Value> row(p.data.data() + r * arity, arity);
+    if (arity == 1) {
+      if (!p.bits.Set(row[0])) {
+        Clear();
+        return false;
+      }
+      continue;
     }
+    size_t slot = HashValueSpan(row.data(), arity) & mask;
+    for (; p.slots[slot] != 0; slot = (slot + 1) & mask) {
+      if (RowEquals(p.slots[slot] - 1, row)) {
+        Clear();
+        return false;
+      }
+    }
+    p.slots[slot] = static_cast<uint32_t>(r + 1);
   }
+  for (size_t r = 0; r < rows; ++r) UpdateIndexes(static_cast<uint32_t>(r));
   return true;
 }
 

@@ -7,12 +7,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -248,6 +251,25 @@ TEST_F(DurabilityTest, InjectedAppendFailureUnwindsTheFile) {
   EXPECT_EQ(rescan->records[1], (FactRecord{2, "p(b).\n"}));
 }
 
+TEST_F(DurabilityTest, CommittedLogSeedsReencodeToTheSameBytes) {
+  // The valid fact-log seeds were written by earlier encoders: rebuilding
+  // each from its scanned records must reproduce the file byte-for-byte.
+  for (const char* seed : {"one_record", "three_records"}) {
+    SCOPED_TRACE(seed);
+    const std::string bytes =
+        ReadWholeFile(std::string(EXDL_FUZZ_DIR) + "/corpus_factlog/" + seed);
+    Result<FactLogScan> scan = ScanFactLog(bytes);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    ASSERT_FALSE(scan->records.empty());
+    EXPECT_EQ(scan->truncated_tail_bytes, 0u);
+    std::string rebuilt = EncodeFactLogHeader();
+    for (const FactRecord& record : scan->records) {
+      rebuilt += EncodeFactRecord(record.generation, record.source);
+    }
+    EXPECT_EQ(rebuilt, bytes);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DurableEdb + QueryService: crash recovery end to end.
 
@@ -431,6 +453,71 @@ TEST_F(DurabilityTest, FailedAppendNeverPublishesAGeneration) {
   QueryService recovered(ServiceConfig(1));
   ASSERT_TRUE(RecoverDurableEdb(*recovered_edb, recovered).ok());
   EXPECT_EQ(QueryAnswers(recovered, kQuery), "a\nb\n");
+}
+
+TEST_F(DurabilityTest, CompactionRacingFreshConstantSubmitsStaysRecoverable) {
+  // Compaction encodes the service Context under the publish lock, while
+  // SUBMIT compiles intern fresh constants under the compile lock only.
+  // Every compacted snapshot must still decode, and a restart must
+  // recover answers identical to the live service's.
+  const std::string dir = MakeTempDir();
+  std::string live;
+  int bad_snapshots = 0;
+  std::string first_error;
+  {
+    auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 1});
+    ASSERT_TRUE(edb->Open().ok());
+    QueryService service(ServiceConfig(4, edb));
+    // A wide symbol table makes each compaction's walk over it long.
+    std::string base;
+    for (int i = 0; i < 4000; ++i) base += "p(b" + std::to_string(i) + ").\n";
+    ASSERT_TRUE(service.LoadFacts(base).ok());
+    // Pipelined submitters keep compiles (and their interning) queued
+    // whenever a load reaches its compaction.
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < 2; ++t) {
+      submitters.emplace_back([&, t] {
+        std::deque<QueryService::Ticket> in_flight;
+        for (int i = 0; !stop.load() || !in_flight.empty(); ++i) {
+          if (!stop.load()) {
+            QueryRequest request;
+            request.source = "s(X) :- p(X), r(X).\n";
+            for (int j = 0; j < 64; ++j) {
+              request.source += "r(f" + std::to_string(t) + "_" +
+                                std::to_string(i) + "_" + std::to_string(j) +
+                                ").\n";
+            }
+            request.source += "?- s(X).\n";
+            in_flight.push_back(service.Submit(std::move(request)));
+          }
+          if (in_flight.size() > 8 || stop.load()) {
+            EXPECT_TRUE(service.Await(in_flight.front()).status.ok());
+            in_flight.pop_front();
+          }
+        }
+      });
+    }
+    for (int g = 0; g < 60; ++g) {
+      EXPECT_TRUE(service.LoadFacts("p(d" + std::to_string(g) + ").\n").ok());
+      Result<recovery::Snapshot> snap =
+          recovery::ReadSnapshotFile(DurableEdb::SnapshotPathIn(dir));
+      if (!snap.ok() && bad_snapshots++ == 0) {
+        first_error = snap.status().ToString();
+      }
+    }
+    stop = true;
+    for (std::thread& submitter : submitters) submitter.join();
+    live = QueryAnswers(service, kQuery);
+  }
+  EXPECT_EQ(bad_snapshots, 0) << "first: " << first_error;
+  auto edb = std::make_shared<DurableEdb>(DurabilityOptions{dir, 1});
+  Status opened = edb->Open();
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  QueryService recovered(ServiceConfig(1));
+  Status status = RecoverDurableEdb(*edb, recovered);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(QueryAnswers(recovered, kQuery), live);
 }
 
 TEST_F(DurabilityTest, RestoreSnapshotRequiresAFreshService) {

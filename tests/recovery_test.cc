@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compiled_program.h"
 #include "core/session.h"
 #include "recovery/atomic_file.h"
 #include "recovery/checkpoint.h"
+#include "recovery/crc32c_internal.h"
 #include "recovery/fault.h"
 #include "testing/test_util.h"
 #include "util/string_util.h"
@@ -280,6 +283,156 @@ TEST_F(SnapshotTest, CadenceHonorsEveryNRounds) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ(snap->cursor.rounds % 3, 0u);
   EXPECT_GT(snap->cursor.rounds, 0u);
+}
+
+/// Rebuilds a Context and Database from a decoded snapshot — interning its
+/// tables in id order, as EDB recovery does — and encodes them again.
+std::string Reencode(const Snapshot& snap) {
+  Context ctx;
+  for (size_t i = 0; i < snap.symbols.size(); ++i) {
+    EXPECT_EQ(ctx.InternSymbol(snap.symbols[i]), i);
+  }
+  for (size_t i = 0; i < snap.preds.size(); ++i) {
+    const recovery::SnapshotPred& pred = snap.preds[i];
+    Adornment adornment;
+    if (!pred.adornment.empty()) adornment = *Adornment::Parse(pred.adornment);
+    EXPECT_EQ(ctx.InternPredicate(pred.name, pred.arity, adornment), i);
+  }
+  return recovery::EncodeSnapshot(ctx, snap.db, snap.cursor,
+                                  snap.program_fingerprint);
+}
+
+TEST_F(SnapshotTest, CommittedSeedsReencodeToTheSameBytes) {
+  // The valid fuzz seeds were written by earlier encoders: re-encoding
+  // them byte-for-byte pins the format (every edb.exdl and checkpoint
+  // already on disk stays readable and identical when rewritten).
+  const std::filesystem::path corpus =
+      std::filesystem::path(EXDL_FUZZ_DIR) / "corpus_snapshot";
+  int seeds = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
+    if (entry.path().filename().string().rfind("valid_", 0) != 0) continue;
+    SCOPED_TRACE(entry.path().string());
+    Result<std::string> bytes = recovery::ReadFileToString(entry.path().string());
+    ASSERT_TRUE(bytes.ok());
+    Result<Snapshot> snap = DecodeSnapshot(*bytes);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(Reencode(*snap), *bytes);
+    ++seeds;
+  }
+  EXPECT_GE(seeds, 2);
+}
+
+TEST_F(SnapshotTest, LargeAdornedSnapshotRoundTripsByteIdentically) {
+  Context ctx;
+  const PredId e = ctx.InternPredicate("e", 2);
+  const PredId tc_bf = ctx.InternPredicate("tc", 2, *Adornment::Parse("bf"));
+  const PredId tc_bf1 = ctx.InternPredicate("tc", 1, *Adornment::Parse("bf"));
+  Database db;
+  std::vector<Value> nodes;
+  for (int i = 0; i <= 8192; ++i) {
+    nodes.push_back(ctx.InternSymbol(StrCat("n", std::to_string(i))));
+  }
+  for (int i = 0; i < 8192; ++i) {
+    db.GetOrCreate(e, 2).Insert(std::vector<Value>{nodes[i], nodes[i + 1]});
+  }
+  for (int i = 1; i < 64; ++i) {
+    db.GetOrCreate(tc_bf, 2).Insert(std::vector<Value>{nodes[0], nodes[i]});
+    db.GetOrCreate(tc_bf1, 1).Insert(std::vector<Value>{nodes[i]});
+  }
+  EvalCursor cursor;
+  cursor.stratum = 1;
+  cursor.rounds = 63;
+  cursor.eval_seconds = 0.25;
+  cursor.delta_lo = {{tc_bf, 60}, {tc_bf1, 61}};
+  cursor.rules_retired = 1;
+  cursor.retired_rules = {2};
+  const std::string bytes = recovery::EncodeSnapshot(ctx, db, cursor, 7);
+  Result<Snapshot> snap = DecodeSnapshot(bytes);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_TRUE(SameDatabase(snap->db, db));
+  EXPECT_EQ(Reencode(*snap), bytes);
+}
+
+TEST_F(SnapshotTest, EncodeWhileAnotherThreadInternsStaysDecodable) {
+  // A compaction encodes the service Context while a concurrent compile
+  // interns into it. Every snapshot must still be self-consistent: the
+  // symbol and predicate counts must match the entries written.
+  Context ctx;
+  const PredId e = ctx.InternPredicate("e", 2);
+  Database db;
+  for (int i = 0; i < 4000; ++i) {
+    const Value v = ctx.InternSymbol(StrCat("n", std::to_string(i)));
+    db.GetOrCreate(e, 2).Insert(std::vector<Value>{v, v});
+  }
+  // Bounded, so an encoder that chases the growing table still ends.
+  std::thread interner([&] {
+    for (int i = 0; i < 100000; ++i) {
+      ctx.InternSymbol(StrCat("fresh", std::to_string(i)));
+      if (i % 8 == 0) ctx.InternPredicate(StrCat("fp", std::to_string(i)), 1);
+    }
+  });
+  int corrupt = 0;
+  std::string first_error;
+  for (int k = 0; k < 50; ++k) {
+    Result<Snapshot> snap =
+        DecodeSnapshot(recovery::EncodeSnapshot(ctx, db, EvalCursor{}, k));
+    if (!snap.ok() && corrupt++ == 0) first_error = snap.status().ToString();
+  }
+  interner.join();
+  EXPECT_EQ(corrupt, 0) << "first: " << first_error;
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C
+
+/// Bit-at-a-time reference CRC32C.
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+using Crc32cFn = uint32_t (*)(const void*, size_t);
+
+TEST(Crc32cTest, KnownAnswers) {
+  // RFC 3720 section B.4 test vectors, plus the usual check value.
+  std::vector<uint8_t> zeros(32, 0x00);
+  std::vector<uint8_t> ones(32, 0xFF);
+  std::vector<uint8_t> ascending(32);
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+  }
+  for (Crc32cFn crc : {&recovery::Crc32c, &recovery::internal::Crc32cPortable}) {
+    EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending.data(), ascending.size()), 0x46DD794Eu);
+    EXPECT_EQ(crc("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(crc("", 0), 0u);
+  }
+}
+
+TEST(Crc32cTest, EveryLengthAndOffsetMatchesTheReference) {
+  // Lengths 0..67 at start offsets 0..7 cover every head/tail split of
+  // the 8-byte inner loops of both implementations.
+  std::vector<uint8_t> buffer(8 + 67);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<uint8_t>(i * 167 + 13);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 67; ++len) {
+      const uint8_t* p = buffer.data() + offset;
+      const uint32_t want = ReferenceCrc32c(p, len);
+      ASSERT_EQ(recovery::Crc32c(p, len), want)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(recovery::internal::Crc32cPortable(p, len), want)
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -305,6 +305,39 @@ TEST(RelationTest, SelfAliasedRowInsertIsSafe) {
   EXPECT_EQ(rel.size(), 300u);
 }
 
+TEST(RelationTest, LoadRowsMatchesRowByRowInsert) {
+  // LoadRows builds its dedup state in one pass; the result must be the
+  // relation row-by-row Insert builds, and any repeat must be refused.
+  Rng rng(11);
+  for (uint32_t arity : {0u, 1u, 2u, 3u}) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    Relation inserted(arity);
+    for (int i = 0; i < 3000; ++i) {
+      std::vector<Value> row(arity);
+      for (Value& v : row) v = static_cast<Value>(rng.Below(64));
+      inserted.Insert(row);
+    }
+    const std::span<const Value> raw = inserted.view().Raw();
+    Relation loaded(arity);
+    ASSERT_TRUE(loaded.LoadRows(raw, inserted.size()));
+    ASSERT_EQ(loaded.size(), inserted.size());
+    const std::span<const Value> loaded_raw = loaded.view().Raw();
+    EXPECT_TRUE(std::equal(raw.begin(), raw.end(), loaded_raw.begin(),
+                           loaded_raw.end()));
+    for (size_t r = 0; r < inserted.size(); ++r) {
+      EXPECT_TRUE(loaded.Contains(inserted.view().Scan(r)));
+      EXPECT_FALSE(loaded.Insert(inserted.view().Scan(r)));
+    }
+    if (inserted.size() == 0) continue;
+    // Repeat the first row at the end: refused, relation left empty.
+    std::vector<Value> repeated(raw.begin(), raw.end());
+    repeated.insert(repeated.end(), raw.begin(), raw.begin() + arity);
+    Relation duplicate(arity);
+    EXPECT_FALSE(duplicate.LoadRows(repeated, inserted.size() + 1));
+    EXPECT_EQ(duplicate.size(), 0u);
+  }
+}
+
 TEST(DatabaseTest, GetOrCreateIsStable) {
   Database db;
   Relation& a = db.GetOrCreate(7, 2);

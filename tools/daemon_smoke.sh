@@ -36,7 +36,9 @@ EXDLC=${1:?usage: daemon_smoke.sh <exdlc-binary> <exdld-binary>}
 EXDLD=${2:?usage: daemon_smoke.sh <exdlc-binary> <exdld-binary>}
 REPO_ROOT=$(cd "$(dirname "$0")/.." && pwd)
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+# A daemon that never became ready (or outlived a failed check) must not
+# keep running after the smoke exits.
+trap '[ -n "$DPID" ] && kill "$DPID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
 RUN="timeout 120"
 SOCK="$WORK/smoke.sock"
@@ -55,13 +57,19 @@ start_daemon() {  # $1 = extra args (may be empty)
   "$EXDLD" --socket "$SOCK" --jobs 2 --metrics-json "$METRICS" $1 \
     >"$WORK/exdld.log" 2>&1 &
   DPID=$!
+  # Ready means a STATS round trip succeeds, not that a socket file
+  # exists: after a kill -9 the file is the dead daemon's stale socket,
+  # and a daemon signalled before it installs its handlers exits 143
+  # instead of draining. The daemon installs them before it serves.
   i=0
-  while [ ! -S "$SOCK" ] && [ "$i" -lt 100 ]; do
+  while [ "$i" -lt 200 ]; do
     kill -0 "$DPID" 2>/dev/null || return 1
+    "$EXDLC" connect --socket "$SOCK" --stats --retries 1 \
+      --retry-base-ms 1 >/dev/null 2>&1 && return 0
     sleep 0.05
     i=$((i + 1))
   done
-  [ -S "$SOCK" ]
+  return 1
 }
 
 # The batch: one real workload plus a trivial one, so the byte-identity
@@ -200,11 +208,8 @@ done
 wait "$KPID" 2>/dev/null
 wait "$DPID" 2>/dev/null
 say "SIGKILLed the durable daemon after $acked acknowledged load(s)"
-# The SIGKILLed daemon leaves its socket file behind; remove it so
-# start_daemon's socket-exists wait really waits for the restarted daemon
-# to finish recovery and bind (phase 3 instead relies on client retries).
-rm -f "$SOCK"
 # The restart must never fail: a torn log tail is truncated, never fatal.
+# Like phase 3, it rebinds over the SIGKILLed daemon's stale socket file.
 start_daemon "--data-dir $DATA --compact-every 3" \
   || { flunk "exdld did not restart over the crashed data dir"; exit 1; }
 $RUN "$EXDLC" connect "$WORK/durq.dl" --socket "$SOCK" \
