@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -108,7 +109,6 @@ std::string EvalStats::ToString() const {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using SizeMap = std::unordered_map<PredId, uint32_t>;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -236,16 +236,6 @@ class Engine {
   /// detach — the property standing-query maintenance depends on.
   Result<EvalResult> RunOwned(Database input) {
     eval_begin_ = Clock::now();
-    // On IVM re-entry these are the grown EDB predicates; a checkpoint
-    // cursor leaves none behind (see EvalOptions::resume).
-    resume_behind_.clear();
-    if (options_.resume != nullptr) {
-      for (const auto& [pred, lo] : options_.resume->delta_lo) {
-        const Relation* rel = input.Find(pred);
-        if (rel != nullptr && lo < rel->size()) resume_behind_.push_back(pred);
-      }
-      std::sort(resume_behind_.begin(), resume_behind_.end());
-    }
     pool_min_delta_rows_ = options_.pool_min_delta_rows != 0
                                ? options_.pool_min_delta_rows
                                : kDefaultPoolMinDeltaRows;
@@ -283,11 +273,10 @@ class Engine {
                        static_cast<uint32_t>(cr.plan.head_args.size()));
     }
     // Size snapshot, maintained incrementally by Flush from here on.
-    sizes_.clear();
+    sizes_ = Watermarks::Capture(*db_);
     total_tuples_ = 0;
     arena_bytes_ = 0;
     for (const auto& [pred, rel] : db_->relations()) {
-      sizes_[pred] = static_cast<uint32_t>(rel.size());
       total_tuples_ += rel.size();
       arena_bytes_ += rel.arena_bytes();
     }
@@ -359,78 +348,56 @@ class Engine {
  private:
   /// Semi-naive (or naive) fixpoint over one stratum's rules. Relations of
   /// lower strata are fixed; only this stratum's head predicates grow.
+  ///
+  /// `delta` is the stratum's watermark: the rows of a predicate between
+  /// delta.Of(pred) and sizes_.Of(pred) are new since the last round
+  /// boundary. One rule decides every delta read (DESIGN.md §16): a
+  /// positive body literal reads a delta iff its predicate is behind its
+  /// watermark. A cold stratum fires round 0 and starts the watermark at
+  /// the pre-round sizes, so only this stratum's heads can fall behind; a
+  /// resumed stratum starts from the cursor's watermark, under which IVM
+  /// re-entry leaves the appended EDB suffixes behind as well.
   Status RunFixpoint(size_t stratum_index,
                      const std::vector<size_t>& rule_indices, bool* stop) {
-    std::vector<PredId> growing;  // this stratum's head predicates
-    growing.reserve(rule_indices.size());
-    for (size_t i : rule_indices) {
-      const PredId p = rules_[i].plan.head_pred;
-      if (std::find(growing.begin(), growing.end(), p) == growing.end()) {
-        growing.push_back(p);
-      }
-    }
-    auto is_growing = [&](PredId p) {
-      return std::find(growing.begin(), growing.end(), p) != growing.end();
-    };
-    // Delta variants are only needed for body literals over predicates
-    // that can still grow; the set is fixed for the whole stratum, so
-    // resolve it once per rule instead of per round.
-    std::vector<std::vector<size_t>> delta_steps_of(rule_indices.size());
-    for (size_t k = 0; k < rule_indices.size(); ++k) {
-      const CompiledRule& cr = rules_[rule_indices[k]];
-      for (size_t s : cr.idb_steps) {
-        if (is_growing(cr.plan.steps[s].pred)) {
-          delta_steps_of[k].push_back(s);
-        }
-      }
-    }
-    const bool resuming = options_.resume != nullptr &&
-                          stratum_index == options_.resume->stratum;
-    // IVM re-entry (DESIGN.md §16): on the resume stratum, body literals
-    // over predicates behind their cursor watermark also read deltas —
-    // new EDB facts, which idb_steps cannot name (it only lists derived
-    // predicates). Negated steps stay full reads (anti-joins have no
-    // delta semantics), and predicates that already grow in this stratum
-    // keep their single existing variant.
-    if (resuming && !resume_behind_.empty()) {
+    Watermarks delta;
+    auto behind = [&](PredId p) { return delta.Of(p) < sizes_.Of(p); };
+    // Naive mode's own refire test: after round 0 a rule fires again over
+    // full relations iff it reads one of this stratum's heads (the others
+    // can derive nothing new).
+    std::vector<char> refire;
+    if (!options_.seminaive) {
+      std::vector<PredId> heads;
+      for (size_t i : rule_indices) heads.push_back(rules_[i].plan.head_pred);
+      refire.assign(rule_indices.size(), 0);
       for (size_t k = 0; k < rule_indices.size(); ++k) {
-        const CompiledRule& cr = rules_[rule_indices[k]];
-        for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
-          const LiteralStep& step = cr.plan.steps[s];
-          if (step.negated || is_growing(step.pred)) continue;
-          if (!ResumeBehind(step.pred)) continue;
-          delta_steps_of[k].push_back(s);
+        for (const LiteralStep& step : rules_[rule_indices[k]].plan.steps) {
+          if (std::find(heads.begin(), heads.end(), step.pred) !=
+              heads.end()) {
+            refire[k] = 1;
+          }
         }
-        std::sort(delta_steps_of[k].begin(), delta_steps_of[k].end());
       }
     }
 
     Clock::time_point round_begin;
-    SizeMap delta_lo;
-    if (resuming) {
+    if (options_.resume != nullptr &&
+        stratum_index == options_.resume->stratum) {
       // The checkpoint was cut at a completed round boundary of this
-      // stratum (round 0 included): skip straight to the delta loop with
-      // the snapshot's watermarks. Predicates absent from the cursor have
-      // no delta (watermark == current size).
-      delta_lo = sizes_;
-      for (const auto& [pred, lo] : options_.resume->delta_lo) {
-        delta_lo[pred] = lo;
-      }
+      // stratum (round 0 included): skip straight to the delta loop.
+      delta = options_.resume->delta;
     } else {
       // Round 0: fire every rule of the stratum over the full database.
       // sizes_ only changes at FinishRound's flush, so within a round it
       // IS the pre-round snapshot — variants read it directly, no copy.
       round_begin = Clock::now();
       round_derivations_.store(0, std::memory_order_relaxed);
-      delta_lo = sizes_;
+      delta = sizes_;
       {
         SpanGuard round_span(
             obs_.t, obs_.t != nullptr
                         ? "round:" + std::to_string(stats_.rounds)
                         : std::string());
-        for (size_t i : rule_indices) {
-          FireVariant(rules_[i], /*delta_step=*/kNoDelta, sizes_, sizes_);
-        }
+        for (size_t i : rule_indices) FireVariant(rules_[i]);
         if (Tripped()) {
           DiscardRound();
           return Status::Ok();
@@ -438,7 +405,7 @@ class Engine {
         FinishRound(round_begin, round_span.id);
       }
       if (!injected_.ok()) return injected_;
-      EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta_lo));
+      EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta));
       if (governed_ && CheckRoundBudgets()) return Status::Ok();
     }
 
@@ -454,30 +421,22 @@ class Engine {
         for (size_t k = 0; k < rule_indices.size() && !any_delta; ++k) {
           const CompiledRule& cr = rules_[rule_indices[k]];
           if (retired_.count(cr.rule_index) > 0) continue;
-          for (size_t step : delta_steps_of[k]) {
-            PredId p = cr.plan.steps[step].pred;
-            auto sit = sizes_.find(p);
-            const uint32_t sz = sit == sizes_.end() ? 0 : sit->second;
-            auto dit = delta_lo.find(p);
-            if ((dit == delta_lo.end() ? 0 : dit->second) < sz) {
+          for (const LiteralStep& step : cr.plan.steps) {
+            if (!step.negated && behind(step.pred)) {
               any_delta = true;
               break;
             }
           }
         }
       } else {
-        for (const auto& [pred, sz] : sizes_) {
-          if (is_growing(pred) && delta_lo[pred] < sz) {
+        for (const auto& [pred, size] : sizes_.entries()) {
+          if (delta.Of(pred) < size) {
             any_delta = true;
             break;
           }
         }
       }
       if (!any_delta) break;
-      if (options_.max_rounds != 0 && stats_.rounds >= options_.max_rounds) {
-        return Status::FailedPrecondition(
-            "fixpoint did not converge within max_rounds");
-      }
       round_begin = Clock::now();
       round_derivations_.store(0, std::memory_order_relaxed);
       {
@@ -486,24 +445,19 @@ class Engine {
                         ? "round:" + std::to_string(stats_.rounds)
                         : std::string());
         for (size_t k = 0; k < rule_indices.size(); ++k) {
-          const CompiledRule& cr = rules_[rule_indices[k]];
+          CompiledRule& cr = rules_[rule_indices[k]];
           if (retired_.count(cr.rule_index) > 0) continue;
           if (options_.seminaive) {
-            // One variant per growing body literal: that literal reads the
-            // delta, the others read the pre-round database.
-            for (size_t step : delta_steps_of[k]) {
-              PredId p = cr.plan.steps[step].pred;
-              auto sit = sizes_.find(p);
-              const uint32_t sz = sit == sizes_.end() ? 0 : sit->second;
-              auto dit = delta_lo.find(p);
-              const uint32_t lo = dit == delta_lo.end() ? 0 : dit->second;
-              if (lo >= sz) continue;  // empty delta
-              FireVariant(cr, step, sizes_, delta_lo);
+            // One variant per positive body literal behind its watermark,
+            // in step order: that literal reads its delta, the others the
+            // pre-round database.
+            for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
+              const LiteralStep& step = cr.plan.steps[s];
+              if (step.negated || !behind(step.pred)) continue;
+              FireVariant(cr, s, delta.Of(step.pred));
             }
-          } else if (!delta_steps_of[k].empty()) {
-            // Naive: refire over full relations (rules with no growing body
-            // literal can produce nothing new after round 0).
-            FireVariant(cr, kNoDelta, sizes_, sizes_);
+          } else if (refire[k]) {
+            FireVariant(cr);
           }
         }
         if (Tripped()) {
@@ -512,13 +466,13 @@ class Engine {
           DiscardRound();
           return Status::Ok();
         }
-        // Advance the watermarks to the pre-flush sizes before FinishRound
+        // Advance the watermark to the pre-flush sizes before FinishRound
         // mutates sizes_.
-        for (const auto& [pred, sz] : sizes_) delta_lo[pred] = sz;
+        delta = sizes_;
         FinishRound(round_begin, round_span.id);
       }
       if (!injected_.ok()) return injected_;
-      EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta_lo));
+      EXDL_RETURN_IF_ERROR(MaybeCheckpoint(stratum_index, delta));
       if (governed_ && CheckRoundBudgets()) return Status::Ok();
       *stop = ShouldStopOnGroundQuery();
     }
@@ -540,15 +494,8 @@ class Engine {
       }
       retired_.insert(r);
     }
-    stats_.rounds = c.rounds;
-    stats_.rule_firings = c.rule_firings;
-    stats_.tuples_inserted = c.tuples_inserted;
-    stats_.duplicate_inserts = c.duplicate_inserts;
-    stats_.index_probes = c.index_probes;
-    stats_.rows_matched = c.rows_matched;
-    stats_.rules_retired = c.rules_retired;
-    stats_.max_round_seconds = c.max_round_seconds;
-    resumed_seconds_ = c.eval_seconds;
+    stats_ = c.stats;
+    resumed_seconds_ = c.stats.eval_seconds;
     if (options_.budget.deadline_ms != 0) {
       // The deadline budget is for the whole logical evaluation, not this
       // process: shift it back by the time the checkpointed run spent.
@@ -564,7 +511,7 @@ class Engine {
   /// "checkpoint:<round>" span nests directly under "eval"). A sink
   /// failure is a hard error: evaluation fails closed and the sink's last
   /// successful write remains the durable state.
-  Status MaybeCheckpoint(size_t stratum_index, const SizeMap& delta_lo) {
+  Status MaybeCheckpoint(size_t stratum_index, const Watermarks& delta) {
     if (options_.checkpoint_sink == nullptr) return Status::Ok();
     const uint32_t every = std::max(1u, options_.checkpoint_every_rounds);
     if (stats_.rounds % every != 0) return Status::Ok();
@@ -574,21 +521,10 @@ class Engine {
     const Clock::time_point begin = Clock::now();
     EvalCursor cursor;
     cursor.stratum = static_cast<uint32_t>(stratum_index);
-    cursor.rounds = stats_.rounds;
-    cursor.rule_firings = stats_.rule_firings;
-    cursor.tuples_inserted = stats_.tuples_inserted;
-    cursor.duplicate_inserts = stats_.duplicate_inserts;
-    cursor.index_probes = stats_.index_probes;
-    cursor.rows_matched = stats_.rows_matched;
-    cursor.rules_retired = stats_.rules_retired;
-    cursor.eval_seconds = resumed_seconds_ + SecondsSince(eval_begin_);
-    cursor.max_round_seconds = stats_.max_round_seconds;
-    cursor.delta_lo.assign(delta_lo.begin(), delta_lo.end());
-    std::sort(cursor.delta_lo.begin(), cursor.delta_lo.end());
-    cursor.retired_rules.reserve(retired_.size());
-    for (size_t r : retired_) {
-      cursor.retired_rules.push_back(static_cast<uint32_t>(r));
-    }
+    cursor.stats = stats_;
+    cursor.stats.eval_seconds = resumed_seconds_ + SecondsSince(eval_begin_);
+    cursor.delta = delta;
+    cursor.retired_rules.assign(retired_.begin(), retired_.end());
     std::sort(cursor.retired_rules.begin(), cursor.retired_rules.end());
     Result<uint64_t> bytes =
         options_.checkpoint_sink->Write(program_.ctx(), *db_, cursor);
@@ -617,11 +553,6 @@ class Engine {
 
   bool Tripped() const {
     return trip_.load(std::memory_order_relaxed) != 0;
-  }
-
-  bool ResumeBehind(PredId pred) const {
-    return std::binary_search(resume_behind_.begin(), resume_behind_.end(),
-                              pred);
   }
 
   /// Records the first budget trip; later trips lose the race and keep
@@ -824,38 +755,37 @@ class Engine {
 
   struct CompiledRule {
     RulePlan plan;
-    std::vector<size_t> idb_steps;  ///< Step indices over derived predicates.
     size_t rule_index = 0;
     /// Head has no registers (0-ary or all-constant): at most one tuple
     /// can ever be derived, so the first witness suffices (Section 3.1's
     /// cut) and the rule can retire once the tuple exists.
     bool single_tuple_head = false;
-    /// Delta-first variant plans, keyed by the MAIN plan's step index that
-    /// the variant designates as delta. Each is the same rule recompiled
-    /// with that literal forced to step 0, so the semi-naive delta variant
-    /// scans only the delta suffix and probes the other literals through
-    /// indexes — O(delta) per round, not a full outer-relation scan. Steps
-    /// already outermost in the main plan need no entry.
-    std::vector<std::pair<size_t, RulePlan>> delta_plans;
-
-    const RulePlan* DeltaPlan(size_t main_step) const {
-      for (const auto& [s, p] : delta_plans) {
-        if (s == main_step) return &p;
-      }
-      return nullptr;
-    }
+    /// Delta-first variant plans, indexed by the MAIN plan's step index
+    /// that the variant designates as delta. Each is the same rule
+    /// recompiled with that literal forced to step 0, so the semi-naive
+    /// delta variant scans only the delta suffix and probes the other
+    /// literals through indexes — O(delta) per round, not a full
+    /// outer-relation scan. Filled by DeltaPlan on first use.
+    std::vector<std::optional<Result<RulePlan>>> delta_plans;
   };
 
-  Status Compile() {
-    // Head predicates, deduplicated — a handful, so a flat vector beats a
-    // hash set on this per-evaluation path.
-    std::vector<PredId> idb;
-    idb.reserve(program_.rules().size());
-    for (const Rule& r : program_.rules()) {
-      if (std::find(idb.begin(), idb.end(), r.head.pred) == idb.end()) {
-        idb.push_back(r.head.pred);
-      }
+  /// The delta-first plan for `step` of `cr`, compiled the first time a
+  /// round reads that step's delta; nullptr when the main plan already
+  /// scans the step first. A failed compile also means no variant (the
+  /// main plan is always a sound fallback), though forcing a positive
+  /// literal first cannot make an orderable rule unorderable.
+  const RulePlan* DeltaPlan(CompiledRule& cr, size_t step) {
+    if (step == 0) return nullptr;
+    cr.delta_plans.resize(cr.plan.steps.size());
+    std::optional<Result<RulePlan>>& plan = cr.delta_plans[step];
+    if (!plan) {
+      plan.emplace(CompileRule(program_.rules()[cr.rule_index], options_.plan,
+                               cr.plan.steps[step].body_position));
     }
+    return plan->ok() ? &**plan : nullptr;
+  }
+
+  Status Compile() {
     rules_.reserve(program_.rules().size());
     for (size_t i = 0; i < program_.rules().size(); ++i) {
       EXDL_ASSIGN_OR_RETURN(RulePlan plan,
@@ -863,12 +793,6 @@ class Engine {
       CompiledRule cr;
       cr.plan = std::move(plan);
       cr.rule_index = i;
-      for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
-        if (std::find(idb.begin(), idb.end(), cr.plan.steps[s].pred) !=
-            idb.end()) {
-          cr.idb_steps.push_back(s);
-        }
-      }
       cr.single_tuple_head = true;
       for (const ArgSpec& a : cr.plan.head_args) {
         if (a.kind == ArgSpec::Kind::kReg) cr.single_tuple_head = false;
@@ -877,29 +801,6 @@ class Engine {
       // provenance forcing the generic descent) is a fallback.
       if (!cr.plan.bitset_eligible || options_.record_provenance) {
         ++rep_stats_.fallbacks;
-      }
-      // Delta-first variants for every step that can carry a delta in
-      // semi-naive rounds: IDB literals plus (on IVM re-entry) literals
-      // over predicates behind the resume cursor. A step already outermost
-      // keeps the main plan. Compile failure just means no variant (the
-      // main plan is always a sound fallback), but forcing a positive
-      // literal first cannot make an orderable rule unorderable.
-      if (options_.seminaive) {
-        for (size_t s = 0; s < cr.plan.steps.size(); ++s) {
-          const LiteralStep& step = cr.plan.steps[s];
-          if (s == 0 || step.negated) continue;
-          const bool idb_step =
-              std::find(cr.idb_steps.begin(), cr.idb_steps.end(), s) !=
-              cr.idb_steps.end();
-          if (!idb_step && !ResumeBehind(step.pred)) continue;
-          PlanOptions delta_opts = options_.plan;
-          delta_opts.first_body_position = step.body_position;
-          Result<RulePlan> delta_plan =
-              CompileRule(program_.rules()[i], delta_opts);
-          if (delta_plan.ok()) {
-            cr.delta_plans.emplace_back(s, std::move(*delta_plan));
-          }
-        }
       }
       rules_.push_back(std::move(cr));
     }
@@ -920,23 +821,24 @@ class Engine {
                     std::max(1u, rows / kMinRowsPerWorker));
   }
 
-  /// Fires one rule variant. `delta_step` designates the step reading only
-  /// [delta_lo, start) of its relation (kNoDelta = none; all steps read
-  /// [0, start)). Derivations land in per-worker buffers and are appended
-  /// to round_buffer_ in deterministic (partition) order.
-  void FireVariant(const CompiledRule& cr, size_t delta_step,
-                   const SizeMap& start, const SizeMap& delta_lo) {
+  /// Fires one rule variant over the pre-round sizes_. `delta_step`
+  /// designates the step reading only rows [delta_lo, size) of its
+  /// relation (kNoDelta = none; every step reads [0, size)). Derivations
+  /// land in per-worker buffers and are appended to round_buffer_ in
+  /// deterministic (partition) order.
+  void FireVariant(CompiledRule& cr, size_t delta_step = kNoDelta,
+                   uint32_t delta_lo = 0) {
     if (Tripped()) return;  // budget already blown; finish the round fast
     if (!injected_.ok()) return;  // fault pending; finish the round fast
     // Delta variants run the delta-first plan when one was compiled: the
     // delta literal is its step 0, so the outer scan covers only the
-    // suffix [delta_lo, start) and every other literal is an index probe.
+    // suffix [delta_lo, size) and every other literal is an index probe.
     // The match set is identical either way (loop order does not change
     // the join), so answers are unchanged; per-variant derivation order
     // and scan counters follow the plan actually run.
     const RulePlan* chosen = &cr.plan;
     if (delta_step != kNoDelta) {
-      if (const RulePlan* dp = cr.DeltaPlan(delta_step)) {
+      if (const RulePlan* dp = DeltaPlan(cr, delta_step)) {
         chosen = dp;
         delta_step = 0;
       }
@@ -955,15 +857,8 @@ class Engine {
     std::vector<RowRange>& ranges = ranges_scratch_;  // reused per variant
     ranges.assign(plan.steps.size(), RowRange{0, 0});
     for (size_t s = 0; s < plan.steps.size(); ++s) {
-      PredId p = plan.steps[s].pred;
-      auto it = start.find(p);
-      uint32_t hi = it == start.end() ? 0 : it->second;
-      uint32_t lo = 0;
-      if (s == delta_step) {
-        auto dit = delta_lo.find(p);
-        lo = dit == delta_lo.end() ? 0 : dit->second;
-      }
-      ranges[s] = RowRange{lo, hi};
+      ranges[s] = RowRange{s == delta_step ? delta_lo : 0,
+                           sizes_.Of(plan.steps[s].pred)};
       // An empty range over a positive literal means the variant cannot
       // match; an empty (or absent) relation under a negated literal is
       // simply a succeeding anti-join.
@@ -1557,7 +1452,7 @@ class Engine {
       }
       if (inserted > 0) {
         stats_.tuples_inserted += inserted;
-        sizes_[f.pred] = static_cast<uint32_t>(rel.size());
+        sizes_.Set(f.pred, static_cast<uint32_t>(rel.size()));
         total_tuples_ += inserted;
         arena_bytes_ += inserted * f.len * sizeof(Value);
       }
@@ -1611,7 +1506,7 @@ class Engine {
   std::vector<CompiledRule> rules_;
   std::unordered_set<size_t> retired_;
   EvalStats stats_;
-  SizeMap sizes_;  ///< Relation sizes, kept current by Flush.
+  Watermarks sizes_;  ///< Relation sizes, kept current by Flush.
   /// Budget state. total_tuples_/arena_bytes_ mirror the database and are
   /// maintained by Flush; trip_ holds the first BudgetKind that fired
   /// (0 = none) and is shared with the pool workers; round_derivations_
@@ -1654,9 +1549,6 @@ class Engine {
   /// duration, like the caches above).
   std::vector<BitProbe> pre_probes_;
   std::vector<BitProbe> post_probes_;
-  /// Predicates whose resume-cursor watermark is below their input size,
-  /// sorted; they get delta variants on the resume stratum.
-  std::vector<PredId> resume_behind_;
   RepresentationStats rep_stats_;
   /// Resolved pool-skip threshold (kDefaultPoolMinDeltaRows when the
   /// option is 0) and the per-round "gate fired" flag FinishRound turns

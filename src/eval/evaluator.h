@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ast/program.h"
@@ -102,6 +101,26 @@ struct EvalBudget {
   static EvalBudget FromEnv(EvalBudget base);
 };
 
+/// Work counters. The paper's "duplicate elimination cost" is
+/// `duplicate_inserts`; total facts produced is `rule_firings`.
+struct EvalStats {
+  uint64_t rounds = 0;
+  uint64_t rule_firings = 0;       ///< Head tuples emitted (pre-dedup).
+  uint64_t tuples_inserted = 0;    ///< New tuples admitted.
+  uint64_t duplicate_inserts = 0;  ///< Emitted tuples that already existed.
+  uint64_t index_probes = 0;       ///< Hash-index lookups.
+  uint64_t rows_matched = 0;       ///< Rows enumerated from indexes/scans.
+  uint64_t rules_retired = 0;      ///< Boolean-cut retirements.
+  double eval_seconds = 0;         ///< Wall-clock time inside Evaluate().
+  double max_round_seconds = 0;    ///< Longest single fixpoint round.
+  /// Which budget stopped evaluation early (kNone after convergence).
+  /// `rounds` and `tuples_inserted` then say how far evaluation got.
+  BudgetKind budget_tripped = BudgetKind::kNone;
+
+  EvalStats& operator+=(const EvalStats& o);
+  std::string ToString() const;
+};
+
 /// Exact resume point of a fixpoint, captured at a round boundary (the
 /// database has just been flushed; no partial round is in flight). A
 /// checkpoint persists this next to the database; Evaluate with
@@ -111,22 +130,14 @@ struct EvalCursor {
   /// Index of the stratum the fixpoint was in (strata before it are
   /// complete; strata after it have not started).
   uint32_t stratum = 0;
-  /// Cumulative work counters as of the boundary. eval_seconds is the
-  /// wall-clock already spent — a resumed run's deadline budget is charged
-  /// for it, and its final stats continue from these values.
-  uint64_t rounds = 0;
-  uint64_t rule_firings = 0;
-  uint64_t tuples_inserted = 0;
-  uint64_t duplicate_inserts = 0;
-  uint64_t index_probes = 0;
-  uint64_t rows_matched = 0;
-  uint64_t rules_retired = 0;
-  double eval_seconds = 0;
-  double max_round_seconds = 0;
-  /// Semi-naive delta watermarks: for each predicate of the stratum, the
-  /// row id below which tuples are no longer "new". Sorted by PredId so
-  /// the encoding is canonical.
-  std::vector<std::pair<PredId, uint32_t>> delta_lo;
+  /// Cumulative counters as of the boundary; a resumed run's final stats
+  /// continue from them. stats.eval_seconds is the wall-clock already
+  /// spent, which a resumed run's deadline budget is charged for.
+  /// budget_tripped is not persisted.
+  EvalStats stats;
+  /// The stratum's semi-naive watermark: rows of a predicate past its
+  /// mark are the delta the next round reads (see EvalOptions::resume).
+  Watermarks delta;
   /// Rule indices retired by the boolean cut, sorted ascending.
   std::vector<uint32_t> retired_rules;
 };
@@ -178,8 +189,6 @@ struct EvalOptions {
   bool boolean_cut = true;
   bool stop_on_ground_query = false;
   PlanOptions plan;
-  /// Safety valve for property tests; 0 = unlimited.
-  uint64_t max_rounds = 0;
   /// Record one derivation (rule + child tuples) per derived tuple —
   /// the derivation trees of Section 1.1. Costs memory; see
   /// EvalResult::provenance and ExplainTuple.
@@ -221,14 +230,16 @@ struct EvalOptions {
   /// checkpoint was cut, producing relations and answers byte-identical to
   /// an uninterrupted run. Not owned; must outlive the evaluation.
   ///
-  /// Incremental view maintenance (DESIGN.md §16) re-enters the same way:
-  /// it appends new EDB facts to a maintained database and passes the
-  /// pre-insert watermarks as the cursor. On the resume stratum every
-  /// non-growing body predicate whose watermark is below its current size
-  /// gets a semi-naive delta variant too, so the delta loop joins the fact
-  /// delta against the maintained fixpoint instead of re-running round 0.
-  /// (A checkpoint cursor leaves no such predicate: EDB and lower-stratum
-  /// watermarks equal their sizes at the boundary.)
+  /// Every semi-naive round follows one rule: a positive body literal
+  /// reads a delta iff its predicate is behind the stratum's watermark.
+  /// The resume stratum starts from the cursor's watermark instead of
+  /// firing round 0. Incremental view maintenance (DESIGN.md §16)
+  /// re-enters the same way: it captures the watermark, appends new EDB
+  /// facts, and passes the capture as the cursor, so the grown EDB
+  /// predicates are behind and the delta loop joins the fact delta
+  /// against the maintained fixpoint. (A checkpoint cursor leaves only the
+  /// stratum's own heads behind: EDB and lower-stratum marks equal their
+  /// sizes at the boundary.)
   const EvalCursor* resume = nullptr;
   /// Counting-support hook (see SupportSink). Not owned.
   SupportSink* support_sink = nullptr;
@@ -239,26 +250,6 @@ struct EvalOptions {
   /// extraction over the whole relation would make an otherwise O(delta)
   /// maintenance run O(database).
   bool skip_answers = false;
-};
-
-/// Work counters. The paper's "duplicate elimination cost" is
-/// `duplicate_inserts`; total facts produced is `rule_firings`.
-struct EvalStats {
-  uint64_t rounds = 0;
-  uint64_t rule_firings = 0;       ///< Head tuples emitted (pre-dedup).
-  uint64_t tuples_inserted = 0;    ///< New tuples admitted.
-  uint64_t duplicate_inserts = 0;  ///< Emitted tuples that already existed.
-  uint64_t index_probes = 0;       ///< Hash-index lookups.
-  uint64_t rows_matched = 0;       ///< Rows enumerated from indexes/scans.
-  uint64_t rules_retired = 0;      ///< Boolean-cut retirements.
-  double eval_seconds = 0;         ///< Wall-clock time inside Evaluate().
-  double max_round_seconds = 0;    ///< Longest single fixpoint round.
-  /// Which budget stopped evaluation early (kNone after convergence).
-  /// `rounds` and `tuples_inserted` then say how far evaluation got.
-  BudgetKind budget_tripped = BudgetKind::kNone;
-
-  EvalStats& operator+=(const EvalStats& o);
-  std::string ToString() const;
 };
 
 /// Bitset-kernel telemetry for one evaluation (DESIGN.md §14). Kept out

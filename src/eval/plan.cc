@@ -40,7 +40,8 @@ size_t BoundArgCount(const Atom& atom, const std::vector<SymbolId>& bound) {
 
 }  // namespace
 
-Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options) {
+Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options,
+                             size_t first_body_position) {
   if (options.max_body_literals != 0 &&
       rule.body.size() > options.max_body_literals) {
     return Status::InvalidArgument(
@@ -86,8 +87,8 @@ Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options) {
     // the usual ordering place the rest behind it (their scores now see
     // the forced literal's variables as bound, so joins against it become
     // index probes).
-    if (options.first_body_position != static_cast<size_t>(-1)) {
-      const size_t first = options.first_body_position;
+    if (first_body_position != static_cast<size_t>(-1)) {
+      const size_t first = first_body_position;
       if (first >= rule.body.size() || rule.body[first].negated) {
         return Status::InvalidArgument(
             "first_body_position must name a positive body literal");

@@ -91,18 +91,20 @@ struct PlanOptions {
   /// adversarial rule would otherwise cost O(n^2) in reordering and an
   /// n-deep join descent. 0 = unlimited.
   uint32_t max_body_literals = 4096;
-  /// Force the literal at this original body position to be step 0; the
-  /// remaining literals are ordered as usual behind it. Used to compile
-  /// delta-first variant plans for semi-naive evaluation: the variant's
-  /// delta literal becomes the outer scan, so the variant's cost is
-  /// O(delta x probes) instead of a full outer-relation scan per round.
-  /// Must name a positive literal. SIZE_MAX = no forcing.
-  size_t first_body_position = static_cast<size_t>(-1);
 };
 
 /// Compiles `rule`. Fails if the rule is unsafe (a head variable that no
 /// body literal binds).
-Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options);
+///
+/// `first_body_position` forces the literal at that original body
+/// position to be step 0, with the remaining literals ordered as usual
+/// behind it. The evaluator compiles its delta-first variant plans this
+/// way: the variant's delta literal becomes the outer scan, so the
+/// variant costs O(delta x probes) instead of a full outer-relation scan
+/// per round. It must name a positive literal; SIZE_MAX = no forcing.
+Result<RulePlan> CompileRule(
+    const Rule& rule, const PlanOptions& options,
+    size_t first_body_position = static_cast<size_t>(-1));
 
 /// Human-readable plan listing: one line per step with access path
 /// ("index on (0,1)" vs "scan"), negation marking, and the head emission.

@@ -68,26 +68,18 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
     return Reseed(edb_snapshot, generation);
   }
 
-  // Answer watermark before anything is appended: the query predicate may
-  // itself be an EDB relation, so new facts can already be new answers.
-  // Rows past this index after re-derivation are the only possible new
-  // answers — merged below into the previous sorted answer set, so answer
-  // maintenance is O(delta + answers), never an O(relation) re-extraction.
-  const std::optional<Atom>& query = program_->program().query();
-  size_t answer_wm = 0;
-  if (query) {
-    if (const Relation* rel = result_.db.Find(query->pred)) {
-      answer_wm = rel->size();
-    }
-  }
-
-  // Watermarks first, then append: the suffix past each watermark is the
-  // delta. Re-sent facts dedup to no-ops and leave no suffix behind.
-  DeltaWatermarks marks = DeltaWatermarks::Capture(result_.db);
+  // One watermark capture before anything is appended: the suffix past
+  // each mark is this generation's delta. It counts the absorbed facts
+  // (re-sent facts dedup to no-ops and leave no suffix behind), it is the
+  // re-entry cursor, and the query relation's suffix past its mark holds
+  // the only possible new answers — the query predicate may itself be an
+  // EDB relation, so new facts can already be new answers.
+  EvalCursor cursor;  // Stratum 0: the program is negation-free.
+  cursor.delta = Watermarks::Capture(result_.db);
   for (const Atom& fact : facts) {
     EXDL_RETURN_IF_ERROR(result_.db.AddFact(fact));
   }
-  const uint64_t absorbed = marks.RowsSince(result_.db);
+  const uint64_t absorbed = cursor.delta.RowsSince(result_.db);
   stats_.facts_absorbed += absorbed;
   ++stats_.generations_applied;
   generation_ = generation;
@@ -99,12 +91,9 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
   }
 
   // Re-enter the semi-naive delta loop on the maintained database: the
-  // cursor's watermarks mark the appended suffixes as the only deltas,
-  // and the evaluator gives every grown EDB predicate a delta variant
+  // grown EDB predicates are behind their marks, so they read deltas
   // (round 0 never re-fires — see DESIGN.md §16).
   EvalOptions options = eval_;
-  EvalCursor cursor;  // Stratum 0: the program is negation-free.
-  cursor.delta_lo = marks.CursorEntries(result_.db);
   options.resume = &cursor;
   options.support_sink = support_.get();
   options.skip_answers = true;
@@ -122,13 +111,15 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
   if (!rederived->termination.ok()) return rederived->termination;
   stats_.delta_rounds += rederived->stats.rounds;
   stats_.tuples_rederived += rederived->stats.tuples_inserted;
+  const std::optional<Atom>& query = program_->program().query();
   if (query) {
     // Merge the delta suffix's (sorted, deduplicated) answers into the
-    // previous sorted set. Insertions are monotone, so prior answers
-    // never disappear; equal projections from both sides land adjacent
-    // under merge and collapse in unique.
-    std::vector<std::vector<Value>> fresh =
-        ExtractAnswers(*query, rederived->db, answer_wm);
+    // previous sorted set, so answer maintenance is O(delta + answers),
+    // never an O(relation) re-extraction. Insertions are monotone, so
+    // prior answers never disappear; equal projections from both sides
+    // land adjacent under merge and collapse in unique.
+    std::vector<std::vector<Value>> fresh = ExtractAnswers(
+        *query, rederived->db, cursor.delta.Of(query->pred));
     std::vector<std::vector<Value>> merged;
     merged.reserve(prior_answers.size() + fresh.size());
     std::merge(prior_answers.begin(), prior_answers.end(), fresh.begin(),

@@ -3,9 +3,10 @@
 //
 // The view owns the full EDB ∪ IDB database of its last evaluation; each
 // generation's new facts are appended to it and re-derived from through
-// the evaluator's semi-naive watermark machinery (a synthesized
-// EvalCursor and EvalOptions::resume), so a generation costs O(changed
-// facts and their consequences), not O(database).
+// the evaluator's semi-naive watermark machinery (the Watermarks captured
+// before the append, passed as the EvalOptions::resume cursor), so a
+// generation costs O(changed facts and their consequences), not
+// O(database).
 // Insertions over a negation-free semi-naive program are monotone, and
 // ExtractAnswers sorts + dedups, so answers are byte-identical to a cold
 // run. Programs outside that fragment (see Fallback) recompute every
@@ -23,7 +24,6 @@
 #include "core/compiled_program.h"
 #include "eval/evaluator.h"
 #include "ivm/support_ledger.h"
-#include "storage/delta_view.h"
 #include "util/status.h"
 
 namespace exdl::ivm {

@@ -195,18 +195,19 @@ void PutDatabase(Writer& w,
 
 void PutCursor(Writer& w, const EvalCursor& cursor) {
   const size_t section = w.BeginSection(kTagCursor);
+  const EvalStats& stats = cursor.stats;
   w.U32(cursor.stratum);
-  w.U64(cursor.rounds);
-  w.U64(cursor.rule_firings);
-  w.U64(cursor.tuples_inserted);
-  w.U64(cursor.duplicate_inserts);
-  w.U64(cursor.index_probes);
-  w.U64(cursor.rows_matched);
-  w.U64(cursor.rules_retired);
-  w.F64(cursor.eval_seconds);
-  w.F64(cursor.max_round_seconds);
-  w.U64(cursor.delta_lo.size());
-  for (const auto& [pred, lo] : cursor.delta_lo) {
+  w.U64(stats.rounds);
+  w.U64(stats.rule_firings);
+  w.U64(stats.tuples_inserted);
+  w.U64(stats.duplicate_inserts);
+  w.U64(stats.index_probes);
+  w.U64(stats.rows_matched);
+  w.U64(stats.rules_retired);
+  w.F64(stats.eval_seconds);
+  w.F64(stats.max_round_seconds);
+  w.U64(cursor.delta.entries().size());
+  for (const auto& [pred, lo] : cursor.delta.entries()) {
     w.U32(pred);
     w.U32(lo);
   }
@@ -308,33 +309,34 @@ Status DecodeDatabaseSection(Reader r, Snapshot* snap) {
 
 Status DecodeCursorSection(Reader r, Snapshot* snap) {
   EvalCursor& cursor = snap->cursor;
+  EvalStats& stats = cursor.stats;
   cursor.stratum = r.U32();
-  cursor.rounds = r.U64();
-  cursor.rule_firings = r.U64();
-  cursor.tuples_inserted = r.U64();
-  cursor.duplicate_inserts = r.U64();
-  cursor.index_probes = r.U64();
-  cursor.rows_matched = r.U64();
-  cursor.rules_retired = r.U64();
-  cursor.eval_seconds = r.F64();
-  cursor.max_round_seconds = r.F64();
+  stats.rounds = r.U64();
+  stats.rule_firings = r.U64();
+  stats.tuples_inserted = r.U64();
+  stats.duplicate_inserts = r.U64();
+  stats.index_probes = r.U64();
+  stats.rows_matched = r.U64();
+  stats.rules_retired = r.U64();
+  stats.eval_seconds = r.F64();
+  stats.max_round_seconds = r.F64();
   const uint64_t num_delta = r.U64();
   if (!r.ok || num_delta > r.remaining() / 8) {
     return Corrupt("delta watermarks overrun section");
   }
-  cursor.delta_lo.reserve(num_delta);
   for (uint64_t i = 0; i < num_delta; ++i) {
     const PredId pred = r.U32();
     const uint32_t lo = r.U32();
     if (!r.ok) return Corrupt("truncated delta watermark");
     if (pred >= snap->preds.size()) return Corrupt("watermark predicate id out of range");
-    if (!cursor.delta_lo.empty() && pred <= cursor.delta_lo.back().first) {
+    const std::vector<Watermarks::Entry>& marks = cursor.delta.entries();
+    if (!marks.empty() && pred <= marks.back().first) {
       return Corrupt("delta watermarks not strictly sorted");
     }
     const Relation* rel = snap->db.Find(pred);
     const uint32_t size = rel == nullptr ? 0 : static_cast<uint32_t>(rel->size());
     if (lo > size) return Corrupt("delta watermark past relation size");
-    cursor.delta_lo.emplace_back(pred, lo);
+    cursor.delta.Set(pred, lo);
   }
   const uint64_t num_retired = r.U64();
   if (!r.ok || num_retired > r.remaining() / 4) {
@@ -349,7 +351,7 @@ Status DecodeCursorSection(Reader r, Snapshot* snap) {
     }
     cursor.retired_rules.push_back(rule);
   }
-  if (cursor.rules_retired != cursor.retired_rules.size()) {
+  if (stats.rules_retired != cursor.retired_rules.size()) {
     return Corrupt("retired-rule count disagrees with list");
   }
   if (r.remaining() != 0) return Corrupt("trailing bytes in cursor section");
@@ -367,7 +369,7 @@ std::string EncodeSnapshot(const Context& ctx, const Database& db,
   for (const auto& [pred, rel] : rels) {
     more += 16 + rel->view().Raw().size_bytes();
   }
-  more += kSectionHeaderSize + 128 + 8 * cursor.delta_lo.size() +
+  more += kSectionHeaderSize + 128 + 8 * cursor.delta.entries().size() +
           4 * cursor.retired_rules.size();  // cursor (fixed part < 128)
   more += kSectionHeaderSize + 8 + kTrailerSize;  // fingerprint, CRC
 

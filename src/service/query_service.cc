@@ -175,18 +175,20 @@ Status QueryService::LoadFactsImpl(std::string_view source, bool durable) {
     // On failure the current snapshot stays published — the daemon never
     // acknowledges a generation that is not logged.
     if (durable && durable_ != nullptr) {
-      EXDL_RETURN_IF_ERROR(durable_->Append(generation_ + 1, source));
+      EXDL_RETURN_IF_ERROR(
+          durable_->Append(snapshot_.generation() + 1, source));
     }
-    ++generation_;
     snapshot_ = DatabaseSnapshot(
-        std::make_shared<const Database>(std::move(next)), generation_);
+        std::make_shared<const Database>(std::move(next)),
+        snapshot_.generation() + 1);
     if (durable && durable_ != nullptr) {
       // Compaction is an optimization: a failed snapshot write (injected
       // factlog.compact_rename, disk trouble) must not fail the load. The
       // previous snapshot + intact log still recover everything, and the
       // next append retries the compaction.
       Status compacted =
-          durable_->MaybeCompact(*ctx_, snapshot_.db(), generation_);
+          durable_->MaybeCompact(*ctx_, snapshot_.db(),
+                                 snapshot_.generation());
       (void)compacted;
     }
     published = snapshot_;
@@ -284,7 +286,8 @@ Result<StandingQueryResult> QueryService::PollStandingQuery(
 Status QueryService::RestoreSnapshot(recovery::Snapshot snapshot,
                                      uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (next_ticket_ != 0 || generation_ != 0 || ctx_->NumSymbols() != 0) {
+  if (next_ticket_ != 0 || snapshot_.generation() != 0 ||
+      ctx_->NumSymbols() != 0) {
     return Status::FailedPrecondition(
         "RestoreSnapshot requires a fresh service");
   }
@@ -311,9 +314,8 @@ Status QueryService::RestoreSnapshot(recovery::Snapshot snapshot,
           "EDB snapshot predicate table is not in intern order");
     }
   }
-  generation_ = generation;
   snapshot_ = DatabaseSnapshot(
-      std::make_shared<const Database>(std::move(snapshot.db)), generation_);
+      std::make_shared<const Database>(std::move(snapshot.db)), generation);
   return Status::Ok();
 }
 
@@ -321,9 +323,10 @@ Status QueryService::ReplayFacts(std::string_view source,
                                  uint64_t expected_generation) {
   EXDL_RETURN_IF_ERROR(LoadFactsImpl(source, /*durable=*/false));
   std::lock_guard<std::mutex> lock(mu_);
-  if (generation_ != expected_generation) {
+  if (snapshot_.generation() != expected_generation) {
     return Status::CorruptCheckpoint(
-        "fact-log replay produced generation " + std::to_string(generation_) +
+        "fact-log replay produced generation " +
+        std::to_string(snapshot_.generation()) +
         ", record says " + std::to_string(expected_generation));
   }
   return Status::Ok();
@@ -380,7 +383,8 @@ void QueryService::DispatcherLoop() {
       metrics.Add(batches_id_, 1);
       metrics.Add(queries_submitted_id_, submitted_ - submitted_published_);
       submitted_published_ = submitted_;
-      metrics.Set(generation_id_, static_cast<double>(generation_));
+      metrics.Set(generation_id_,
+                  static_cast<double>(snapshot_.generation()));
       done_cv_.notify_all();
     }
   }
@@ -546,7 +550,7 @@ std::string QueryService::MetricsJson(
     w.Key("workers");
     w.UInt(options_.num_workers);
     w.Key("snapshot_generation");
-    w.UInt(generation_);
+    w.UInt(snapshot_.generation());
     w.Key("queries");
     w.BeginObject();
     w.Key("submitted");

@@ -304,8 +304,7 @@ class QueryService {
   std::unordered_map<Ticket, QueryResponse> done_;
   std::unordered_set<Ticket> outstanding_;
   Ticket next_ticket_ = 0;
-  DatabaseSnapshot snapshot_;
-  uint64_t generation_ = 0;
+  DatabaseSnapshot snapshot_;  ///< The published generation.
   /// Aggregate run summary over every completed query (MetricsJson).
   RunSummary aggregate_;
   uint64_t submitted_ = 0;

@@ -1,5 +1,7 @@
 #include "storage/database.h"
 
+#include <algorithm>
+
 namespace exdl {
 
 Relation& Database::GetOrCreate(PredId pred, uint32_t arity) {
@@ -77,6 +79,25 @@ Database Database::Clone() const {
   Database copy;
   copy.relations_ = relations_;
   return copy;
+}
+
+Watermarks Watermarks::Capture(const Database& db) {
+  Watermarks marks;
+  marks.entries_.reserve(db.relations().size());
+  for (const auto& [pred, rel] : db.relations()) {
+    marks.entries_.emplace_back(pred, static_cast<uint32_t>(rel.size()));
+  }
+  std::sort(marks.entries_.begin(), marks.entries_.end());
+  return marks;
+}
+
+uint64_t Watermarks::RowsSince(const Database& db) const {
+  uint64_t rows = 0;
+  for (const auto& [pred, rel] : db.relations()) {
+    const uint32_t mark = Of(pred);
+    if (rel.size() > mark) rows += rel.size() - mark;
+  }
+  return rows;
 }
 
 }  // namespace exdl

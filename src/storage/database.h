@@ -6,14 +6,17 @@
 // Copies are copy-on-write: Relation payloads are shared until written
 // (see relation.h), so Clone() is O(#relations) pointer copies, not a
 // tuple copy. DatabaseSnapshot wraps an immutable generation of the
-// database for concurrent readers (DESIGN.md §12).
+// database for concurrent readers (DESIGN.md §12); Watermarks marks a
+// generation boundary inside a growing one (DESIGN.md §5a).
 
 #ifndef EXDL_STORAGE_DATABASE_H_
 #define EXDL_STORAGE_DATABASE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ast/atom.h"
@@ -103,6 +106,56 @@ class DatabaseSnapshot {
  private:
   std::shared_ptr<const Database> db_;
   uint64_t generation_ = 0;
+};
+
+/// The generation watermark: per-predicate row counts at a boundary,
+/// sorted by PredId. Relation insertion order is stable, so the rows of
+/// `pred` past Of(pred) are exactly those appended since the boundary —
+/// the semi-naive delta of a fixpoint round, the facts of an IVM
+/// generation and a standing query's new answers are all such suffixes.
+/// A predicate the marks do not list reads as 0: a relation created after
+/// the boundary is entirely new.
+class Watermarks {
+ public:
+  using Entry = std::pair<PredId, uint32_t>;
+
+  Watermarks() = default;
+
+  /// Every relation's current size.
+  static Watermarks Capture(const Database& db);
+
+  /// The mark of `pred` (0 when unlisted).
+  uint32_t Of(PredId pred) const {
+    auto it = LowerBound(pred);
+    return it != entries_.end() && it->first == pred ? it->second : 0;
+  }
+
+  /// Sets the mark of `pred`, listing it if it was not.
+  void Set(PredId pred, uint32_t rows) {
+    const size_t i = LowerBound(pred) - entries_.begin();
+    if (i < entries_.size() && entries_[i].first == pred) {
+      entries_[i].second = rows;
+    } else {
+      entries_.insert(entries_.begin() + i, Entry{pred, rows});
+    }
+  }
+
+  /// Rows of `db` past the marks, summed over every relation.
+  uint64_t RowsSince(const Database& db) const;
+
+  /// The listed (pred, mark) pairs, ascending by PredId.
+  const std::vector<Entry>& entries() const { return entries_; }
+
+  bool operator==(const Watermarks&) const = default;
+
+ private:
+  std::vector<Entry>::const_iterator LowerBound(PredId pred) const {
+    return std::lower_bound(
+        entries_.begin(), entries_.end(), pred,
+        [](const Entry& entry, PredId p) { return entry.first < p; });
+  }
+
+  std::vector<Entry> entries_;
 };
 
 }  // namespace exdl

@@ -56,10 +56,9 @@ TEST(PlanTest, IndexColumnsFromConstantsAndBoundVars) {
 
 TEST(PlanTest, FirstBodyPositionForcesOuterLiteral) {
   auto parsed = MustParse("p(X, Y) :- e(X, Z), tc(Z, Y).\n");
-  PlanOptions delta_first;
-  delta_first.first_body_position = 1;  // tc(Z, Y) becomes the outer scan
-  Result<RulePlan> plan =
-      CompileRule(parsed.program.rules()[0], delta_first);
+  // tc(Z, Y) becomes the outer scan.
+  Result<RulePlan> plan = CompileRule(parsed.program.rules()[0],
+                                      PlanOptions(), /*first_body_position=*/1);
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->steps.size(), 2u);
   EXPECT_EQ(plan->steps[0].body_position, 1u);
@@ -71,9 +70,9 @@ TEST(PlanTest, FirstBodyPositionForcesOuterLiteral) {
 
 TEST(PlanTest, FirstBodyPositionRejectsNegatedLiteral) {
   auto parsed = MustParse("p(X) :- e(X), not bad(X).\n");
-  PlanOptions delta_first;
-  delta_first.first_body_position = 1;
-  EXPECT_FALSE(CompileRule(parsed.program.rules()[0], delta_first).ok());
+  EXPECT_FALSE(CompileRule(parsed.program.rules()[0], PlanOptions(),
+                           /*first_body_position=*/1)
+                   .ok());
 }
 
 TEST(EvalTest, TransitiveClosureChain) {
@@ -203,17 +202,6 @@ TEST(EvalTest, EmptyEdbYieldsNoAnswers) {
       "tc(X,Y) :- e(X,Y).\n"
       "?- tc(X,Y).\n");
   EXPECT_TRUE(EvalAnswers(parsed.program, parsed.edb).empty());
-}
-
-TEST(EvalTest, MaxRoundsGuard) {
-  auto parsed = MustParse(
-      "e(n0, n1). e(n1, n0).\n"
-      "tc(X,Y) :- e(X,Y).\n"
-      "tc(X,Y) :- e(X,Z), tc(Z,Y).\n"
-      "?- tc(X,Y).\n");
-  EvalOptions options;
-  options.max_rounds = 1;
-  EXPECT_FALSE(Evaluate(parsed.program, parsed.edb, options).ok());
 }
 
 TEST(EvalTest, NonLinearRecursion) {

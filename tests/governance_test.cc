@@ -243,18 +243,6 @@ TEST(GovernanceTest, ParallelBudgetTripAlsoYieldsConsistentPrefix) {
   EXPECT_TRUE(IsRowPrefixOf(partial.db, full.db));
 }
 
-TEST(GovernanceTest, MaxRoundsRemainsAHardError) {
-  // max_rounds predates the budget layer and is a property-test safety
-  // valve: exceeding it is a FailedPrecondition error, not a partial
-  // result.
-  ParsedProgram p = MustParse(ChainSource(50));
-  EvalOptions options;
-  options.max_rounds = 3;
-  Result<EvalResult> result = Evaluate(p.program, p.edb, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(GovernanceTest, OptimizerHonorsCancellationAtPhaseBoundaries) {
   ParsedProgram p = MustParse(
       "p(X, Y) :- e(X, Y).\n"

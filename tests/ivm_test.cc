@@ -60,13 +60,19 @@ const IvmCase kCases[] = {
      "out(X) :- e(X, Y).\n"
      "out(X) :- e(Y, X), e(X, Z).\n"
      "?- out(X).\n"},
+    {"late_predicate",  // g/1 first appears after registration.
+     "late(X) :- e(X, Y), g(Y).\n"
+     "late(X) :- e(X, Y), late(Y).\n"
+     "?- late(X).\n"},
 };
 
 std::string Node(int i) { return StrCat("n", std::to_string(i)); }
 
 /// One seeded generation of facts: a mix of brand-new edges, re-sent
 /// duplicates, and edges introducing fresh nodes. `up`/`f` facts ride
-/// along so the same_generation case grows too.
+/// along so the same_generation case grows too, and `g` facts — which
+/// BaseFacts never loads — so late_predicate's body reads a relation the
+/// view's watermark does not list.
 std::string RandomDelta(std::mt19937& rng, int* next_node) {
   std::uniform_int_distribution<int> coin(0, 99);
   std::string facts;
@@ -89,6 +95,11 @@ std::string RandomDelta(std::mt19937& rng, int* next_node) {
     }
     if (coin(rng) < 10) {
       facts += "f(" + Node(a) + ", " + Node(a) + ").\n";
+    }
+    if (coin(rng) < 40) {
+      // Any known node: most have an old incoming edge, so only the g
+      // delta can derive their predecessors.
+      facts += "g(" + Node(static_cast<int>(rng() % *next_node)) + ").\n";
     }
   }
   return facts;

@@ -148,7 +148,6 @@ TEST(ParallelEvalTest, NaiveModeAndBooleanCut) {
   MakeGraph(parsed.ctx.get(), &small_edb, p, spec);
   EvalOptions naive;
   naive.seminaive = false;
-  naive.max_rounds = 5000;
   ExpectParallelMatchesSerial(parsed.program, small_edb, naive);
 }
 

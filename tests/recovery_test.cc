@@ -194,8 +194,8 @@ TEST_F(SnapshotTest, CheckpointFileRoundTrips) {
   // The final checkpoint is cut at the last completed round: it carries the
   // converged database and the cumulative cursor.
   EXPECT_TRUE(SameDatabase(snap->db, run.result.db));
-  EXPECT_EQ(snap->cursor.rounds, run.result.stats.rounds);
-  EXPECT_EQ(snap->cursor.tuples_inserted, run.result.stats.tuples_inserted);
+  EXPECT_EQ(snap->cursor.stats.rounds, run.result.stats.rounds);
+  EXPECT_EQ(snap->cursor.stats.tuples_inserted, run.result.stats.tuples_inserted);
   EXPECT_EQ(snap->program_fingerprint, run.fingerprint);
   EXPECT_FALSE(snap->symbols.empty());
   EXPECT_FALSE(snap->preds.empty());
@@ -221,8 +221,8 @@ TEST_F(SnapshotTest, DefaultCursorEdbSnapshotRoundTrips) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_TRUE(SameDatabase(snap->db, db));
   EXPECT_EQ(snap->program_fingerprint, 42u);
-  EXPECT_EQ(snap->cursor.rounds, 0u);
-  EXPECT_EQ(snap->cursor.tuples_inserted, 0u);
+  EXPECT_EQ(snap->cursor.stats.rounds, 0u);
+  EXPECT_EQ(snap->cursor.stats.tuples_inserted, 0u);
   EXPECT_EQ(snap->symbols.size(), ctx.NumSymbols());
 }
 
@@ -281,8 +281,8 @@ TEST_F(SnapshotTest, CadenceHonorsEveryNRounds) {
   ASSERT_TRUE(run.status.ok());
   Result<Snapshot> snap = ReadSnapshotFile(Checkpointer::PathIn(dir));
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->cursor.rounds % 3, 0u);
-  EXPECT_GT(snap->cursor.rounds, 0u);
+  EXPECT_EQ(snap->cursor.stats.rounds % 3, 0u);
+  EXPECT_GT(snap->cursor.stats.rounds, 0u);
 }
 
 /// Rebuilds a Context and Database from a decoded snapshot — interning its
@@ -341,10 +341,11 @@ TEST_F(SnapshotTest, LargeAdornedSnapshotRoundTripsByteIdentically) {
   }
   EvalCursor cursor;
   cursor.stratum = 1;
-  cursor.rounds = 63;
-  cursor.eval_seconds = 0.25;
-  cursor.delta_lo = {{tc_bf, 60}, {tc_bf1, 61}};
-  cursor.rules_retired = 1;
+  cursor.stats.rounds = 63;
+  cursor.stats.eval_seconds = 0.25;
+  cursor.delta.Set(tc_bf, 60);
+  cursor.delta.Set(tc_bf1, 61);
+  cursor.stats.rules_retired = 1;
   cursor.retired_rules = {2};
   const std::string bytes = recovery::EncodeSnapshot(ctx, db, cursor, 7);
   Result<Snapshot> snap = DecodeSnapshot(bytes);
@@ -466,6 +467,62 @@ TEST_F(RecoveryTest, SerialCrashResumeIsByteIdentical) {
   EXPECT_EQ(resumed.result.stats.rule_firings, ref.result.stats.rule_firings);
 }
 
+TEST_F(RecoveryTest, StratifiedRetiredRuleResumesAtEveryRound) {
+  // programs/unreached.dl runs two strata, and stratum 0's boolean cut
+  // retires `linked :- e(X, Y).`, so checkpoints past stratum 0 carry
+  // stratum 1 and a retired rule. A crash at every round boundary must
+  // resume to the uninterrupted run's database, answers and counters.
+  Result<std::string> source = recovery::ReadFileToString(
+      std::string(EXDL_PROGRAMS_DIR) + "/unreached.dl");
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  SessionRun ref = RunSession(*source, [](SessionOptions&) {});
+  ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
+  const EvalStats& want = ref.result.stats;
+  ASSERT_GT(want.rules_retired, 0u);
+
+  bool resumed_stratified_retired = false;
+  for (uint64_t r = 1; r <= want.rounds; ++r) {
+    SCOPED_TRACE("crash in round " + std::to_string(r));
+    const std::string dir = MakeCheckpointDir();
+    ASSERT_TRUE(FaultPlan::Global()
+                    .Arm("storage.arena_grow:" + std::to_string(r))
+                    .ok());
+    SessionRun crashed = RunSession(*source, [&](SessionOptions& o) {
+      o.checkpoint_directory = dir;
+      o.eval.checkpoint_every_rounds = 1;
+    });
+    FaultPlan::Global().Disarm();
+    ASSERT_EQ(crashed.status.code(), StatusCode::kInternal);
+
+    // Round r's flush failed, so rounds 1..r-1 are on disk.
+    Result<Snapshot> snap = ReadSnapshotFile(Checkpointer::PathIn(dir));
+    if (r == 1) {
+      EXPECT_EQ(snap.status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(snap->cursor.stats.rounds, r - 1);
+    if (snap->cursor.stratum >= 1 && !snap->cursor.retired_rules.empty()) {
+      resumed_stratified_retired = true;
+    }
+
+    SessionRun resumed = RunSession(
+        *source, [](SessionOptions&) {}, Checkpointer::PathIn(dir));
+    ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+    EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
+    EXPECT_EQ(resumed.result.answers, ref.result.answers);
+    const EvalStats& got = resumed.result.stats;
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.rule_firings, want.rule_firings);
+    EXPECT_EQ(got.tuples_inserted, want.tuples_inserted);
+    EXPECT_EQ(got.duplicate_inserts, want.duplicate_inserts);
+    EXPECT_EQ(got.index_probes, want.index_probes);
+    EXPECT_EQ(got.rows_matched, want.rows_matched);
+    EXPECT_EQ(got.rules_retired, want.rules_retired);
+  }
+  EXPECT_TRUE(resumed_stratified_retired);
+}
+
 TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
   // pool_min_delta_rows = 1 disables the small-delta inline gate so the
   // chain's tiny delta rounds really dispatch (the armed fault site must
@@ -576,7 +633,7 @@ TEST_F(RecoveryTest, SnapshotWriteFaultLeavesPreviousCheckpointGood) {
   // complete one (round 2 of 3 attempted).
   Result<Snapshot> snap = ReadSnapshotFile(Checkpointer::PathIn(dir));
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->cursor.rounds, 2u);
+  EXPECT_EQ(snap->cursor.stats.rounds, 2u);
 
   SessionRun ref = RunSession(ChainSource(60), [](SessionOptions&) {});
   SessionRun resumed = RunSession(

@@ -365,6 +365,30 @@ TEST(DatabaseTest, AddFactRequiresGround) {
   EXPECT_EQ(db.Count(p), 1u);
 }
 
+TEST(WatermarksTest, SuffixPastTheCaptureIsTheDelta) {
+  Database db;
+  db.AddTuple(9, std::vector<Value>{1});
+  db.AddTuple(2, std::vector<Value>{1, 2});
+  db.AddTuple(2, std::vector<Value>{3, 4});
+  const Watermarks marks = Watermarks::Capture(db);
+  EXPECT_EQ(marks.entries(),
+            (std::vector<Watermarks::Entry>{{2, 2}, {9, 1}}));
+  EXPECT_EQ(marks.RowsSince(db), 0u);
+
+  db.AddTuple(2, std::vector<Value>{1, 2});  // duplicate: no suffix
+  db.AddTuple(9, std::vector<Value>{5});
+  db.AddTuple(4, std::vector<Value>{6});  // created after the capture
+  EXPECT_EQ(marks.Of(9), 1u);
+  EXPECT_EQ(marks.Of(4), 0u);  // unlisted: the whole relation is new
+  EXPECT_EQ(marks.RowsSince(db), 2u);
+
+  Watermarks set;
+  set.Set(9, 3);
+  set.Set(2, 1);
+  set.Set(9, 4);
+  EXPECT_EQ(set.entries(), (std::vector<Watermarks::Entry>{{2, 1}, {9, 4}}));
+}
+
 TEST(DatabaseTest, CloneIsDeep) {
   Database db;
   db.AddTuple(1, std::vector<Value>{4});

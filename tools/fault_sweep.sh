@@ -6,8 +6,9 @@
 # by prefix:
 #
 #   engine sites (storage.*, eval.*, snapshot.*)
-#     For every trigger depth 1..MAX_HITS, run exdlc with an injected crash
-#     (EXDL_FAULT_SPEC="<site>:<n>:abort") and round-boundary
+#     For every trigger depth 1..MAX_HITS (deeper where a sweep asks for
+#     it, to reach every round of its program), run exdlc with an injected
+#     crash (EXDL_FAULT_SPEC="<site>:<n>:abort") and round-boundary
 #     checkpointing, then prove the run either completed untouched (site
 #     not reached at that depth) or died with exit 86 and recovered — via
 #     the surviving checkpoint or a restart — to byte-identical output.
@@ -80,12 +81,15 @@ RUN="timeout 120"
 # ---------------------------------------------------------------------------
 # Engine sweep: crash + checkpoint/resume recovery.
 
-# $1 = program file, $2 = thread count, $3 = label for messages
-run_engine_sweep() {  # $4 = extra exdlc run flags (may be empty)
+# $1 = program file, $2 = thread count, $3 = label for messages,
+# $4 = extra exdlc run flags (may be empty), $5 = deepest trigger depth
+# (default MAX_HITS)
+run_engine_sweep() {
   prog=$1
   threads=$2
   label=$3
   extra=${4:-}
+  hits=${5:-$MAX_HITS}
   ref="$WORK/ref_$label.out"
   # shellcheck disable=SC2086  # extra is intentionally split
   if ! $RUN "$EXDLC" run "$prog" --threads "$threads" $extra >"$ref" \
@@ -95,7 +99,7 @@ run_engine_sweep() {  # $4 = extra exdlc run flags (may be empty)
     return
   fi
   for site in $ENGINE_SITES; do
-    for n in $(seq 1 "$MAX_HITS"); do
+    for n in $(seq 1 "$hits"); do
       cases=$((cases + 1))
       dir="$WORK/ckpt_${label}_${site}_${n}"
       mkdir -p "$dir"
@@ -506,6 +510,13 @@ run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" 1 serial
 # factored into the unary reach/ans program, so the crash and resume paths
 # cover a seeded rewrite whose fingerprint carries the query constant.
 run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" 1 factored --optimize
+
+# Sweep 1c: a two-stratum program whose boolean cut retires a rule in
+# stratum 0's first round. Its 10 rounds (6 in stratum 0) are all swept,
+# one crash per round boundary and checkpoint, so the recoveries resume
+# at stratum 1 too, each with the retired rule restored from the
+# checkpoint.
+run_engine_sweep "$REPO_ROOT/programs/unreached.dl" 1 stratified "" 11
 
 # Sweep 2: 128 disjoint 40-edge chains, 4 threads. Their semi-naive delta
 # rounds stay above the evaluator's 4096-row pool gate for the first
