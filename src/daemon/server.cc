@@ -7,6 +7,7 @@
 #include <utility>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -161,7 +162,7 @@ Status DaemonServer::Start() {
     listen_fd_ = -1;
     return Status::Internal(std::string("listen(): ") + std::strerror(err));
   }
-  if (::pipe(wake_pipe_) < 0) {
+  if (::pipe2(wake_pipe_, O_NONBLOCK) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::Internal(std::string("pipe(): ") + std::strerror(errno));
@@ -199,16 +200,20 @@ void DaemonServer::Stop() {
       ::shutdown(fd, SHUT_RDWR);
     }
   }
-  std::unordered_map<uint64_t, std::thread> threads;
+  std::vector<std::pair<std::thread, bool>> threads;
   {
     std::unique_lock<std::mutex> lock(conn_mu_);
     conn_cv_.wait(lock, [&] { return conn_fds_.empty(); });
-    threads.swap(conn_threads_);
+    for (auto& [id, thread] : conn_threads_) {
+      const bool counted = std::any_of(
+          finished_.begin(), finished_.end(),
+          [&, conn = id](const auto& f) { return f.first == conn && f.second; });
+      threads.emplace_back(std::move(thread), counted);
+    }
+    conn_threads_.clear();
     finished_.clear();
   }
-  for (auto& [id, thread] : threads) {
-    if (thread.joinable()) thread.join();
-  }
+  JoinConnections(threads);
   if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
   if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
   wake_pipe_[0] = wake_pipe_[1] = -1;
@@ -218,21 +223,32 @@ void DaemonServer::Stop() {
 }
 
 void DaemonServer::JoinFinishedThreads() {
-  std::vector<std::thread> done;
+  std::vector<std::pair<std::thread, bool>> done;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (uint64_t id : finished_) {
+    for (const auto& [id, counted] : finished_) {
       auto it = conn_threads_.find(id);
       if (it != conn_threads_.end()) {
-        done.push_back(std::move(it->second));
+        done.emplace_back(std::move(it->second), counted);
         conn_threads_.erase(it);
       }
     }
     finished_.clear();
   }
-  for (std::thread& thread : done) {
+  JoinConnections(done);
+}
+
+void DaemonServer::JoinConnections(
+    std::vector<std::pair<std::thread, bool>>& threads) {
+  uint32_t released = 0;
+  for (auto& [thread, counted] : threads) {
     if (thread.joinable()) thread.join();
+    released += counted ? 1 : 0;
   }
+  // Only now has each thread released everything it held (its allocator
+  // caches are returned at thread exit), so only now is it inactive.
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  counters_.connections_active -= released;
 }
 
 void DaemonServer::AcceptLoop() {
@@ -244,6 +260,12 @@ void DaemonServer::AcceptLoop() {
       break;
     }
     if (draining()) break;
+    if (fds[1].revents & POLLIN) {
+      // A connection ended (see HandleConnection): consume its wake-up.
+      char bytes[64];
+      [[maybe_unused]] ssize_t ignored =
+          ::read(wake_pipe_[0], bytes, sizeof bytes);
+    }
     JoinFinishedThreads();
     if (rc == 0 || (fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -348,8 +370,6 @@ void DaemonServer::HandleConnection(uint64_t conn_id, int fd) {
     // the connection's undelivered work is cancelled and reclaimed so the
     // next client finds a healthy server.
     ReclaimConnection(conn);
-    std::lock_guard<std::mutex> lock(counters_mu_);
-    --counters_.connections_active;
   } else {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.connections_rejected;
@@ -358,9 +378,13 @@ void DaemonServer::HandleConnection(uint64_t conn_id, int fd) {
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.erase(conn_id);
-    finished_.push_back(conn_id);
+    finished_.emplace_back(conn_id, negotiated);
   }
   conn_cv_.notify_all();
+  // Wake the accept loop to join this thread; connections_active drops
+  // once it has.
+  const char byte = 'c';
+  [[maybe_unused]] ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
 }
 
 Status DaemonServer::ServeFrames(Connection& conn) {

@@ -84,6 +84,8 @@ struct DaemonOptions {
 struct DaemonCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_rejected = 0;  ///< bad hello / draining / fault
+  /// Connections whose thread has not been joined yet: 0 means no
+  /// connection thread is still running (or still releasing memory).
   uint32_t connections_active = 0;
   uint64_t submits_admitted = 0;
   uint64_t backpressure_events = 0;   ///< RETRY_LATER replies
@@ -190,6 +192,9 @@ class DaemonServer {
   Status BindUnix();
   Status BindTcp();
   void JoinFinishedThreads();
+  /// Joins `threads`, then drops each counted one from connections_active.
+  void JoinConnections(
+      std::vector<std::pair<std::thread, bool>>& threads);
 
   DaemonOptions options_;
   QueryService service_;
@@ -209,7 +214,8 @@ class DaemonServer {
   uint64_t next_conn_id_ = 0;
   std::unordered_map<uint64_t, std::thread> conn_threads_;
   std::unordered_map<uint64_t, int> conn_fds_;
-  std::vector<uint64_t> finished_;  ///< Connection ids ready to join.
+  /// Connections ready to join: (id, counted in connections_active).
+  std::vector<std::pair<uint64_t, bool>> finished_;
 
   mutable std::mutex counters_mu_;
   DaemonCounters counters_;

@@ -203,15 +203,14 @@ Result<bool> DeletableUnderOptimisticUqe(const Program& program,
 
   EXDL_ASSIGN_OR_RETURN(Database optimistic,
                         OptimisticFixpoint(without, head_only, opt));
-  std::vector<std::vector<Value>> optimistic_answers =
-      ExtractAnswers(*program.query(), optimistic);
+  AnswerRows optimistic_answers = ExtractAnswers(*program.query(), optimistic);
   if (optimistic_answers.empty()) return true;
 
   EXDL_ASSIGN_OR_RETURN(EvalResult standard,
                         Evaluate(without, frozen.body_facts));
-  // Sorted vectors: subset check by inclusion.
-  return std::includes(standard.answers.begin(), standard.answers.end(),
-                       optimistic_answers.begin(), optimistic_answers.end());
+  // Subset check: the optimistic rows add nothing to the standard ones.
+  return AnswerRows::Union(standard.answers, optimistic_answers) ==
+         standard.answers;
 }
 
 }  // namespace exdl

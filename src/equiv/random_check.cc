@@ -9,13 +9,12 @@
 namespace exdl {
 namespace {
 
-std::string AnswersToString(const Context& ctx,
-                            const std::vector<std::vector<Value>>& answers) {
+std::string AnswersToString(const Context& ctx, const AnswerRows& answers) {
   std::string out = "{";
   for (size_t i = 0; i < answers.size(); ++i) {
     if (i > 0) out += ", ";
     out += "(";
-    for (size_t j = 0; j < answers[i].size(); ++j) {
+    for (size_t j = 0; j < answers.arity(); ++j) {
       if (j > 0) out += ",";
       out += ctx.SymbolName(answers[i][j]);
     }

@@ -1609,74 +1609,68 @@ Result<EvalResult> Evaluate(const Program& program, Database&& input,
   return engine.RunOwned(std::move(input));
 }
 
-std::vector<std::vector<Value>> ExtractAnswers(const Atom& query,
-                                               const Database& db,
-                                               size_t first_row) {
-  std::vector<std::vector<Value>> out;
-  const Relation* rel = db.Find(query.pred);
-  if (rel == nullptr || first_row >= rel->size()) return out;
+AnswerRows ExtractAnswers(const Atom& query, const Database& db,
+                          size_t first_row) {
   // Distinct variables in first-occurrence order are the answer columns.
   std::vector<SymbolId> vars;
   query.CollectVars(&vars);
-  std::unordered_map<SymbolId, size_t> var_col;
-  for (size_t i = 0; i < vars.size(); ++i) var_col[vars[i]] = i;
-
+  const uint32_t arity = static_cast<uint32_t>(vars.size());
+  const Relation* rel = db.Find(query.pred);
+  if (rel == nullptr || first_row >= rel->size()) {
+    return AnswerRows(arity, 0, {});
+  }
   const Relation::View view = rel->view();
+  const size_t scanned = rel->size() - first_row;
 
   // Identity projection: every argument a distinct variable means each
-  // stored row IS an answer, already distinct (the relation deduplicates).
-  // Copy and sort — no per-row hash-set membership. This is the common
-  // query shape and most of ExtractAnswers' cost on large answer sets.
-  if (vars.size() == query.args.size() &&
-      query.args.size() == rel->arity()) {
-    if (rel->arity() == 1) {
-      // Monadic: sort the flat value column, then materialize — the sort
-      // compares machine words instead of heap-backed vectors.
-      std::span<const Value> raw = view.Raw().subspan(first_row);
-      std::vector<Value> flat(raw.begin(), raw.end());
-      std::sort(flat.begin(), flat.end());
-      out.reserve(flat.size());
-      for (Value v : flat) out.emplace_back(1, v);
-      return out;
-    }
-    out.reserve(rel->size() - first_row);
-    for (size_t r = first_row; r < rel->size(); ++r) {
-      std::span<const Value> row = view.Scan(r);
-      out.emplace_back(row.begin(), row.end());
-    }
-    std::sort(out.begin(), out.end());
-    return out;
+  // stored row IS an answer, so the suffix of the arena is the table.
+  if (arity == query.args.size() && arity == rel->arity()) {
+    std::span<const Value> raw = view.Raw().subspan(first_row * arity);
+    return AnswerRows(arity, scanned, {raw.begin(), raw.end()});
   }
 
-  std::unordered_set<std::vector<Value>, ValueVecHash> seen;
-  seen.reserve(rel->size() - first_row);
-  out.reserve(rel->size() - first_row);
-  // One scratch answer reused across rows; only kept answers are copied.
-  std::vector<Value> answer(vars.size(), 0);
-  std::vector<char> set(vars.size(), 0);
+  // A matching row is fixed by its answer (constants are fixed, repeated
+  // variables equal their first occurrence), so distinct stored rows give
+  // distinct answers and sorting is all that is left to do.
+  //
+  // Per argument: its answer column, and whether it binds the column (the
+  // variable's first occurrence) or checks it (a repeat). Constants check.
+  std::vector<uint32_t> col(query.args.size(), 0);
+  std::vector<char> binds(query.args.size(), 0);
+  for (size_t i = 0, next = 0; i < query.args.size(); ++i) {
+    const Term& t = query.args[i];
+    if (t.IsConst()) continue;
+    col[i] = static_cast<uint32_t>(
+        std::find(vars.begin(), vars.end(), t.id()) - vars.begin());
+    binds[i] = col[i] == next;
+    if (binds[i]) ++next;
+  }
+  std::vector<Value> flat;
+  flat.reserve(scanned * arity);
+  size_t rows = 0;
   for (size_t r = first_row; r < rel->size(); ++r) {
     std::span<const Value> row = view.Scan(r);
-    std::fill(answer.begin(), answer.end(), 0);
-    std::fill(set.begin(), set.end(), 0);
+    const size_t base = flat.size();
+    flat.resize(base + arity);
+    Value* answer = flat.data() + base;
     bool ok = true;
     for (size_t i = 0; i < query.args.size() && ok; ++i) {
       const Term& t = query.args[i];
       if (t.IsConst()) {
         ok = row[i] == t.id();
+      } else if (binds[i]) {
+        answer[col[i]] = row[i];
       } else {
-        size_t col = var_col[t.id()];
-        if (set[col]) {
-          ok = row[i] == answer[col];
-        } else {
-          answer[col] = row[i];
-          set[col] = 1;
-        }
+        ok = row[i] == answer[col[i]];
       }
     }
-    if (ok && seen.insert(answer).second) out.push_back(answer);
+    if (ok) {
+      ++rows;
+    } else {
+      flat.resize(base);
+    }
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return AnswerRows(arity, rows, std::move(flat));
 }
 
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ast/program.h"
+#include "eval/answer_rows.h"
 #include "eval/plan.h"
 #include "storage/database.h"
 #include "util/cancellation.h"
@@ -307,7 +308,7 @@ struct EvalResult {
   Status termination;
   /// Bindings of the query atom's distinct variables (first-occurrence
   /// order), deduplicated and sorted. Empty when the program has no query.
-  std::vector<std::vector<Value>> answers;
+  AnswerRows answers;
   /// For a ground query: whether it was derived.
   bool ground_query_true = false;
   /// One derivation per derived tuple (only with record_provenance).
@@ -334,9 +335,8 @@ Result<EvalResult> Evaluate(const Program& program, Database&& input,
 /// relation at index >= first_row are considered — the suffix extraction
 /// standing-query maintenance merges into its previous answers. The
 /// returned rows are sorted and deduplicated either way.
-std::vector<std::vector<Value>> ExtractAnswers(const Atom& query,
-                                               const Database& db,
-                                               size_t first_row = 0);
+AnswerRows ExtractAnswers(const Atom& query, const Database& db,
+                          size_t first_row = 0);
 
 /// Renders the recorded derivation tree of one tuple as an indented
 /// listing ("fact <- rule: child, child ..."). Requires the evaluation to

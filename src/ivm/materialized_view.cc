@@ -1,10 +1,7 @@
 #include "ivm/materialized_view.h"
 
-#include <algorithm>
-#include <iterator>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "core/session.h"
 
@@ -97,7 +94,7 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
   options.resume = &cursor;
   options.support_sink = support_.get();
   options.skip_answers = true;
-  std::vector<std::vector<Value>> prior_answers = std::move(result_.answers);
+  AnswerRows prior_answers = std::move(result_.answers);
   const bool prior_ground = result_.ground_query_true;
   // Move the maintained database into the evaluation: it is uniquely
   // owned, so the delta run appends in place with no copy-on-write
@@ -113,19 +110,13 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
   stats_.tuples_rederived += rederived->stats.tuples_inserted;
   const std::optional<Atom>& query = program_->program().query();
   if (query) {
-    // Merge the delta suffix's (sorted, deduplicated) answers into the
-    // previous sorted set, so answer maintenance is O(delta + answers),
-    // never an O(relation) re-extraction. Insertions are monotone, so
-    // prior answers never disappear; equal projections from both sides
-    // land adjacent under merge and collapse in unique.
-    std::vector<std::vector<Value>> fresh = ExtractAnswers(
-        *query, rederived->db, cursor.delta.Of(query->pred));
-    std::vector<std::vector<Value>> merged;
-    merged.reserve(prior_answers.size() + fresh.size());
-    std::merge(prior_answers.begin(), prior_answers.end(), fresh.begin(),
-               fresh.end(), std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    rederived->answers = std::move(merged);
+    // Merge the delta suffix's sorted answers into the previous sorted
+    // set, so answer maintenance is O(delta + answers), never an
+    // O(relation) re-extraction. Insertions are monotone, so prior
+    // answers never disappear.
+    rederived->answers = AnswerRows::Union(
+        std::move(prior_answers),
+        ExtractAnswers(*query, rederived->db, cursor.delta.Of(query->pred)));
     if (query->IsGround()) {
       rederived->ground_query_true =
           prior_ground || !rederived->answers.empty();

@@ -5,21 +5,21 @@
 // this one function, so the bytes a client receives from a socket are
 // identical to what an in-process Session run would have printed for the
 // same submission sequence: one row per line, values joined by a single
-// tab, each symbol spelled by Context::SymbolName.
+// tab, each symbol spelled by its Context name. A render takes one
+// Context::ReadTables lock, not one per symbol, holds it only to look the
+// names up, and sizes its output once.
 
 #ifndef EXDL_SERVICE_ANSWER_TEXT_H_
 #define EXDL_SERVICE_ANSWER_TEXT_H_
 
 #include <string>
-#include <vector>
 
 #include "ast/context.h"
-#include "storage/relation.h"
+#include "eval/answer_rows.h"
 
 namespace exdl {
 
-std::string RenderAnswerRows(const Context& ctx,
-                             const std::vector<std::vector<Value>>& answers);
+std::string RenderAnswerRows(const Context& ctx, const AnswerRows& answers);
 
 }  // namespace exdl
 

@@ -1,15 +1,15 @@
 // ProgramCache — a bounded, thread-safe LRU cache of CompiledProgram
 // artifacts keyed by CompiledProgram::CacheKeyMaterial (the raw source
-// text plus every compile option that changes the artifact or the
-// semantics it binds to; see compiled_program.h).
+// text plus every compile option that changes the artifact; see
+// compiled_program.h).
 //
 // The point of the cache is to skip the whole compile front half on a
 // warm hit: the key is computable without parsing, and the cached value
 // is immutable and shared by shared_ptr, so a hit costs one mutex-guarded
 // map lookup — no re-parse, no re-optimize, no "optimize >" trace spans.
-// Distinct semantics (e.g. naive vs semi-naive) never share an entry even
-// though the rewritten rules would be identical, because the semantics
-// toggles are part of the key.
+// Evaluation semantics are not part of the key: the artifact is the same
+// under every EvalOptions, so naive and semi-naive runs of one source
+// share an entry.
 //
 // The map is keyed on the *full* key bytes, not a hash of them: a 64-bit
 // FNV fingerprint of source+options is cheap but not collision-resistant,

@@ -83,14 +83,6 @@ size_t HashKeyView(const KeyView& key) {
   return h;
 }
 
-/// Hash for value vectors (used by callers that key containers on whole
-/// tuples, e.g. answer deduplication).
-struct ValueVecHash {
-  size_t operator()(const std::vector<Value>& v) const {
-    return HashValueSpan(v.data(), v.size());
-  }
-};
-
 class Relation {
  public:
   /// Hash index on a fixed column subset. Groups rows by their projection

@@ -1,9 +1,16 @@
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/evaluator.h"
 #include "eval/plan.h"
+#include "service/answer_text.h"
+#include "util/rng.h"
 #include "testing/test_util.h"
 
 namespace exdl {
@@ -261,6 +268,159 @@ TEST(ExtractAnswersTest, ProjectsAndDeduplicates) {
                 Term::Var(ctx.InternSymbol("D"))});
   EXPECT_TRUE(ExtractAnswers(diag, r.db).empty());
   EXPECT_EQ(ExtractAnswers(first_only, r.db).size(), 3u);
+}
+
+/// The row-vector extraction AnswerRows replaced: one heap row per answer,
+/// deduplicated through a hash set, then sorted. Kept as the reference the
+/// flat extraction must match row for row.
+std::vector<std::vector<Value>> ReferenceAnswers(const Atom& query,
+                                                 const Database& db,
+                                                 size_t first_row) {
+  struct RowHash {
+    size_t operator()(const std::vector<Value>& v) const {
+      return HashValueSpan(v.data(), v.size());
+    }
+  };
+  std::vector<std::vector<Value>> out;
+  const Relation* rel = db.Find(query.pred);
+  if (rel == nullptr || first_row >= rel->size()) return out;
+  std::vector<SymbolId> vars;
+  query.CollectVars(&vars);
+  std::unordered_map<SymbolId, size_t> var_col;
+  for (size_t i = 0; i < vars.size(); ++i) var_col[vars[i]] = i;
+  std::unordered_set<std::vector<Value>, RowHash> seen;
+  std::vector<Value> answer(vars.size(), 0);
+  std::vector<char> set(vars.size(), 0);
+  for (size_t r = first_row; r < rel->size(); ++r) {
+    std::span<const Value> row = rel->view().Scan(r);
+    std::fill(answer.begin(), answer.end(), 0);
+    std::fill(set.begin(), set.end(), 0);
+    bool ok = true;
+    for (size_t i = 0; i < query.args.size() && ok; ++i) {
+      const Term& t = query.args[i];
+      if (t.IsConst()) {
+        ok = row[i] == t.id();
+      } else {
+        size_t col = var_col[t.id()];
+        if (set[col]) {
+          ok = row[i] == answer[col];
+        } else {
+          answer[col] = row[i];
+          set[col] = 1;
+        }
+      }
+    }
+    if (ok && seen.insert(answer).second) out.push_back(answer);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The per-symbol rendering RenderAnswerRows replaced.
+std::string ReferenceText(const Context& ctx,
+                          const std::vector<std::vector<Value>>& answers) {
+  std::string out;
+  for (const auto& row : answers) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (i > 0) out += '\t';
+      out += ctx.SymbolName(row[i]);
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+void ExpectSameRows(const AnswerRows& flat,
+                    const std::vector<std::vector<Value>>& reference,
+                    const Context& ctx, const std::string& where) {
+  ASSERT_EQ(flat.size(), reference.size()) << where;
+  for (size_t r = 0; r < flat.size(); ++r) {
+    EXPECT_TRUE(std::ranges::equal(flat[r], reference[r]))
+        << where << " row " << r;
+  }
+  EXPECT_EQ(RenderAnswerRows(ctx, flat), ReferenceText(ctx, reference))
+      << where;
+}
+
+TEST(ExtractAnswersTest, FlatRowsMatchTheRowVectorReference) {
+  Rng rng(20221);
+  auto ctx = std::make_shared<Context>();
+  std::vector<Value> domain;
+  for (int i = 0; i < 6; ++i) {
+    domain.push_back(ctx->InternSymbol("d" + std::to_string(i)));
+  }
+  std::vector<SymbolId> var_pool;
+  for (const char* v : {"X", "Y", "Z"}) {
+    var_pool.push_back(ctx->InternSymbol(v));
+  }
+  bool saw_true_boolean = false;
+  bool saw_false_boolean = false;
+  for (int trial = 0; trial < 400; ++trial) {
+    const uint32_t arity = static_cast<uint32_t>(trial % 4);
+    const PredId pred = ctx->InternPredicate("r", arity);
+    // Random rows over a small domain, so constants and repeated variables
+    // often match; `prior` holds the first `split` insertions, as a
+    // standing view's database did before a load.
+    const size_t rows = arity == 0 ? rng.Below(2) : rng.Below(60);
+    const size_t split = rng.Below(rows + 1);
+    Database db;
+    Database prior;
+    db.GetOrCreate(pred, arity);
+    prior.GetOrCreate(pred, arity);
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<Value> row(arity);
+      for (Value& v : row) v = domain[rng.Below(domain.size())];
+      if (db.AddTuple(pred, row) && db.Find(pred)->size() <= split) {
+        prior.AddTuple(pred, row);
+      }
+    }
+    const size_t stored = db.Find(pred)->size();
+    // Each argument a constant or a variable drawn from a pool narrower
+    // than the arity, so repeated variables are common.
+    std::vector<Term> args;
+    for (uint32_t i = 0; i < arity; ++i) {
+      if (rng.Chance(0.2)) {
+        args.push_back(Term::Const(domain[rng.Below(domain.size())]));
+      } else {
+        args.push_back(Term::Var(var_pool[rng.Below(var_pool.size())]));
+      }
+    }
+    const Atom query(pred, args);
+    const std::string where = "trial " + std::to_string(trial);
+
+    AnswerRows all = ExtractAnswers(query, db);
+    ExpectSameRows(all, ReferenceAnswers(query, db, 0), *ctx, where);
+    std::vector<SymbolId> vars;
+    query.CollectVars(&vars);
+    EXPECT_EQ(all.arity(), vars.size()) << where;
+    if (vars.empty()) {
+      saw_true_boolean |= !all.empty();
+      saw_false_boolean |= all.empty();
+    }
+
+    const size_t first_row = rng.Below(stored + 1);
+    const AnswerRows suffix = ExtractAnswers(query, db, first_row);
+    ExpectSameRows(suffix, ReferenceAnswers(query, db, first_row), *ctx,
+                   where + " first_row " + std::to_string(first_row));
+
+    // Standing-view maintenance: prior answers ∪ the suffix's answers.
+    const size_t prior_rows = prior.Find(pred)->size();
+    AnswerRows merged =
+        AnswerRows::Union(ExtractAnswers(query, prior),
+                          ExtractAnswers(query, db, prior_rows));
+    EXPECT_EQ(merged, all) << where << " split " << prior_rows;
+
+    // A union with a subset adds nothing, whichever side it is on.
+    EXPECT_EQ(AnswerRows::Union(all, suffix), all) << where;
+    EXPECT_EQ(AnswerRows::Union(suffix, all), all) << where;
+
+    // Maintenance moves the prior set out: what is left must be empty.
+    AnswerRows taken = std::move(all);
+    EXPECT_TRUE(all.empty()) << where;
+    EXPECT_EQ(taken, merged) << where;
+  }
+  EXPECT_TRUE(saw_true_boolean);
+  EXPECT_TRUE(saw_false_boolean);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // isolate in-flight readers from fact loads, and the copy-on-write
 // storage layer underneath shares payloads until first write.
 
+#include <atomic>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -53,11 +54,11 @@ parent(a, p). parent(b, q). parent(c, q).
 parent(d, a). parent(e, b). parent(f, c).
 )";
 
-std::vector<std::string> AnswerStrings(
-    const Context& ctx, const std::vector<std::vector<Value>>& answers) {
+std::vector<std::string> AnswerStrings(const Context& ctx,
+                                       const AnswerRows& answers) {
   std::vector<std::string> out;
   out.reserve(answers.size());
-  for (const auto& row : answers) {
+  for (std::span<const Value> row : answers) {
     std::string s;
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) s += ",";
@@ -290,7 +291,7 @@ TEST(QueryServiceTest, RawAnswersIdenticalAcrossPoolSizes) {
       requests.push_back(
           QueryRequest{.source = kReachBoolean, .name = "reach"});
     }
-    std::vector<std::vector<std::vector<Value>>> answers;
+    std::vector<AnswerRows> answers;
     for (QueryService::Ticket ticket :
          service.SubmitBatch(std::move(requests))) {
       QueryResponse response = service.Await(ticket);
@@ -498,6 +499,52 @@ TEST(QueryServiceTest, SharedSnapshotStress) {
   // The published snapshot itself was never written through.
   EXPECT_EQ(service.snapshot().generation(), 1u);
   EXPECT_EQ(service.snapshot().db().TotalTuples(), 40u);
+}
+
+TEST(QueryServiceTest, RenderWhileLoadsInternFreshSymbols) {
+  // Each render resolves its symbols under one Context::ReadTables lock
+  // and copies the names after releasing it, while LoadFacts interns new
+  // symbols on another thread; every render must equal the serial one.
+  std::string facts;
+  for (int i = 0; i < 8192; ++i) {
+    facts += "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
+  }
+  QueryService service;
+  ASSERT_TRUE(service.LoadFacts(facts).ok());
+  QueryResponse response = service.Await(service.Submit(
+      {.source = "p(X, Y) :- e(X, Y).\n?- p(X, Y).\n", .name = "p"}));
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  const AnswerRows& answers = response.result.answers;
+  ASSERT_EQ(answers.size(), 8192u);
+  const std::string serial = RenderAnswerRows(*service.ctx(), answers);
+
+  std::atomic<bool> loading{true};
+  std::atomic<int> renders{0};
+  std::atomic<int> mismatches{0};
+  auto render = [&] {
+    do {
+      if (RenderAnswerRows(*service.ctx(), answers) != serial) ++mismatches;
+      ++renders;
+    } while (loading.load());
+  };
+  std::thread loader([&] {
+    for (int load = 0; load < 32; ++load) {
+      std::string fresh;
+      for (int i = 0; i < 64; ++i) {
+        fresh += "f(fresh" + std::to_string(load * 64 + i) + ").\n";
+      }
+      EXPECT_TRUE(service.LoadFacts(fresh).ok());
+    }
+    loading = false;
+  });
+  std::thread first(render);
+  std::thread second(render);
+  loader.join();
+  first.join();
+  second.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(renders.load(), 2);
+  EXPECT_TRUE(service.ctx()->FindSymbol("fresh2047").has_value());
 }
 
 TEST(QueryServiceTest, PerSessionBudget) {

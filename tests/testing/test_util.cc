@@ -48,7 +48,7 @@ std::vector<std::string> EvalAnswers(const Program& program,
   EvalResult result = MustEval(program, edb, options);
   const Context& ctx = program.ctx();
   std::vector<std::string> out;
-  for (const std::vector<Value>& answer : result.answers) {
+  for (std::span<const Value> answer : result.answers) {
     std::string s;
     for (size_t i = 0; i < answer.size(); ++i) {
       if (i > 0) s += ",";

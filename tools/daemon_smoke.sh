@@ -23,7 +23,11 @@
 #      must be byte-identical to a one-shot submission of the same source
 #      at the same generation, the maintenance must report incremental
 #      (full_recomputes=0), and the view survives across connections
-#      until UNREGISTER drops it.
+#      until UNREGISTER drops it;
+#   7. large answers: over a 512x16 chain EDB, Example 1's
+#      q(X) :- tc(X, _) (8,192 rows), ?- tc(c0x0, Y) and a 0-ary boolean,
+#      each printed byte-identically by `exdlc run --jobs 1`, a plain
+#      daemon and an --optimize daemon.
 #
 # Any divergent output, unexpected exit code, or invalid document fails
 # the smoke. Runs are bounded by `timeout` so a hang cannot stall CI.
@@ -298,6 +302,45 @@ wait "$DPID" 2>/dev/null
 src=$?
 [ "$src" -eq 0 ] || flunk "standing-phase SIGTERM drain exited $src (want 0)"
 say "standing query registered, maintained, polled byte-identical, dropped"
+
+# --- 7. large answers: 8,192-row answer sets over the socket ---------------
+# Each program carries the 512 chains x 16 edges inline, so the in-process
+# run and the daemon evaluate the same source.
+awk 'BEGIN { for (c = 0; c < 512; c++) for (j = 0; j < 16; j++)
+               printf "e(c%dx%d, c%dx%d).\n", c, j, c, j + 1 }' \
+  >"$WORK/chains.facts"
+TC_RULES="tc(X, Y) :- e(X, Y).
+tc(X, Z) :- e(X, Y), tc(Y, Z)."
+printf '%s\nq(X) :- tc(X, _).\n?- q(X).\n' "$TC_RULES" >"$WORK/large_ex1.dl"
+printf '%s\n?- tc(c0x0, Y).\n' "$TC_RULES" >"$WORK/large_bin.dl"
+printf '%s\nhit :- tc(c0x0, c0x16).\n?- hit.\n' "$TC_RULES" >"$WORK/large_bool.dl"
+LARGE=""
+for name in large_ex1 large_bin large_bool; do
+  cat "$WORK/chains.facts" >>"$WORK/$name.dl"
+  LARGE="$LARGE $WORK/$name.dl"
+done
+# shellcheck disable=SC2086  # $LARGE is a list of paths without spaces
+$RUN "$EXDLC" run $LARGE --jobs 1 >"$WORK/large_ref.out" 2>/dev/null \
+  || flunk "in-process run of the large-answer batch failed"
+rows=$(awk '/^== /{name = $2; sub(/.*\//, "", name); next} {n[name]++} END {
+  printf "%d %d %d", n["large_ex1.dl"], n["large_bin.dl"], n["large_bool.dl"] }' \
+  "$WORK/large_ref.out")
+[ "$rows" = "8192 16 1" ] \
+  || flunk "large-answer reference rows (ex1 bin bool) are $rows, want 8192 16 1"
+for mode in "" "--optimize"; do
+  start_daemon "$mode" \
+    || { flunk "exdld $mode did not start for the large-answer phase"; exit 1; }
+  # shellcheck disable=SC2086
+  $RUN "$EXDLC" connect $LARGE --socket "$SOCK" \
+    >"$WORK/large.out" 2>"$WORK/large.err" \
+    || flunk "large-answer batch against exdld $mode failed"
+  cmp -s "$WORK/large_ref.out" "$WORK/large.out" \
+    || { flunk "large answers over the socket ($mode) differ from exdlc run"; \
+         diff "$WORK/large_ref.out" "$WORK/large.out" | head; }
+  kill -TERM "$DPID" 2>/dev/null
+  wait "$DPID" 2>/dev/null
+done
+say "8,192-row, 16-row and boolean answers are byte-identical over the socket"
 
 if [ "$fail" -ne 0 ]; then
   echo "daemon smoke: FAILED"
