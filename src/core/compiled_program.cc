@@ -1,5 +1,7 @@
 #include "core/compiled_program.h"
 
+#include <algorithm>
+
 #include "ast/printer.h"
 #include "parser/parser.h"
 
@@ -14,6 +16,16 @@ uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+/// The predicates `facts` holds tuples for, sorted: the optimizer runs no
+/// phase when one of them is derived or adorned.
+std::vector<PredId> FactPredicates(const Database& facts) {
+  std::vector<PredId> preds;
+  preds.reserve(facts.relations().size());
+  for (const auto& [pred, rel] : facts.relations()) preds.push_back(pred);
+  std::sort(preds.begin(), preds.end());
+  return preds;
 }
 
 }  // namespace
@@ -107,8 +119,9 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
   if (options.optimize) {
     OptimizerOptions opt = options.optimizer;
     if (opt.telemetry == nullptr) opt.telemetry = telemetry;
-    EXDL_ASSIGN_OR_RETURN(OptimizedProgram optimized,
-                          OptimizeExistential(out->program_, opt));
+    EXDL_ASSIGN_OR_RETURN(
+        OptimizedProgram optimized,
+        OptimizeExistential(out->program_, opt, FactPredicates(out->facts_)));
     out->program_ = std::move(optimized.program);
     out->report_ = std::move(optimized.report);
     out->optimize_termination_ = std::move(optimized.termination);
@@ -123,8 +136,9 @@ Result<CompiledProgram::Ptr> CompiledProgram::Optimize(
     obs::Telemetry* telemetry) {
   OptimizerOptions opt = options;
   if (opt.telemetry == nullptr) opt.telemetry = telemetry;
-  EXDL_ASSIGN_OR_RETURN(OptimizedProgram optimized,
-                        OptimizeExistential(base.program_, opt));
+  EXDL_ASSIGN_OR_RETURN(
+      OptimizedProgram optimized,
+      OptimizeExistential(base.program_, opt, FactPredicates(base.facts_)));
   std::shared_ptr<CompiledProgram> out(new CompiledProgram(
       base.ctx_, std::move(optimized.program)));
   out->facts_ = base.facts_.Clone();

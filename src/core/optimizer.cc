@@ -11,6 +11,7 @@
 #include "transform/factoring.h"
 #include "transform/magic.h"
 #include "transform/projection.h"
+#include "transform/unfolding.h"
 #include "transform/unit_rules.h"
 #include "util/string_util.h"
 
@@ -31,8 +32,9 @@ struct PhaseScope {
 
 }  // namespace
 
-Result<OptimizedProgram> OptimizeExistential(const Program& program,
-                                             const OptimizerOptions& options) {
+Result<OptimizedProgram> OptimizeExistential(
+    const Program& program, const OptimizerOptions& options,
+    const std::vector<PredId>& fact_preds) {
   if (!program.query()) {
     return Status::FailedPrecondition("optimizer requires a query");
   }
@@ -121,6 +123,7 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
       m.Add(m.Counter("optimize.positions_dropped"), r.positions_dropped);
       m.Add(m.Counter("optimize.booleans_created"), r.booleans_created);
       m.Add(m.Counter("optimize.unit_rules_added"), r.unit_rules_added);
+      m.Add(m.Counter("optimize.unfolded"), r.predicates_unfolded);
       m.Add(m.Counter("optimize.factored"), r.factored ? 1 : 0);
       m.Set(m.Gauge("optimize.final_rules"),
             static_cast<double>(r.final_rules));
@@ -146,6 +149,20 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
     finalize();
     return true;
   };
+
+  // Every rewrite below treats derived and adorned predicates as starting
+  // empty, so source facts for one would be dropped: run no phase.
+  const Context& ctx = program.ctx();
+  for (PredId p : fact_preds) {
+    const bool derived = program.IsIdb(p);
+    if (!derived && ctx.predicate(p).adornment.empty()) continue;
+    out.report.log.push_back(
+        StrCat("optimizer skipped: source facts name ",
+               derived ? "derived" : "adorned", " predicate ",
+               ctx.PredicateDisplayName(p)));
+    finalize();
+    return out;
+  }
 
   if (cancelled_before("adorn")) return out;
   if (options.adorn && program.IsIdb(program.query()->pred)) {
@@ -268,8 +285,9 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
         out.report.log.push_back(std::move(line));
       }
       EXDL_ASSIGN_OR_RETURN(
-          out.program,
-          UnfoldAuxiliaries(deleted.program, folded.aux_preds));
+          UnfoldResult unfolded,
+          UnfoldPredicates(deleted.program, folded.aux_preds));
+      out.program = std::move(unfolded.program);
     }
     std::string detail;
     if (out.report.rules_folded > 0) {
@@ -290,6 +308,24 @@ Result<OptimizedProgram> OptimizeExistential(const Program& program,
     out.report.removed_by_cleanup += cleaned.rules_removed;
     out.program = std::move(cleaned.program);
     end_phase(phase);  // its count folds into the deletion summary line
+  }
+
+  // Deletion often leaves a §3 existential query's projected predicate
+  // non-recursive (tc@nd(X) :- e(X, Y).); inlining it into its one use
+  // saves materializing it. Recursive use sites are left alone, so
+  // factoring below sees the same programs as without this phase.
+  if (cancelled_before("unfold")) return out;
+  if (options.delete_rules && !has_negation) {
+    PhaseScope phase = begin_phase("unfold");
+    EXDL_ASSIGN_OR_RETURN(UnfoldResult unfolded,
+                          UnfoldNonRecursive(out.program));
+    out.report.predicates_unfolded = unfolded.unfolded;
+    out.program = std::move(unfolded.program);
+    end_phase(phase, unfolded.unfolded == 0
+                         ? std::string()
+                         : StrCat("unfolded ",
+                                  std::to_string(unfolded.unfolded),
+                                  " predicate(s)"));
   }
 
   // Factoring pushes the query's constants into a linear recursive query

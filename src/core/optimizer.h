@@ -8,6 +8,8 @@
 //        Sagiv's UE test and the optimistic Theorem 5.2 test)
 //     -> retract added unit rules that ended up load-free
 //     -> cleanup
+//     -> unfold predicates deletion left non-recursive and used once
+//        (transform/unfolding.h)
 //     -> factor a bound query on a linear recursive predicate
 //        (transform/factoring.h; skipped when magic is requested)
 //   [ -> magic-set rewriting (orthogonal selection pushing) ]
@@ -19,6 +21,7 @@
 #define EXDL_CORE_OPTIMIZER_H_
 
 #include <optional>
+#include <vector>
 
 #include "ast/program.h"
 #include "core/report.h"
@@ -73,9 +76,13 @@ struct OptimizedProgram {
 };
 
 /// Runs the pipeline. `program` must have a query; base predicates form
-/// the input schema.
+/// the input schema. `fact_preds` names the predicates of the program's
+/// own source facts: when one is derived (some rule defines it) or
+/// adorned, no phase runs — the rewrites would drop those facts — and
+/// report.log says why.
 Result<OptimizedProgram> OptimizeExistential(
-    const Program& program, const OptimizerOptions& options = {});
+    const Program& program, const OptimizerOptions& options = {},
+    const std::vector<PredId>& fact_preds = {});
 
 }  // namespace exdl
 

@@ -22,9 +22,9 @@ namespace exdl {
 struct OptimizationPhase {
   /// Machine name, stable across releases: "adorn", "projection",
   /// "components", "unit_rules", "deletion", "folding", "cleanup",
-  /// "factor", "magic". Trace spans are named "phase:<name>". Always a
-  /// string literal: every cached compile artifact keeps its report, so
-  /// an entry stays small.
+  /// "unfold", "factor", "magic". Trace spans are named "phase:<name>".
+  /// Always a string literal: every cached compile artifact keeps its
+  /// report, so an entry stays small.
   std::string_view name;
   /// Wall-clock seconds inside the phase (0 for interrupted entries).
   double seconds = 0;
@@ -76,6 +76,9 @@ struct OptimizationReport {
   size_t deleted_by_sagiv = 0;
   size_t deleted_by_optimistic = 0;
   size_t removed_by_cleanup = 0;
+
+  /// Predicates the unfold phase inlined away (transform/unfolding.h).
+  size_t predicates_unfolded = 0;
 
   // Example 11 folding (optional phase).
   size_t rules_folded = 0;

@@ -1,6 +1,8 @@
 #include "parser/parser.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "parser/lexer.h"
 
@@ -46,7 +48,10 @@ class ParserImpl {
   }
 
   /// atom := pred ("@" adorn)? ("(" term ("," term)* ")")?
-  Result<Atom> ParseAtomNode() {
+  ///
+  /// `adorned`, when given, is set to whether the atom names an adorned
+  /// predicate version.
+  Result<Atom> ParseAtomNode(bool* adorned = nullptr) {
     if (!At(TokenKind::kIdent)) {
       return Status::InvalidArgument(
           "line " + std::to_string(Peek().line) +
@@ -89,6 +94,7 @@ class ParserImpl {
           "' shorter than argument list (" + std::to_string(args.size()) +
           ")");
     }
+    if (adorned != nullptr) *adorned = !adornment.empty();
     PredId pred = ctx_->InternPredicate(
         name, static_cast<uint32_t>(args.size()), adornment);
     return Atom(pred, std::move(args));
@@ -101,7 +107,16 @@ class ParserImpl {
       if (tok.text == "_") {
         // Anonymous variable: fresh on every occurrence, as in the paper's
         // rewritten rules ("we have replaced existential variables by _").
-        return Term::Var(ctx_->FreshSymbol("_"));
+        // Named __0, __1, ... per clause, skipping the clause's own
+        // variables: every parse reuses the same symbols, so a long-lived
+        // Context grows with the widest clause, not with the parse count.
+        std::string name;
+        do {
+          name = "__" + std::to_string(next_anonymous_++);
+        } while (std::find(clause_underscored_.begin(),
+                           clause_underscored_.end(),
+                           name) != clause_underscored_.end());
+        return Term::Var(ctx_->InternSymbol(name));
       }
       return Term::Var(ctx_->InternSymbol(tok.text));
     }
@@ -114,8 +129,25 @@ class ParserImpl {
                                    std::string(TokenKindName(tok.kind)));
   }
 
+  /// Starts a clause (or a lone atom or rule): anonymous variables are
+  /// numbered from __0 again, skipping the `__`-prefixed variables the
+  /// clause's tokens up to the next '.' name.
+  void BeginClause() {
+    next_anonymous_ = 0;
+    clause_underscored_.clear();
+    for (size_t i = pos_; i < tokens_.size(); ++i) {
+      const Token& tok = tokens_[i];
+      if (tok.kind == TokenKind::kDot || tok.kind == TokenKind::kEof) break;
+      if (tok.kind == TokenKind::kVariable && tok.text.size() > 2 &&
+          tok.text.compare(0, 2, "__") == 0) {
+        clause_underscored_.push_back(tok.text);
+      }
+    }
+  }
+
   /// clause := atom (":-" atoms)? "." | "?-" atom "."
   Status ParseClause(ParsedUnit* unit) {
+    BeginClause();
     if (At(TokenKind::kQuery)) {
       Advance();
       EXDL_ASSIGN_OR_RETURN(Atom q, ParseAtomNode());
@@ -126,7 +158,8 @@ class ParserImpl {
       unit->program.SetQuery(std::move(q));
       return Status::Ok();
     }
-    EXDL_ASSIGN_OR_RETURN(Atom head, ParseAtomNode());
+    bool adorned = false;
+    EXDL_ASSIGN_OR_RETURN(Atom head, ParseAtomNode(&adorned));
     if (At(TokenKind::kImplies)) {
       Advance();
       std::vector<Atom> body;
@@ -155,6 +188,7 @@ class ParserImpl {
           "fact with variables is not allowed (the IDB holds no facts): " +
           std::to_string(head.args.size()) + "-ary clause");
     }
+    unit->adorned_facts = unit->adorned_facts || adorned;
     unit->facts.push_back(std::move(head));
     return Status::Ok();
   }
@@ -165,6 +199,8 @@ class ParserImpl {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   Context* ctx_;
+  size_t next_anonymous_ = 0;
+  std::vector<std::string> clause_underscored_;
 };
 
 }  // namespace
@@ -189,6 +225,7 @@ Result<ParsedUnit> ParseProgram(std::string_view source, ContextPtr ctx) {
 Result<Atom> ParseAtom(std::string_view source, Context* ctx) {
   EXDL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   ParserImpl impl(std::move(tokens), ctx);
+  impl.BeginClause();
   EXDL_ASSIGN_OR_RETURN(Atom atom, impl.ParseAtomNode());
   if (impl.At(TokenKind::kDot)) impl.Advance();
   if (!impl.AtEof()) {
@@ -200,6 +237,7 @@ Result<Atom> ParseAtom(std::string_view source, Context* ctx) {
 Result<Rule> ParseRule(std::string_view source, Context* ctx) {
   EXDL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   ParserImpl impl(std::move(tokens), ctx);
+  impl.BeginClause();
   EXDL_ASSIGN_OR_RETURN(Atom head, impl.ParseAtomNode());
   std::vector<Atom> body;
   if (impl.At(TokenKind::kImplies)) {

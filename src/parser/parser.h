@@ -29,6 +29,9 @@ inline constexpr size_t kMaxClauses = 1u << 20;   ///< Clauses per program.
 struct ParsedUnit {
   Program program;          ///< Rules and (optional) query.
   std::vector<Atom> facts;  ///< Ground facts destined for the EDB.
+  /// Some fact names an adorned predicate version (`p@nd(z).`). Only the
+  /// optimizer's rewrites define those, so LOAD_FACTS refuses them.
+  bool adorned_facts = false;
 
   explicit ParsedUnit(ContextPtr ctx) : program(std::move(ctx)) {}
 };

@@ -150,6 +150,12 @@ Status QueryService::LoadFactsImpl(std::string_view source, bool durable) {
     return Status::InvalidArgument(
         "LoadFacts source must contain only ground facts");
   }
+  // Adorned versions belong to the optimizer's rewrites, which treat them
+  // as starting empty. Recovery replays what an earlier build accepted.
+  if (durable && parsed.adorned_facts) {
+    return Status::InvalidArgument(
+        "LoadFacts cannot load facts into an adorned predicate");
+  }
   DatabaseSnapshot published;
   {
     std::lock_guard<std::mutex> lock(mu_);

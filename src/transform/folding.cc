@@ -152,83 +152,4 @@ Result<FoldingResult> FoldAlmostUnitRules(const Program& program) {
   return result;
 }
 
-Result<Program> UnfoldAuxiliaries(const Program& program,
-                                  const std::unordered_set<PredId>& targets) {
-  Program out = program.Clone();
-  Context& ctx = program.ctx();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (PredId aux : targets) {
-      if (out.query() && out.query()->pred == aux) continue;
-      std::vector<size_t> defs = out.RulesDefining(aux);
-      if (defs.size() != 1) continue;
-      const Rule def = out.rules()[defs[0]];
-      if (def.BodyContains(aux)) continue;  // directly recursive
-      bool head_ok = true;
-      std::unordered_set<SymbolId> head_vars;
-      for (const Term& t : def.head.args) {
-        if (!t.IsVar() || !head_vars.insert(t.id()).second) head_ok = false;
-      }
-      if (!head_ok) continue;
-      bool used_negated = false;
-      bool used_anywhere = false;
-      for (const Rule& r : out.rules()) {
-        for (const Atom& lit : r.body) {
-          if (lit.pred != aux) continue;
-          used_anywhere = true;
-          used_negated = used_negated || lit.negated;
-        }
-      }
-      if (used_negated) continue;
-
-      std::vector<Rule> new_rules;
-      for (size_t ri = 0; ri < out.rules().size(); ++ri) {
-        if (ri == defs[0]) continue;  // drop the definition
-        Rule rule = out.rules()[ri];
-        for (;;) {
-          size_t pos = rule.body.size();
-          for (size_t i = 0; i < rule.body.size(); ++i) {
-            if (rule.body[i].pred == aux) {
-              pos = i;
-              break;
-            }
-          }
-          if (pos == rule.body.size()) break;
-          Atom call = rule.body[pos];
-          // Substitution: definition head var -> call argument; other
-          // definition variables get fresh names per inlining site.
-          std::unordered_map<SymbolId, Term> subst;
-          for (size_t i = 0; i < def.head.args.size(); ++i) {
-            subst.emplace(def.head.args[i].id(), call.args[i]);
-          }
-          std::vector<Atom> inlined;
-          for (const Atom& lit : def.body) {
-            Atom copy = lit;
-            for (Term& t : copy.args) {
-              if (!t.IsVar()) continue;
-              auto it = subst.find(t.id());
-              if (it == subst.end()) {
-                it = subst.emplace(t.id(), Term::Var(ctx.FreshSymbol("I")))
-                         .first;
-              }
-              t = it->second;
-            }
-            inlined.push_back(std::move(copy));
-          }
-          rule.body.erase(rule.body.begin() +
-                          static_cast<std::ptrdiff_t>(pos));
-          rule.body.insert(rule.body.end(), inlined.begin(), inlined.end());
-        }
-        new_rules.push_back(std::move(rule));
-      }
-      out.mutable_rules() = std::move(new_rules);
-      (void)used_anywhere;
-      changed = true;
-      break;  // rule indices shifted; rescan
-    }
-  }
-  return out;
-}
-
 }  // namespace exdl

@@ -15,9 +15,9 @@
 // some *other* rule contains a homomorphic instance of it (so the fold can
 // actually enable a subsumption).
 //
-// UnfoldSingleRuleAuxiliaries inverts the move after deletion has run:
-// every surviving auxiliary (single defining rule, non-recursive, used
-// only positively) is inlined away, so folding never leaves residue.
+// UnfoldPredicates (transform/unfolding.h) inverts the move after deletion
+// has run: every surviving auxiliary (single defining rule, non-recursive,
+// used only positively) is inlined away, so folding never leaves residue.
 
 #ifndef EXDL_TRANSFORM_FOLDING_H_
 #define EXDL_TRANSFORM_FOLDING_H_
@@ -40,12 +40,6 @@ struct FoldingResult {
 /// comment). Positive programs only (folding through negation would hide
 /// literals under the auxiliary).
 Result<FoldingResult> FoldAlmostUnitRules(const Program& program);
-
-/// Inlines away predicates in `targets` that are defined by exactly one
-/// non-recursive rule and never used negated. Predicates that do not meet
-/// the conditions are left untouched.
-Result<Program> UnfoldAuxiliaries(const Program& program,
-                                  const std::unordered_set<PredId>& targets);
 
 }  // namespace exdl
 

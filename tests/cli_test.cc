@@ -3,6 +3,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -372,6 +373,52 @@ TEST_F(CliRecoveryTest, NaiveNoCutResumeRoundTrips) {
   EXPECT_NE(out.find("written by a different program or evaluation options"),
             std::string::npos)
       << out;
+}
+
+// An unfolded program (s@nd inlined into q@n's rule) checkpoints in one
+// process and resumes in another: the resuming process re-derives the same
+// fingerprint and interning tables from its own compile, or ArmResume
+// would refuse the snapshot.
+TEST_F(CliRecoveryTest, UnfoldedProgramResumesInAnotherProcess) {
+  const std::string path = ::testing::TempDir() + "/cli_test_unfolded.dl";
+  {
+    std::ofstream out(path);
+    out << "tc(X, Y) :- e(X, Y).\n"
+           "tc(X, Z) :- e(X, Y), tc(Y, Z).\n"
+           "q(X) :- tc(X, Y), s(Y, _).\n"
+           "s(X, Y) :- f(X, Y).\n"
+           "?- q(X).\n";
+    for (int i = 0; i < 60; ++i) {
+      out << "e(n" << i << ", n" << i + 1 << ").\n";
+    }
+    out << "f(n60, m).\n";
+  }
+  int status = 0;
+  const std::string printed =
+      RunCommand(Exdlc() + " optimize " + path, &status);
+  ASSERT_EQ(DecodeExitCode(status), 0);
+  EXPECT_NE(printed.find("q@n(X) :- tc@nn(X, Y), f(Y, I_0)."),
+            std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find("unfolded 1 predicate(s)"), std::string::npos);
+
+  const std::string run = Exdlc() + " run " + path + " --optimize";
+  std::string ref = RunCommand("( " + run + " 2>/dev/null )", &status);
+  ASSERT_EQ(DecodeExitCode(status), 0);
+  EXPECT_EQ(std::count(ref.begin(), ref.end(), '\n'), 60) << ref;
+
+  std::string dir = MakeCheckpointDir();
+  std::string out = RunCommand("EXDL_FAULT_SPEC=storage.arena_grow:20:abort " +
+                                   run + " --checkpoint-dir " + dir +
+                                   " --checkpoint-every-rounds 1",
+                               &status);
+  EXPECT_EQ(DecodeExitCode(status), 86) << out;
+  ASSERT_TRUE(FileExists(dir + "/checkpoint.exdl"));
+  std::string resumed = RunCommand(
+      "( " + run + " --resume " + dir + "/checkpoint.exdl 2>/dev/null )",
+      &status);
+  EXPECT_EQ(DecodeExitCode(status), 0);
+  EXPECT_EQ(resumed, ref);
 }
 
 TEST_F(CliRecoveryTest, CorruptCheckpointExitsSeven) {

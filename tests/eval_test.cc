@@ -11,6 +11,7 @@
 #include "eval/plan.h"
 #include "service/answer_text.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "testing/test_util.h"
 
 namespace exdl {
@@ -347,7 +348,7 @@ TEST(ExtractAnswersTest, FlatRowsMatchTheRowVectorReference) {
   auto ctx = std::make_shared<Context>();
   std::vector<Value> domain;
   for (int i = 0; i < 6; ++i) {
-    domain.push_back(ctx->InternSymbol("d" + std::to_string(i)));
+    domain.push_back(ctx->InternSymbol(StrCat("d", std::to_string(i))));
   }
   std::vector<SymbolId> var_pool;
   for (const char* v : {"X", "Y", "Z"}) {

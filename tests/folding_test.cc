@@ -9,6 +9,7 @@
 #include "equiv/summary_closure.h"
 #include "testing/test_util.h"
 #include "transform/folding.h"
+#include "transform/unfolding.h"
 
 namespace exdl {
 namespace {
@@ -53,18 +54,18 @@ TEST(FoldingTest, UnfoldRestoresShape) {
   auto parsed = MustParse(kExample11);
   Result<FoldingResult> folded = FoldAlmostUnitRules(parsed.program);
   ASSERT_TRUE(folded.ok());
-  Result<Program> unfolded =
-      UnfoldAuxiliaries(folded->program, folded->aux_preds);
+  Result<UnfoldResult> unfolded =
+      UnfoldPredicates(folded->program, folded->aux_preds);
   ASSERT_TRUE(unfolded.ok());
   // No auxiliary remains.
-  for (const Rule& r : unfolded->rules()) {
+  for (const Rule& r : unfolded->program.rules()) {
     EXPECT_EQ(folded->aux_preds.count(r.head.pred), 0u);
     for (const Atom& lit : r.body) {
       EXPECT_EQ(folded->aux_preds.count(lit.pred), 0u);
     }
   }
   Result<RandomCheckReport> check =
-      CheckQueryEquivalentOnEdb(parsed.program, *unfolded);
+      CheckQueryEquivalentOnEdb(parsed.program, unfolded->program);
   ASSERT_TRUE(check.ok());
   EXPECT_TRUE(check->equivalent) << check->counterexample;
 }

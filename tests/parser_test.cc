@@ -88,6 +88,39 @@ TEST(ParserTest, AnonymousVariablesAreFreshPerOccurrence) {
   EXPECT_NE(a, b);
 }
 
+// Anonymous variables are named __0, __1, ... afresh in every clause,
+// skipping `__` names the clause itself uses, so reparsing (or parsing
+// another program into the same context) interns no new symbol.
+TEST(ParserTest, AnonymousVariableNamesAreReusedPerClause) {
+  ContextPtr ctx = std::make_shared<Context>();
+  const std::string source =
+      "p(X) :- q(X, _), r(_, __0).\n"
+      "s(X) :- q(X, _).\n"
+      "?- p(_).\n";
+  Result<ParsedUnit> first = ParseProgram(source, ctx);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(ToString(first->program),
+            "p(X) :- q(X, __1), r(__2, __0).\n"
+            "s(X) :- q(X, __0).\n"
+            "?- p(__0).\n");
+  const size_t symbols = ctx->NumSymbols();
+  Result<ParsedUnit> again = ParseProgram(ToString(first->program), ctx);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(ToString(again->program), ToString(first->program));
+  ASSERT_TRUE(ParseProgram(source, ctx).ok());
+  EXPECT_EQ(ctx->NumSymbols(), symbols);
+}
+
+TEST(ParserTest, FlagsFactsOfAdornedPredicates) {
+  ContextPtr ctx = std::make_shared<Context>();
+  Result<ParsedUnit> plain = ParseProgram("p(a). q@n(X) :- p(X).", ctx);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_FALSE(plain->adorned_facts);
+  Result<ParsedUnit> adorned = ParseProgram("p(a). p@nd(b, c).", ctx);
+  ASSERT_TRUE(adorned.ok());
+  EXPECT_TRUE(adorned->adorned_facts);
+}
+
 TEST(ParserTest, RejectsNonGroundFact) {
   ContextPtr ctx = std::make_shared<Context>();
   Result<ParsedUnit> r = ParseProgram("p(X).\n", ctx);

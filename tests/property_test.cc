@@ -16,6 +16,7 @@
 #include "grammar/language.h"
 #include "transform/components.h"
 #include "transform/folding.h"
+#include "transform/unfolding.h"
 #include "transform/projection.h"
 
 namespace exdl {
@@ -158,6 +159,40 @@ TEST_P(SeededProperty, PrinterParserRoundTrip) {
   Result<ParsedUnit> reparsed = ParseProgram(printed, ctx);
   ASSERT_TRUE(reparsed.ok()) << printed;
   EXPECT_EQ(ToString(reparsed->program), printed);
+}
+
+// The unfold phase must actually be exercised, or the equivalence checks
+// say nothing about it. With the default generator (two rules per derived
+// predicate) it fires on 3 of the 32 seeds FullPipelinePreservesQueryAnswers
+// uses; with one rule per derived predicate on 20 of 32, and those
+// programs are checked for equivalence here.
+TEST(PropertyRegressionTest, UnfoldFiresOnAStatedShareOfSeeds) {
+  auto fired_on = [](int rules_per_idb) {
+    size_t fired = 0;
+    for (uint64_t seed = 1; seed < 33; ++seed) {
+      ContextPtr ctx = std::make_shared<Context>();
+      RandomProgramOptions options;
+      options.seed = seed;
+      options.rules_per_idb = rules_per_idb;
+      Program original = RandomProgram(ctx, options);
+      Result<OptimizedProgram> optimized = OptimizeExistential(original);
+      EXPECT_TRUE(optimized.ok());
+      if (!optimized.ok() || optimized->report.predicates_unfolded == 0) {
+        continue;
+      }
+      ++fired;
+      RandomCheckOptions check_options;
+      check_options.seed = seed * 41 + 1;
+      Result<RandomCheckReport> report = CheckQueryEquivalentOnEdb(
+          original, optimized->program, check_options);
+      EXPECT_TRUE(report.ok() && report->equivalent)
+          << "seed " << seed << "\noriginal:\n" << ToString(original)
+          << "\nunfolded:\n" << ToString(optimized->program);
+    }
+    return fired;
+  };
+  EXPECT_EQ(fired_on(2), 3u);
+  EXPECT_EQ(fired_on(1), 20u);
 }
 
 TEST(PropertyRegressionTest, GeneratorIsDeterministic) {
@@ -343,19 +378,19 @@ TEST_P(FoldingProperty, FoldThenUnfoldPreservesAnswers) {
   Program program = testing::RandomProgram(ctx, options);
   Result<FoldingResult> folded = FoldAlmostUnitRules(program);
   ASSERT_TRUE(folded.ok());
-  Result<Program> unfolded =
-      UnfoldAuxiliaries(folded->program, folded->aux_preds);
+  Result<UnfoldResult> unfolded =
+      UnfoldPredicates(folded->program, folded->aux_preds);
   ASSERT_TRUE(unfolded.ok());
   RandomCheckOptions check_options;
   check_options.seed = GetParam();
   check_options.trials = 8;
   Result<RandomCheckReport> report =
-      CheckQueryEquivalentOnEdb(program, *unfolded, check_options);
+      CheckQueryEquivalentOnEdb(program, unfolded->program, check_options);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->equivalent)
       << ToString(program) << "\n-- folded:\n"
       << ToString(folded->program) << "\n-- unfolded:\n"
-      << ToString(*unfolded) << "\n"
+      << ToString(unfolded->program) << "\n"
       << report->counterexample;
 }
 

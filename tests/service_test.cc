@@ -418,8 +418,52 @@ TEST(QueryServiceTest, SnapshotGenerationsIsolateFactLoads) {
   EXPECT_EQ(AnswerStrings(*service.ctx(), gen2.result.answers),
             (std::vector<std::string>{"b", "c", "d"}));
 
-  // Rules are not facts.
+  // Rules are not facts, and adorned versions belong to the optimizer.
   EXPECT_FALSE(service.LoadFacts("p(X) :- e(X, Y).").ok());
+  const Status adorned = service.LoadFacts("e(x, y). tc@nd(z).");
+  EXPECT_EQ(adorned.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(adorned.ToString().find("adorned predicate"), std::string::npos);
+  EXPECT_EQ(service.snapshot().generation(), 2u);
+}
+
+// The §3.1 boolean of serve_mix, true and false: the optimized service
+// (which unfolds tc@nd into the boolean's rule) renders byte-identically
+// to the unoptimized one, across fact loads.
+TEST(QueryServiceTest, OptimizedBooleansRenderLikeUnoptimized) {
+  const std::string rules = "tc(X, Y) :- e(X, Y).\n"
+                            "tc(X, Y) :- e(X, Z), tc(Z, Y).\n";
+  const std::vector<std::string> queries = {
+      rules + "hit :- e(a, Y), tc(Y, _).\n?- hit.\n",  // true
+      rules + "hit :- e(c, Y), tc(Y, _).\n?- hit.\n",  // false at gen 1
+      rules + "hit :- e(z, Y), tc(Y, _).\n?- hit.\n",  // no such node
+      rules + "q(X) :- tc(X, _).\n?- q(X).\n"};
+  auto render = [&](bool optimize) {
+    ServiceOptions options;
+    options.compile.optimize = optimize;
+    QueryService service(options);
+    std::vector<std::string> out;
+    for (const char* load : {"e(a, b). e(b, c).", "e(c, d). e(d, a)."}) {
+      EXPECT_TRUE(service.LoadFacts(load).ok());
+      for (const std::string& source : queries) {
+        QueryResponse response =
+            service.Await(service.Submit({.source = source}));
+        EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+        if (optimize && source.find("hit") != std::string::npos) {
+          EXPECT_EQ(response.program->report().predicates_unfolded, 1u);
+        }
+        out.push_back(std::to_string(response.result.answers.size()) + ":" +
+                      RenderAnswerRows(*service.ctx(),
+                                       response.result.answers));
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> plain = render(false);
+  EXPECT_EQ(render(true), plain);
+  // True renders as one empty row, false as no row.
+  EXPECT_EQ(plain[0], "1:\n");
+  EXPECT_EQ(plain[1], "0:");
+  EXPECT_EQ(plain[5], "1:\n");
 }
 
 // LoadFacts counts the relations it detaches from the published snapshot

@@ -25,9 +25,11 @@
 #      (full_recomputes=0), and the view survives across connections
 #      until UNREGISTER drops it;
 #   7. large answers: over a 512x16 chain EDB, Example 1's
-#      q(X) :- tc(X, _) (8,192 rows), ?- tc(c0x0, Y) and a 0-ary boolean,
-#      each printed byte-identically by `exdlc run --jobs 1`, a plain
-#      daemon and an --optimize daemon.
+#      q(X) :- tc(X, _) (8,192 rows), ?- tc(c0x0, Y), a 0-ary boolean and
+#      the §3.1 boolean hit :- e(c, Y), tc(Y, _) once true and once false
+#      (the --optimize daemon unfolds tc@nd into it), each printed
+#      byte-identically by `exdlc run --jobs 1`, a plain daemon and an
+#      --optimize daemon.
 #
 # Any divergent output, unexpected exit code, or invalid document fails
 # the smoke. Runs are bounded by `timeout` so a hang cannot stall CI.
@@ -314,8 +316,12 @@ tc(X, Z) :- e(X, Y), tc(Y, Z)."
 printf '%s\nq(X) :- tc(X, _).\n?- q(X).\n' "$TC_RULES" >"$WORK/large_ex1.dl"
 printf '%s\n?- tc(c0x0, Y).\n' "$TC_RULES" >"$WORK/large_bin.dl"
 printf '%s\nhit :- tc(c0x0, c0x16).\n?- hit.\n' "$TC_RULES" >"$WORK/large_bool.dl"
+printf '%s\nhit :- e(c0x3, Y), tc(Y, _).\n?- hit.\n' "$TC_RULES" \
+  >"$WORK/large_hit_true.dl"
+printf '%s\nhit :- e(c0x15, Y), tc(Y, _).\n?- hit.\n' "$TC_RULES" \
+  >"$WORK/large_hit_false.dl"
 LARGE=""
-for name in large_ex1 large_bin large_bool; do
+for name in large_ex1 large_bin large_bool large_hit_true large_hit_false; do
   cat "$WORK/chains.facts" >>"$WORK/$name.dl"
   LARGE="$LARGE $WORK/$name.dl"
 done
@@ -323,10 +329,11 @@ done
 $RUN "$EXDLC" run $LARGE --jobs 1 >"$WORK/large_ref.out" 2>/dev/null \
   || flunk "in-process run of the large-answer batch failed"
 rows=$(awk '/^== /{name = $2; sub(/.*\//, "", name); next} {n[name]++} END {
-  printf "%d %d %d", n["large_ex1.dl"], n["large_bin.dl"], n["large_bool.dl"] }' \
+  printf "%d %d %d %d %d", n["large_ex1.dl"], n["large_bin.dl"],
+    n["large_bool.dl"], n["large_hit_true.dl"], n["large_hit_false.dl"] }' \
   "$WORK/large_ref.out")
-[ "$rows" = "8192 16 1" ] \
-  || flunk "large-answer reference rows (ex1 bin bool) are $rows, want 8192 16 1"
+[ "$rows" = "8192 16 1 1 0" ] \
+  || flunk "large-answer reference rows (ex1 bin bool hit_true hit_false) are $rows, want 8192 16 1 1 0"
 for mode in "" "--optimize"; do
   start_daemon "$mode" \
     || { flunk "exdld $mode did not start for the large-answer phase"; exit 1; }
@@ -340,7 +347,7 @@ for mode in "" "--optimize"; do
   kill -TERM "$DPID" 2>/dev/null
   wait "$DPID" 2>/dev/null
 done
-say "8,192-row, 16-row and boolean answers are byte-identical over the socket"
+say "8,192-row, 16-row and boolean (true and false) answers are byte-identical over the socket"
 
 if [ "$fail" -ne 0 ]; then
   echo "daemon smoke: FAILED"
