@@ -99,6 +99,14 @@ size_t Context::NumPredicates() const {
   return preds_.size();
 }
 
+bool Context::MayHoldBaseFacts(PredId id) const {
+  std::shared_lock lock(mu_);
+  assert(id < preds_.size());
+  const PredicateInfo& info = preds_[id];
+  return info.adornment.empty() &&
+         symbols_[info.name].find('$') == std::string::npos;
+}
+
 std::string Context::PredicateDisplayName(PredId id) const {
   std::shared_lock lock(mu_);
   assert(id < preds_.size());

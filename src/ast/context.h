@@ -37,6 +37,7 @@
 #include <utility>
 
 #include "ast/adornment.h"
+#include "util/string_util.h"
 
 namespace exdl {
 
@@ -79,6 +80,20 @@ class Context {
   /// `<hint>$<counter>`.
   SymbolId FreshSymbol(std::string_view hint);
 
+  /// Interns `<hint>_<n>` for n = *next, *next + 1, ... (advancing *next)
+  /// and returns the first such symbol `taken` rejects. Compile-time
+  /// names (inlined variables, boolean components, frozen constants) start
+  /// *next at 0 on every compile, so repeated compiles reuse the same few
+  /// interned symbols instead of growing a long-lived context.
+  template <typename Taken>
+  SymbolId InternUnused(std::string_view hint, size_t* next, Taken&& taken) {
+    SymbolId name;
+    do {
+      name = InternSymbol(StrCat(hint, "_", std::to_string((*next)++)));
+    } while (taken(name));
+    return name;
+  }
+
   // -- Predicates ------------------------------------------------------
 
   /// Interns the predicate version (name, arity, adornment).
@@ -106,6 +121,12 @@ class Context {
     std::shared_lock lock(mu_);
     fn(std::as_const(symbols_), std::as_const(preds_));
   }
+
+  /// False for the predicates no fact can populate: adorned versions
+  /// (source facts for one make the optimizer skip, LOAD_FACTS refuses
+  /// them) and `$` predicates (the lexer rejects `$`). The rewrites rely
+  /// on those starting empty.
+  bool MayHoldBaseFacts(PredId id) const;
 
   /// Human-readable name: "a", "a@nd", or "a@nd/1" when projected.
   std::string PredicateDisplayName(PredId id) const;

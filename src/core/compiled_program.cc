@@ -1,6 +1,7 @@
 #include "core/compiled_program.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "ast/printer.h"
 #include "parser/parser.h"
@@ -26,6 +27,25 @@ std::vector<PredId> FactPredicates(const Database& facts) {
   for (const auto& [pred, rel] : facts.relations()) preds.push_back(pred);
   std::sort(preds.begin(), preds.end());
   return preds;
+}
+
+/// The predicates of `optimized` that neither `source` nor its `facts`
+/// name (the ones the rewrites introduced, such as boolean components)
+/// and that a load could still populate, sorted.
+std::vector<PredId> IntroducedPredicates(const Program& source,
+                                         const Database& facts,
+                                         const Program& optimized) {
+  const Context& ctx = source.ctx();
+  const std::unordered_set<PredId> known = source.AllPredicates();
+  std::vector<PredId> out;
+  for (PredId p : optimized.AllPredicates()) {
+    if (!known.contains(p) && facts.Find(p) == nullptr &&
+        ctx.MayHoldBaseFacts(p)) {
+      out.push_back(p);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace
@@ -97,6 +117,9 @@ Result<CompiledProgram::Ptr> CompiledProgram::Compile(
 
 Database CompiledProgram::SessionEdb(const Database& snapshot) const {
   Database edb = snapshot.Clone();
+  // The rewrites treat their own predicates as starting empty, whatever a
+  // load may have put under the same names.
+  for (PredId p : introduced_) edb.Erase(p);
   for (const auto& [pred, rel] : facts_.relations()) {
     Relation& dst = edb.GetOrCreate(pred, rel.arity());
     for (size_t row = 0; row < rel.size(); ++row) {
@@ -122,6 +145,8 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
     EXDL_ASSIGN_OR_RETURN(
         OptimizedProgram optimized,
         OptimizeExistential(out->program_, opt, FactPredicates(out->facts_)));
+    out->introduced_ = IntroducedPredicates(out->program_, out->facts_,
+                                            optimized.program);
     out->program_ = std::move(optimized.program);
     out->report_ = std::move(optimized.report);
     out->optimize_termination_ = std::move(optimized.termination);
@@ -139,9 +164,12 @@ Result<CompiledProgram::Ptr> CompiledProgram::Optimize(
   EXDL_ASSIGN_OR_RETURN(
       OptimizedProgram optimized,
       OptimizeExistential(base.program_, opt, FactPredicates(base.facts_)));
+  std::vector<PredId> introduced =
+      IntroducedPredicates(base.program_, base.facts_, optimized.program);
   std::shared_ptr<CompiledProgram> out(new CompiledProgram(
       base.ctx_, std::move(optimized.program)));
   out->facts_ = base.facts_.Clone();
+  out->introduced_ = std::move(introduced);
   out->report_ = std::move(optimized.report);
   out->optimize_termination_ = std::move(optimized.termination);
   out->magic_seed_ = std::move(optimized.magic_seed);

@@ -24,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/optimizer.h"
 #include "eval/evaluator.h"
@@ -107,7 +108,8 @@ class CompiledProgram {
   /// session EDB is O(#relations).
   const Database& facts() const { return facts_; }
   /// The EDB a session evaluates this program over: a copy-on-write clone
-  /// of `snapshot` plus facts(). Session::Run adds the seed fact.
+  /// of `snapshot` without the relations of predicates the optimizer
+  /// introduced, plus facts(). Session::Run adds the seed fact.
   Database SessionEdb(const Database& snapshot) const;
   const OptimizationReport& report() const { return report_; }
   /// OK, or kCancelled when the optimizer stopped at a phase boundary.
@@ -129,6 +131,10 @@ class CompiledProgram {
   Status optimize_termination_;
   std::optional<Atom> magic_seed_;
   bool optimized_ = false;
+  /// Predicates of program_ that the source program and its facts do not
+  /// name and that may hold base facts, sorted. SessionEdb drops their
+  /// snapshot relations.
+  std::vector<PredId> introduced_;
 };
 
 }  // namespace exdl

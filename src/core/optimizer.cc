@@ -197,7 +197,7 @@ Result<OptimizedProgram> OptimizeExistential(
   if (options.extract_components) {
     PhaseScope phase = begin_phase("components");
     EXDL_ASSIGN_OR_RETURN(ComponentResult components,
-                          ExtractComponents(out.program));
+                          ExtractComponents(out.program, fact_preds));
     out.report.booleans_created = components.booleans_created;
     out.report.rules_split = components.rules_split;
     out.program = std::move(components.program);

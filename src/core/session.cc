@@ -289,6 +289,8 @@ std::string RenderTelemetryDoc(
   w.UInt(run.representation.words_scanned);
   w.Key("fallbacks");
   w.UInt(run.representation.fallbacks);
+  w.Key("projection_rows");
+  w.UInt(run.representation.projection_rows);
   w.EndObject();
   w.EndObject();
   if (extra) extra(w);

@@ -170,8 +170,7 @@ Result<bool> DeletableUnderOptimisticUqe(const Program& program,
     return Status::FailedPrecondition(
         "the optimistic test requires a positive program");
   }
-  Context* ctx = program.context().get();
-  FrozenRule frozen = FreezeRule(program.rules()[rule_index], ctx);
+  FrozenRule frozen = FreezeRule(program.rules()[rule_index], program);
 
   Program without(program.context());
   for (size_t i = 0; i < program.rules().size(); ++i) {
@@ -191,7 +190,10 @@ Result<bool> DeletableUnderOptimisticUqe(const Program& program,
       for (Value v : rel.view().Scan(r)) opt.extra_domain.push_back(v);
     }
   }
-  Value anyctx = ctx->FreshSymbol("anyctx");
+  size_t next_name = 0;
+  Value anyctx = program.ctx().InternUnused(
+      "anyctx", &next_name,
+      [&](SymbolId c) { return frozen.avoided.count(c) > 0; });
   opt.extra_domain.push_back(anyctx);
   opt.flexible.insert(anyctx);
   // Every frozen constant is flexible: a context may instantiate the rule

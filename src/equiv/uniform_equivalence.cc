@@ -25,9 +25,8 @@ Result<bool> UniformlyContains(const Program& p2, const Program& p1) {
     return Status::FailedPrecondition(
         "uniform containment is only defined here for positive programs");
   }
-  Context* ctx = p1.context().get();
   for (const Rule& rule : p1.rules()) {
-    FrozenRule frozen = FreezeRule(rule, ctx);
+    FrozenRule frozen = FreezeRule(rule, p2);
     EXDL_ASSIGN_OR_RETURN(bool derived,
                           Derives(p2, frozen.body_facts, frozen.head));
     if (!derived) return false;
@@ -55,8 +54,7 @@ Result<bool> DeletableUnderUniformEquivalence(const Program& program,
     if (i != rule_index) without.AddRule(program.rules()[i]);
   }
   if (program.query()) without.SetQuery(*program.query());
-  FrozenRule frozen =
-      FreezeRule(program.rules()[rule_index], program.context().get());
+  FrozenRule frozen = FreezeRule(program.rules()[rule_index], program);
   return Derives(without, frozen.body_facts, frozen.head);
 }
 

@@ -35,6 +35,19 @@ AnswerRows::AnswerRows(uint32_t arity, size_t rows, std::vector<Value> values)
   }
 }
 
+AnswerRows AnswerRows::Presorted(uint32_t arity, size_t rows,
+                                 std::vector<Value> values) {
+  AnswerRows out;
+  out.arity_ = arity;
+  out.rows_ = rows;
+  out.values_ = std::move(values);
+  assert(out.values_.size() == rows * arity);
+  for (size_t r = 1; r < rows && arity > 0; ++r) {
+    assert(RowLess(out[r - 1], out[r]));
+  }
+  return out;
+}
+
 AnswerRows AnswerRows::Union(AnswerRows a, const AnswerRows& b) {
   if (b.empty()) return a;
   if (a.empty()) return b;

@@ -26,6 +26,10 @@ class AnswerRows {
   /// Takes `rows` distinct rows of `arity` values laid out row-major in
   /// `values`, in any order, and sorts them.
   AnswerRows(uint32_t arity, size_t rows, std::vector<Value> values);
+  /// Takes rows that are already sorted and distinct (strictly
+  /// increasing, asserted in debug builds) without sorting them again.
+  static AnswerRows Presorted(uint32_t arity, size_t rows,
+                              std::vector<Value> values);
   /// A moved-from set is empty, never a row count without its values.
   AnswerRows(AnswerRows&& other) noexcept
       : arity_(other.arity_),

@@ -182,6 +182,9 @@ struct DescentState {
   /// 64-bit words read by the bitset kernels on this participant's
   /// partitions (storage.representation.words_scanned after the merge).
   uint64_t words_scanned = 0;
+  /// Outer rows this participant emitted through projection runs
+  /// (storage.representation.projection_rows after the merge).
+  uint64_t projection_rows = 0;
   /// Bitset-kernel scratch: the surviving-values mask of the current
   /// all-unary variant partition (reused across variants; sized to the
   /// outer relation's bitset).
@@ -332,6 +335,8 @@ class Engine {
                   static_cast<double>(rep_stats_.words_scanned));
       obs_.m->Add(obs_.rep_fallbacks,
                   static_cast<double>(rep_stats_.fallbacks));
+      obs_.m->Add(obs_.rep_projection_rows,
+                  static_cast<double>(rep_stats_.projection_rows));
     }
     result.stats = stats_;
     result.representation = rep_stats_;
@@ -673,6 +678,8 @@ class Engine {
         m.Gauge("storage.representation.bitset_relations");
     obs_.rep_words_scanned = m.Counter("storage.representation.words_scanned");
     obs_.rep_fallbacks = m.Counter("storage.representation.fallbacks");
+    obs_.rep_projection_rows =
+        m.Counter("storage.representation.projection_rows");
     for (size_t k = 1; k <= static_cast<size_t>(BudgetKind::kCancelled);
          ++k) {
       obs_.trip_counters[k] = m.Counter(
@@ -1067,23 +1074,68 @@ class Engine {
   }
 
   /// Executes one outer-range partition of a bitset-eligible variant
-  /// (ranges[0] is this participant's slice). Shape A — unary outer scan,
-  /// no binary probe — runs word-wise mask kernels and replays the arena
-  /// for emission; Shape B — binary outer scan and/or one binary index
-  /// probe — runs a tight per-row loop over the pre-resolved bit probes.
-  /// Both reproduce the generic descent's derivation sequence and counters
+  /// (ranges[0] is this participant's slice). A projection (one scan, no
+  /// probes) is a single column gather; Shape A — unary outer scan, no
+  /// binary probe — runs word-wise mask kernels and replays the arena for
+  /// emission; Shape B — binary outer scan and/or one binary index probe —
+  /// runs a tight per-row loop over the pre-resolved bit probes. All three
+  /// reproduce the generic descent's derivation sequence and counters
   /// exactly (DESIGN.md §14).
   void RunBitsetPartition(const RulePlan& plan,
                           const std::vector<RowRange>& ranges,
                           DescentState& ws) {
     ws.open_run = static_cast<size_t>(-1);
     const Relation::View outer = step_rels_[0]->view();
-    if (outer.arity() == 1 &&
-        plan.binary_probe_step == static_cast<size_t>(-1)) {
+    // Governed runs keep a per-row loop: it checks the deadline and the
+    // token every kBudgetCheckStride rows and counts each derivation
+    // against max_derivations_per_round.
+    if (plan.projection && !governed_) {
+      RunProjection(plan, ranges[0], outer, ws);
+    } else if (outer.arity() == 1 &&
+               plan.binary_probe_step == static_cast<size_t>(-1)) {
       RunShapeA(plan, ranges[0], outer, ws);
     } else {
       RunShapeB(plan, ranges, outer, ws);
     }
+  }
+
+  /// Projection run: every outer row derives exactly one head tuple, a
+  /// gather of its columns and the head's constants. The partition is one
+  /// PendingFact run filled column by column, and the generic descent's
+  /// counters — one matched row and one firing per outer row — are folded
+  /// in once.
+  void RunProjection(const RulePlan& plan, RowRange outer,
+                     const Relation::View& view, DescentState& ws) {
+    const uint32_t n = outer.hi - outer.lo;
+    ws.stats.rows_matched += n;
+    ws.stats.rule_firings += n;
+    ws.projection_rows += n;
+    const size_t len = plan.head_args.size();
+    const size_t arity = view.arity();
+    const Value* in =
+        view.Raw().data() + static_cast<size_t>(outer.lo) * arity;
+    const size_t begin = ws.values.size();
+    ws.values.resize(begin + n * len);
+    Value* out = ws.values.data() + begin;
+    const std::vector<ArgSpec>& scan_args = plan.steps[0].args;
+    for (size_t j = 0; j < len; ++j) {
+      const ArgSpec& a = plan.head_args[j];
+      if (a.kind == ArgSpec::Kind::kConst) {
+        for (size_t i = 0; i < n; ++i) out[i * len + j] = a.const_value;
+        continue;
+      }
+      // The one scan binds every head register (the plan is safe).
+      size_t col = 0;
+      while (scan_args[col].reg != a.reg) ++col;
+      for (size_t i = 0; i < n; ++i) out[i * len + j] = in[i * arity + col];
+    }
+    PendingFact fact;
+    fact.pred = plan.head_pred;
+    fact.begin = begin;
+    fact.len = static_cast<uint32_t>(len);
+    fact.rule = static_cast<uint32_t>(current_rule_index_);
+    fact.count = n;
+    ws.buffer.push_back(std::move(fact));
   }
 
   /// Shape A: every surviving binding is a distinct symbol id (the outer
@@ -1247,6 +1299,8 @@ class Engine {
     ws.stats = EvalStats();
     rep_stats_.words_scanned += ws.words_scanned;
     ws.words_scanned = 0;
+    rep_stats_.projection_rows += ws.projection_rows;
+    ws.projection_rows = 0;
     const size_t base = round_values_.size();
     // Power-of-two growth: a range insert would size the arena to
     // max(2 * capacity, size + n), a new odd size on most rounds.
@@ -1413,7 +1467,9 @@ class Engine {
       // Each entry is a run of f.count tuples (stride f.len) from one
       // rule into one relation; the generic descent buffers runs of 1,
       // kernels one run per partition. Resolve the relation and fold the
-      // per-rule telemetry once per run, insert per tuple.
+      // per-rule telemetry once per run. A unary run goes in with one
+      // Relation call unless provenance or the support sink needs each
+      // tuple's outcome; everything else is inserted per tuple.
       Relation& rel = db_->GetOrCreate(f.pred, f.len);
       const Value* base = round_values_.data() + f.begin;
       const bool unary = f.len == 1;
@@ -1426,27 +1482,33 @@ class Engine {
         rel.Reserve(std::bit_ceil(rel.size() + f.count));
       }
       uint64_t inserted = 0;
-      for (uint32_t i = 0; i < f.count; ++i) {
-        const Value* row = base + static_cast<size_t>(i) * f.len;
-        const Relation::InsertResult ins =
-            unary ? Relation::InsertResult{*row, rel.InsertUnary(*row)}
-                  : rel.InsertRow(std::span<const Value>(row, f.len));
-        if (ins.inserted) {
-          ++inserted;
-          if (options_.record_provenance) {
-            uint32_t row_id = static_cast<uint32_t>(rel.size() - 1);
-            provenance_.emplace(TupleRef{f.pred, row_id}, std::move(f.prov));
+      if (unary && !options_.record_provenance &&
+          options_.support_sink == nullptr) {
+        inserted = rel.InsertUnaryRun(std::span<const Value>(base, f.count));
+      } else {
+        for (uint32_t i = 0; i < f.count; ++i) {
+          const Value* row = base + static_cast<size_t>(i) * f.len;
+          const Relation::InsertResult ins =
+              unary ? Relation::InsertResult{*row, rel.InsertUnary(*row)}
+                    : rel.InsertRow(std::span<const Value>(row, f.len));
+          if (ins.inserted) {
+            ++inserted;
+            if (options_.record_provenance) {
+              uint32_t row_id = static_cast<uint32_t>(rel.size() - 1);
+              provenance_.emplace(TupleRef{f.pred, row_id},
+                                  std::move(f.prov));
+            }
           }
-        }
-        if (options_.support_sink != nullptr) {
-          // An arity-1 key is the symbol: only a new row's id is known.
-          if (!unary) {
-            options_.support_sink->Derived(f.pred, ins.key);
-          } else if (ins.inserted) {
-            options_.support_sink->Derived(
-                f.pred, static_cast<uint32_t>(rel.size() - 1));
-          } else {
-            options_.support_sink->Rederived(f.pred, *row);
+          if (options_.support_sink != nullptr) {
+            // An arity-1 key is the symbol: only a new row's id is known.
+            if (!unary) {
+              options_.support_sink->Derived(f.pred, ins.key);
+            } else if (ins.inserted) {
+              options_.support_sink->Derived(
+                  f.pred, static_cast<uint32_t>(rel.size() - 1));
+            } else {
+              options_.support_sink->Rederived(f.pred, *row);
+            }
           }
         }
       }
@@ -1580,6 +1642,7 @@ class Engine {
     obs::MetricId rep_bitset_relations_gauge = 0;
     obs::MetricId rep_words_scanned = 0;
     obs::MetricId rep_fallbacks = 0;
+    obs::MetricId rep_projection_rows = 0;
     /// Indexed by rule index (== CompiledRule::rule_index).
     std::vector<obs::MetricId> rule_derived;
     std::vector<obs::MetricId> rule_duplicates;
@@ -1625,6 +1688,17 @@ AnswerRows ExtractAnswers(const Atom& query, const Database& db,
   // Identity projection: every argument a distinct variable means each
   // stored row IS an answer, so the suffix of the arena is the table.
   if (arity == query.args.size() && arity == rel->arity()) {
+    // A whole unary relation is its membership bitset, whose set bits in
+    // ascending order are the sorted, distinct answers. Walk it when it
+    // has no more words than the relation has rows; a sparse set over a
+    // wide id range is cheaper to sort.
+    const UnaryBitset* bits = view.bits();
+    if (bits != nullptr && first_row == 0 && bits->num_words() <= scanned) {
+      std::vector<Value> sorted;
+      sorted.reserve(scanned);
+      bits->ForEach([&](Value v) { sorted.push_back(v); });
+      return AnswerRows::Presorted(arity, scanned, std::move(sorted));
+    }
     std::span<const Value> raw = view.Raw().subspan(first_row * arity);
     return AnswerRows(arity, scanned, {raw.begin(), raw.end()});
   }

@@ -267,11 +267,15 @@ struct RepresentationStats {
   /// Rules that ran the generic descent because their plan is not
   /// bitset-eligible (or provenance recording forced the generic path).
   uint64_t fallbacks = 0;
+  /// Outer rows emitted by projection runs: single-scan rules whose
+  /// partitions are one column gather, not one head emission per row.
+  uint64_t projection_rows = 0;
 
   RepresentationStats& operator+=(const RepresentationStats& o) {
     bitset_relations += o.bitset_relations;
     words_scanned += o.words_scanned;
     fallbacks += o.fallbacks;
+    projection_rows += o.projection_rows;
     return *this;
   }
 };

@@ -201,7 +201,7 @@ Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options,
   // at most one binary index probe binding exactly one fresh register.
   // Rules outside this shape run the generic descent (counted in
   // storage.representation.fallbacks); answers and counters are identical
-  // either way.
+  // either way. A lone scan (a projection) may have any arity.
   plan.bitset_eligible = !plan.steps.empty();
   for (size_t s = 0; s < plan.steps.size(); ++s) {
     LiteralStep& step = plan.steps[s];
@@ -210,7 +210,8 @@ Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options,
                            step.binds.empty();
     if (s == 0) {
       if (step.negated || !step.index_columns.empty() ||
-          step.args.empty() || step.args.size() > 2 ||
+          step.args.empty() ||
+          (step.args.size() > 2 && plan.steps.size() > 1) ||
           step.binds.size() != step.args.size()) {
         plan.bitset_eligible = false;
       }
@@ -228,6 +229,7 @@ Result<RulePlan> CompileRule(const Rule& rule, const PlanOptions& options,
   if (!plan.bitset_eligible) {
     plan.binary_probe_step = static_cast<size_t>(-1);
   }
+  plan.projection = plan.bitset_eligible && plan.steps.size() == 1;
   return plan;
 }
 

@@ -78,6 +78,12 @@ struct RulePlan {
   /// Step index of the single binary index-probe step, or SIZE_MAX when
   /// the rule has none. Meaningful only when bitset_eligible.
   size_t binary_probe_step = static_cast<size_t>(-1);
+  /// Single-scan projection (DESIGN.md §14): the body is one positive
+  /// literal of any arity binding only fresh distinct registers, so the
+  /// head is a gather of its columns and constants. Implies
+  /// bitset_eligible; the kernels emit a whole partition as one column
+  /// gather instead of one head per row.
+  bool projection = false;
 };
 
 struct PlanOptions {

@@ -37,6 +37,9 @@ class Database {
   const Relation* Find(PredId pred) const;
   Relation* FindMutable(PredId pred);
 
+  /// Drops the relation for `pred`, if any.
+  void Erase(PredId pred) { relations_.erase(pred); }
+
   /// Inserts a ground atom as a fact. Fails on non-ground atoms.
   Status AddFact(const Atom& atom);
 

@@ -212,23 +212,32 @@ class Relation {
   /// InsertRow without the key: true if the tuple was new.
   bool Insert(std::span<const Value> row) { return InsertRow(row).inserted; }
 
-  /// Arity-1 Insert without the span plumbing: one bitset probe for the
-  /// duplicate test, one arena append. Observationally identical to
-  /// Insert({v}) — insert_attempts, row ids, indexes all behave the same.
-  /// Must only be called on arity-1 relations. Inline because it sits on
-  /// the flush hot path of unary (monadic) fixpoints.
-  bool InsertUnary(Value v) {
+  /// Arity-1 inserts without the span plumbing, over a whole run in
+  /// order: one detach, then per value one bitset probe for the duplicate
+  /// test and, when it is new, one arena append. Returns how many values
+  /// were new. Observationally identical to Insert({v}) per value —
+  /// insert_attempts, row ids, indexes all behave the same. Must only be
+  /// called on arity-1 relations. Inline because it sits on the flush hot
+  /// path of unary (monadic) fixpoints.
+  size_t InsertUnaryRun(std::span<const Value> values) {
     Detach();
     Payload& p = *payload_;
     assert(p.arity == 1);
-    ++p.insert_attempts;
-    if (!p.bits.Set(v)) return false;
-    const uint32_t row_id = static_cast<uint32_t>(p.num_rows);
-    p.data.push_back(v);
-    ++p.num_rows;
-    if (!p.indexes.empty()) UpdateIndexes(row_id);
-    return true;
+    p.insert_attempts += values.size();
+    const size_t before = p.num_rows;
+    for (const Value v : values) {
+      if (!p.bits.Set(v)) continue;
+      p.data.push_back(v);
+      ++p.num_rows;
+      if (!p.indexes.empty()) {
+        UpdateIndexes(static_cast<uint32_t>(p.num_rows - 1));
+      }
+    }
+    return p.num_rows - before;
   }
+
+  /// InsertUnaryRun of one value: true if it was new.
+  bool InsertUnary(Value v) { return InsertUnaryRun({&v, 1}) == 1; }
 
   /// Pre-sizes the arena and dedup table for `rows` tuples. Detaches a
   /// shared payload first.

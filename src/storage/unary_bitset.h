@@ -48,6 +48,16 @@ class UnaryBitset {
 
   void Clear() { words_.clear(); }
 
+  /// Calls `fn(v)` for every set bit v in ascending order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      for (uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        fn(static_cast<uint32_t>(w * kWordBits + std::countr_zero(word)));
+      }
+    }
+  }
+
   /// Population count across all words.
   uint64_t Count() const {
     uint64_t n = 0;

@@ -6,10 +6,21 @@
 
 namespace exdl {
 
-Result<ComponentResult> ExtractComponents(const Program& program) {
+Result<ComponentResult> ExtractComponents(
+    const Program& program, const std::vector<PredId>& fact_preds) {
   Context& ctx = program.ctx();
   ComponentResult result{Program(program.context()), 0, 0};
   std::vector<Rule> boolean_rules;
+
+  // Predicate names the booleans must avoid: the program's own and those
+  // of its source facts (a fact on a reused name would make it true).
+  std::unordered_set<SymbolId> used_names;
+  for (PredId p : program.AllPredicates()) {
+    used_names.insert(ctx.predicate(p).name);
+  }
+  for (PredId p : fact_preds) used_names.insert(ctx.predicate(p).name);
+  auto taken = [&](SymbolId name) { return used_names.count(name) > 0; };
+  size_t next_name = 0;
 
   for (const Rule& rule : program.rules()) {
     BodyComponents parts = ComputeBodyComponents(ctx, rule);
@@ -50,7 +61,9 @@ Result<ComponentResult> ExtractComponents(const Program& program) {
           rule.body[member_atoms[0]].args.empty()) {
         continue;
       }
-      PredId boolean_pred = ctx.FreshPredicate("bq", /*arity=*/0);
+      PredId boolean_pred =
+          ctx.InternPredicate(ctx.InternUnused("bq", &next_name, taken),
+                              /*arity=*/0);
       Rule defining;
       defining.head = Atom(boolean_pred, {});
       for (size_t a : member_atoms) defining.body.push_back(rule.body[a]);

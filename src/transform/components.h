@@ -27,7 +27,12 @@ struct ComponentResult {
   size_t rules_split = 0;       ///< Rules that lost at least one component.
 };
 
-Result<ComponentResult> ExtractComponents(const Program& program);
+/// The booleans are named bq_0, bq_1, ... per call, skipping every name
+/// a predicate of `program` or of `fact_preds` (the predicates the
+/// program's source facts populate) already has. Later compiles over the
+/// same Context reuse those predicates instead of interning new ones.
+Result<ComponentResult> ExtractComponents(
+    const Program& program, const std::vector<PredId>& fact_preds = {});
 
 }  // namespace exdl
 

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "analysis/dependency_graph.h"
-#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -35,11 +34,12 @@ void InlineAt(const Rule& def, size_t pos, Rule* rule, Context& ctx) {
     subst.emplace(def.head.args[i].id(), call.args[i]);
   }
   size_t next_name = 0;
+  auto taken = [&](SymbolId name) {
+    return std::find(used.begin(), used.end(), name) != used.end();
+  };
   auto rename = [&](SymbolId v) {
-    SymbolId name = v;
-    while (std::find(used.begin(), used.end(), name) != used.end()) {
-      name = ctx.InternSymbol(StrCat("I_", std::to_string(next_name++)));
-    }
+    const SymbolId name =
+        taken(v) ? ctx.InternUnused("I", &next_name, taken) : v;
     used.push_back(name);
     return Term::Var(name);
   };
@@ -128,12 +128,7 @@ Result<UnfoldResult> UnfoldNonRecursive(const Program& program) {
     if (count != 1 || graph.IsRecursive(program.rules()[rule].head.pred)) {
       continue;
     }
-    const PredicateInfo& info = ctx.predicate(p);
-    if (info.adornment.empty() &&
-        ctx.SymbolName(info.name).find('$') == std::string::npos) {
-      continue;
-    }
-    targets.insert(p);
+    if (!ctx.MayHoldBaseFacts(p)) targets.insert(p);
   }
   return UnfoldPredicates(program, targets);
 }

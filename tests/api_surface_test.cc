@@ -74,7 +74,7 @@ TEST(PlanToStringTest, ShowsAccessPathsAndNegation) {
 TEST(FreezeTest, VarToConstCoversEveryVariable) {
   auto parsed = MustParse("p(X, Y) :- q(X, Z), r(Z, Y, W).\n");
   FrozenRule frozen =
-      FreezeRule(parsed.program.rules()[0], parsed.ctx.get());
+      FreezeRule(parsed.program.rules()[0], parsed.program);
   EXPECT_EQ(frozen.var_to_const.size(), 4u);  // X Y Z W
   // All frozen constants are distinct.
   std::set<SymbolId> values;

@@ -422,6 +422,33 @@ TEST(ExtractAnswersTest, FlatRowsMatchTheRowVectorReference) {
   }
   EXPECT_TRUE(saw_true_boolean);
   EXPECT_TRUE(saw_false_boolean);
+
+  // Both branches of a whole unary relation's extraction: a dense set is
+  // read off its membership bitset, a sparse one (more bitset words than
+  // rows) is sorted, and a suffix is always sorted. Rows go in by
+  // descending id, so an extraction that skipped the sort would fail.
+  std::vector<Value> wide;
+  for (int i = 0; i < 640; ++i) {
+    wide.push_back(ctx->InternSymbol(StrCat("w", std::to_string(i))));
+  }
+  const PredId unary = ctx->InternPredicate("u", 1);
+  const Atom unary_query(unary, {Term::Var(var_pool[0])});
+  for (const size_t stride : {1u, 3u, 200u}) {
+    Database db;
+    for (size_t i = wide.size(); i >= stride; i -= stride) {
+      db.AddTuple(unary, std::vector<Value>{wide[i - stride]});
+    }
+    const Relation& rel = *db.Find(unary);
+    const bool dense = rel.view().bits()->num_words() <= rel.size();
+    EXPECT_EQ(dense, stride != 200u) << "stride " << stride;
+    const std::string where = "stride " + std::to_string(stride);
+    ExpectSameRows(ExtractAnswers(unary_query, db),
+                   ReferenceAnswers(unary_query, db, 0), *ctx, where);
+    const size_t half = rel.size() / 2;
+    ExpectSameRows(ExtractAnswers(unary_query, db, half),
+                   ReferenceAnswers(unary_query, db, half), *ctx,
+                   where + " first_row " + std::to_string(half));
+  }
 }
 
 }  // namespace

@@ -571,10 +571,11 @@ TEST_F(RecoveryTest, BitsetKernelCrashResumeIsByteIdentical) {
   // converged database as the uninterrupted run.
   auto monadic_source = [](int n) {
     std::string src =
-        "reach(Y) :- reach(X), e(X, Y).\n"
+        "reach(Y) :- reach(X), e(X, Y), not blocked(Y).\n"
         "reach(X) :- zero(X).\n"
         "?- reach(X).\n"
-        "zero(n0).\n";
+        "zero(n0).\n"
+        "blocked(n140).\n";
     for (int i = 0; i < n; ++i) {
       src +=
           "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
@@ -584,6 +585,10 @@ TEST_F(RecoveryTest, BitsetKernelCrashResumeIsByteIdentical) {
   const std::string source = monadic_source(150);
   SessionRun ref = RunSession(source, [](SessionOptions&) {});
   ASSERT_TRUE(ref.status.ok());
+  // Every rule ran on the kernels: the zero(X) copy as a projection run,
+  // the recursive rule reading blocked's bitset words.
+  EXPECT_EQ(ref.result.representation.fallbacks, 0u);
+  EXPECT_GT(ref.result.representation.projection_rows, 0u);
   EXPECT_GT(ref.result.representation.words_scanned, 0u);
 
   const std::string dir = MakeCheckpointDir();

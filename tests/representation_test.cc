@@ -171,6 +171,98 @@ TEST(RepresentationTest, CascadeShape) {
 }
 
 // ---------------------------------------------------------------------------
+// Projection runs: a single-scan rule emits each partition as one column
+// gather, with its counters folded in once per partition.
+
+constexpr char kProjectionRules[] =
+    "p1(X) :- e(X, Y).\n"
+    "p2(Y, X) :- e(X, Y).\n"
+    "p3(X, X) :- e(X, Y).\n"
+    "p4(c, Y, c) :- e(X, Y).\n"
+    "t1(Z) :- t(X, Y, Z).\n"
+    "t2(Z, X) :- t(X, Y, Z).\n"
+    "t3(Y, d, Y) :- t(X, Y, Z).\n"
+    "dup(X) :- d(X, Y).\n"
+    "none(X) :- empty(X, Y).\n"
+    "s(Y) :- s(X), e(X, Y).\n"
+    "s(X) :- zero(X).\n"
+    "copy(X) :- s(X).\n";
+
+/// The EDB for kProjectionRules: `e` and `t` large enough that 4 threads
+/// split their scans, `d` with ~500 rows over 40 first-column values (so
+/// nearly every head is a duplicate), and `empty` present with no rows.
+Database ProjectionEdb(Context* ctx) {
+  Database edb;
+  MakeRandomTuples(ctx, &edb, ctx->InternPredicate("e", 2), 600, 400, 31);
+  MakeRandomTuples(ctx, &edb, ctx->InternPredicate("t", 3), 500, 60, 32);
+  MakeRandomTuples(ctx, &edb, ctx->InternPredicate("d", 2), 600, 40, 33);
+  edb.GetOrCreate(ctx->InternPredicate("empty", 2), 2);
+  edb.AddTuple(ctx->InternPredicate("zero", 1),
+               std::vector<Value>{*ctx->FindSymbol("n0")});
+  return edb;
+}
+
+TEST(RepresentationTest, ProjectionRunsMatchTheGenericDescent) {
+  // One query per head shape, so answer extraction is covered for each
+  // (the unary ones through the relation's bitset).
+  for (const char* query :
+       {"p1(X)", "p2(X, Y)", "p3(X, Y)", "p4(X, Y, Z)", "t1(X)", "t2(X, Y)",
+        "t3(X, Y, Z)", "dup(X)", "none(X)", "copy(X)"}) {
+    SCOPED_TRACE(query);
+    auto parsed = testing::MustParse(std::string(kProjectionRules) + "?- " +
+                                     query + ".\n");
+    const Database edb = ProjectionEdb(parsed.ctx.get());
+    ExpectKernelsEquivalent(parsed.program, edb);
+    const EvalResult run = testing::MustEval(parsed.program, edb);
+    EXPECT_GT(run.stats.duplicate_inserts, 0u);
+    EXPECT_GT(run.representation.projection_rows, 0u);
+    // A budget that never trips keeps the per-row loop, ternary scans
+    // included, with the same outcome.
+    EvalOptions reference_options;
+    reference_options.record_provenance = true;
+    EvalOptions governed;
+    governed.budget.deadline_ms = 3'600'000;
+    const EvalResult governed_run =
+        testing::MustEval(parsed.program, edb, governed);
+    ExpectSameOutcome(
+        testing::MustEval(parsed.program, edb, reference_options),
+        governed_run);
+    EXPECT_EQ(governed_run.representation.projection_rows, 0u);
+  }
+}
+
+TEST(RepresentationTest, GovernedProjectionTripsLikeTheGenericDescent) {
+  // A per-round derivation budget the first round exceeds: the governed
+  // run keeps a per-row loop and returns the same status and (empty)
+  // committed prefix as the reference. Serially it also trips at the
+  // same row; pool workers each count the derivations they made before
+  // seeing the trip, so at 4 threads only the prefix is compared.
+  auto parsed =
+      testing::MustParse(std::string(kProjectionRules) + "?- p1(X).\n");
+  const Database edb = ProjectionEdb(parsed.ctx.get());
+  EvalOptions reference_options;
+  reference_options.record_provenance = true;
+  reference_options.budget.max_derivations_per_round = 700;
+  const EvalResult reference =
+      testing::MustEval(parsed.program, edb, reference_options);
+  ASSERT_EQ(reference.stats.budget_tripped, BudgetKind::kRoundDerivations);
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EvalOptions options;
+    options.num_threads = threads;
+    options.budget.max_derivations_per_round = 700;
+    const EvalResult run = testing::MustEval(parsed.program, edb, options);
+    if (threads == 1) ExpectSameOutcome(reference, run);
+    ExpectIdenticalDatabases(reference.db, run.db);
+    EXPECT_EQ(reference.answers, run.answers);
+    EXPECT_EQ(reference.stats.rounds, run.stats.rounds);
+    EXPECT_EQ(reference.stats.tuples_inserted, run.stats.tuples_inserted);
+    EXPECT_EQ(reference.termination.ToString(), run.termination.ToString());
+    EXPECT_EQ(run.representation.projection_rows, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Seeded random programs (same generator as property_test)
 
 class RepresentationSeededTest : public ::testing::TestWithParam<uint64_t> {};

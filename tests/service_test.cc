@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ast/printer.h"
 #include "core/compiled_program.h"
 #include "core/session.h"
 #include "service/answer_text.h"
@@ -464,6 +465,38 @@ TEST(QueryServiceTest, OptimizedBooleansRenderLikeUnoptimized) {
   EXPECT_EQ(plain[0], "1:\n");
   EXPECT_EQ(plain[1], "0:");
   EXPECT_EQ(plain[5], "1:\n");
+}
+
+// The optimizer's own predicates start empty whatever a load put under
+// their names: facts for `bq_0` loaded before the compile, or `bq_1`
+// loaded after it, leave the boolean component `bq_0 :- b(c1, Y)` false.
+TEST(QueryServiceTest, LoadedFactsCannotSatisfyAGeneratedBoolean) {
+  const std::string source = "q(X) :- a(X), b(c1, Y).\n?- q(X).\n";
+  auto render = [&](bool optimize) {
+    ServiceOptions options;
+    options.compile.optimize = optimize;
+    QueryService service(options);
+    std::vector<std::string> out;
+    for (const char* load : {"a(x). a(y). bq_0.", "bq_1.", "b(c1, z)."}) {
+      EXPECT_TRUE(service.LoadFacts(load).ok());
+      QueryResponse response =
+          service.Await(service.Submit({.source = source}));
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      if (optimize) {
+        EXPECT_EQ(response.program->report().booleans_created, 1u);
+        EXPECT_NE(ToString(response.program->program()).find("bq_0"),
+                  std::string::npos);
+      }
+      out.push_back(std::to_string(response.result.answers.size()) + ":" +
+                    RenderAnswerRows(*service.ctx(), response.result.answers));
+    }
+    return out;
+  };
+  const std::vector<std::string> plain = render(false);
+  EXPECT_EQ(render(true), plain);
+  EXPECT_EQ(plain[0], "0:");
+  EXPECT_EQ(plain[1], "0:");
+  EXPECT_EQ(plain[2], "2:x\ny\n");
 }
 
 // LoadFacts counts the relations it detaches from the published snapshot

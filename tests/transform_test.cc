@@ -4,11 +4,13 @@
 
 #include "adorn/adorn.h"
 #include "ast/printer.h"
+#include "core/compiled_program.h"
 #include "testing/test_util.h"
 #include "transform/cleanup.h"
 #include "transform/components.h"
 #include "transform/projection.h"
 #include "transform/unit_rules.h"
+#include "util/string_util.h"
 
 namespace exdl {
 namespace {
@@ -199,6 +201,50 @@ TEST(ComponentsTest, NoChangeForConnectedRule) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->booleans_created, 0u);
   EXPECT_EQ(ToString(result->program), ToString(parsed.program));
+}
+
+TEST(ComponentsTest, BooleanNamesSkipTheProgramsAndItsFacts) {
+  // The program defines bq_0 and a source fact populates bq_1, so the two
+  // booleans split off p's rule are bq_2 and bq_3.
+  auto parsed = MustParse(
+      "bq_1.\n"
+      "p(X) :- q1(X), q3(U), q5(W).\n"
+      "bq_0 :- q2(Z).\n"
+      "?- p(X).\n");
+  const PredId fact_pred = parsed.ctx->InternPredicate("bq_1", 0);
+  Result<ComponentResult> result =
+      ExtractComponents(parsed.program, {fact_pred});
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->booleans_created, 2u);
+  const std::vector<Rule>& rules = result->program.rules();
+  ASSERT_EQ(rules.size(), 4u);
+  EXPECT_EQ(parsed.ctx->PredicateDisplayName(rules[2].head.pred), "bq_2");
+  EXPECT_EQ(parsed.ctx->PredicateDisplayName(rules[3].head.pred), "bq_3");
+}
+
+// A long-lived context (the daemon's) gains nothing per compile: every
+// compile names its booleans bq_0, bq_1, ... again.
+TEST(ComponentsTest, RepeatedCompilesReuseBooleanNames) {
+  ContextPtr ctx = std::make_shared<Context>();
+  CompileOptions options;
+  options.optimize = true;
+  auto source = [](int k) {
+    return StrCat("q(X) :- a(X), b(c", std::to_string(k), ", Y).\n?- q(X).\n");
+  };
+  for (int k = 0; k < 16; ++k) {
+    Result<CompiledProgram::Ptr> compiled =
+        CompiledProgram::Compile(source(k), options, nullptr, ctx);
+    ASSERT_TRUE(compiled.ok());
+    EXPECT_EQ((*compiled)->report().booleans_created, 1u);
+  }
+  const size_t preds = ctx->NumPredicates();
+  const size_t symbols = ctx->NumSymbols();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(
+        CompiledProgram::Compile(source(i % 16), options, nullptr, ctx).ok());
+  }
+  EXPECT_EQ(ctx->NumPredicates(), preds);
+  EXPECT_EQ(ctx->NumSymbols(), symbols);
 }
 
 // ---------------------------------------------------------------- unit rules

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/compiled_program.h"
 #include "equiv/freeze.h"
 #include "equiv/random_check.h"
 #include "equiv/uniform_equivalence.h"
@@ -14,7 +15,7 @@ using ::exdl::testing::MustParseWith;
 TEST(FreezeTest, VariablesBecomeFreshConstants) {
   auto parsed = MustParse("p(X, Y) :- q(X, Z), r(Z, Y).\n");
   FrozenRule frozen =
-      FreezeRule(parsed.program.rules()[0], parsed.ctx.get());
+      FreezeRule(parsed.program.rules()[0], parsed.program);
   EXPECT_TRUE(frozen.head.IsGround());
   EXPECT_EQ(frozen.var_to_const.size(), 3u);
   EXPECT_EQ(frozen.body_facts.TotalTuples(), 2u);
@@ -28,17 +29,43 @@ TEST(FreezeTest, VariablesBecomeFreshConstants) {
 TEST(FreezeTest, ConstantsSurviveFreezing) {
   auto parsed = MustParse("p(X) :- q(X, c7).\n");
   FrozenRule frozen =
-      FreezeRule(parsed.program.rules()[0], parsed.ctx.get());
+      FreezeRule(parsed.program.rules()[0], parsed.program);
   PredId q = parsed.program.rules()[0].body[0].pred;
   Atom fact = frozen.body_facts.FactsOf(q)[0];
   EXPECT_EQ(parsed.ctx->SymbolName(fact.args[1].id()), "c7");
 }
 
-TEST(FreezeTest, DistinctFreezesUseDistinctConstants) {
-  auto parsed = MustParse("p(X) :- q(X).\n");
-  FrozenRule f1 = FreezeRule(parsed.program.rules()[0], parsed.ctx.get());
-  FrozenRule f2 = FreezeRule(parsed.program.rules()[0], parsed.ctx.get());
-  EXPECT_NE(f1.head, f2.head);
+TEST(FreezeTest, FrozenNamesAvoidTheProgramsConstants) {
+  // frz_0 is a constant of the program, so the rule freezes to frz_1 and
+  // frz_2; a second freeze reuses the same two names.
+  auto parsed = MustParse("p(X, Y) :- q(X, frz_0), r(Y).\n");
+  const Rule& rule = parsed.program.rules()[0];
+  FrozenRule frozen = FreezeRule(rule, parsed.program);
+  ASSERT_EQ(frozen.head.args.size(), 2u);
+  EXPECT_EQ(parsed.ctx->SymbolName(frozen.head.args[0].id()), "frz_1");
+  EXPECT_EQ(parsed.ctx->SymbolName(frozen.head.args[1].id()), "frz_2");
+  EXPECT_EQ(FreezeRule(rule, parsed.program).head, frozen.head);
+}
+
+// A --sagiv compile into a long-lived context (the daemon's) interns
+// nothing new after the first: its frozen constants are reused.
+TEST(SagivTest, RepeatedCompilesInternNoNewConstants) {
+  ContextPtr ctx = std::make_shared<Context>();
+  CompileOptions options;
+  options.optimize = true;
+  options.optimizer.deletion.use_sagiv = true;
+  const std::string source =
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "q(X) :- tc(X, _).\n"
+      "?- q(X).\n";
+  ASSERT_TRUE(CompiledProgram::Compile(source, options, nullptr, ctx).ok());
+  const size_t symbols = ctx->NumSymbols();
+  for (int i = 0; i < 99; ++i) {
+    ASSERT_TRUE(CompiledProgram::Compile(source, options, nullptr, ctx).ok());
+  }
+  EXPECT_EQ(ctx->NumSymbols(), symbols);
+  EXPECT_NE(ctx->FindSymbol("frz_0"), std::nullopt);
 }
 
 TEST(SagivTest, PaperExample4RecursiveRuleDeletable) {

@@ -10,10 +10,14 @@ storage.representation.fallbacks != 0 — i.e. a rule the monadic
 synthesis produced was not bitset-eligible and silently fell back to the
 generic descent. The monadic programs of Theorem 3.3 are exactly the
 shape DESIGN.md §14 promises to run as kernels, so a nonzero fallback
-count here is a planner regression, not a data effect.
+count here is a planner regression, not a data effect. Their DFA start
+rules (`st(X) :- a(X, W).`) are single-scan projections, so each case
+must also report storage.representation.projection_rows > 0: zero means
+projection runs stopped engaging and those rules emit head by head.
 
-Exit codes: 0 all bitset monadic cases ran kernel-only; 1 a case
-fell back (or carried no telemetry); 2 usage / unreadable input.
+Exit codes: 0 all bitset monadic cases ran kernel-only with projection
+runs; 1 a case fell back, ran no projection (or carried no telemetry);
+2 usage / unreadable input.
 """
 
 import json
@@ -45,12 +49,18 @@ def main(argv):
             continue
         rep = telemetry.get("storage", {}).get("representation", {})
         fallbacks = rep.get("fallbacks")
+        projection_rows = rep.get("projection_rows")
         if fallbacks != 0:
             print(f"FAIL {name}: storage.representation.fallbacks = "
                   f"{fallbacks!r} (want 0)")
             failures += 1
+        elif not isinstance(projection_rows, int) or projection_rows <= 0:
+            print(f"FAIL {name}: storage.representation.projection_rows = "
+                  f"{projection_rows!r} (want > 0)")
+            failures += 1
         else:
             print(f"ok   {name}: fallbacks=0 "
+                  f"projection_rows={projection_rows} "
                   f"(words_scanned={rep.get('words_scanned')}, "
                   f"bitset_relations={rep.get('bitset_relations')})")
     if checked == 0:
