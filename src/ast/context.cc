@@ -39,22 +39,6 @@ size_t Context::NumSymbols() const {
   return symbols_.size();
 }
 
-SymbolId Context::FreshSymbolLocked(std::string_view hint) {
-  for (;;) {
-    // '_' keeps generated names lexable so printed programs re-parse.
-    std::string candidate =
-        std::string(hint) + "_" + std::to_string(fresh_counter_++);
-    if (symbol_ids_.find(candidate) == symbol_ids_.end()) {
-      return InternSymbolLocked(candidate);
-    }
-  }
-}
-
-SymbolId Context::FreshSymbol(std::string_view hint) {
-  std::unique_lock lock(mu_);
-  return FreshSymbolLocked(hint);
-}
-
 PredId Context::InternPredicate(SymbolId name, uint32_t arity,
                                 const Adornment& adornment) {
   std::unique_lock lock(mu_);
@@ -122,19 +106,6 @@ std::string Context::PredicateDisplayName(PredId id) const {
     out += std::to_string(info.arity);
   }
   return out;
-}
-
-PredId Context::FreshPredicate(std::string_view hint, uint32_t arity,
-                               const Adornment& adornment) {
-  std::unique_lock lock(mu_);
-  SymbolId name = FreshSymbolLocked(hint);
-  PredKey key{name, arity, adornment.str()};
-  auto it = pred_ids_.find(key);
-  if (it != pred_ids_.end()) return it->second;
-  PredId id = static_cast<PredId>(preds_.size());
-  preds_.push_back(PredicateInfo{name, arity, adornment});
-  pred_ids_.emplace(std::move(key), id);
-  return id;
 }
 
 }  // namespace exdl

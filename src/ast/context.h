@@ -75,16 +75,13 @@ class Context {
   const std::string& SymbolName(SymbolId id) const;
   size_t NumSymbols() const;
 
-  /// Interns a fresh symbol guaranteed distinct from all existing ones;
-  /// used for renamed variables and frozen constants. The name is
-  /// `<hint>$<counter>`.
-  SymbolId FreshSymbol(std::string_view hint);
-
   /// Interns `<hint>_<n>` for n = *next, *next + 1, ... (advancing *next)
-  /// and returns the first such symbol `taken` rejects. Compile-time
-  /// names (inlined variables, boolean components, frozen constants) start
-  /// *next at 0 on every compile, so repeated compiles reuse the same few
-  /// interned symbols instead of growing a long-lived context.
+  /// and returns the first such symbol `taken` does not reject. This is
+  /// the one source of generated names (inlined variables, boolean
+  /// components, folding auxiliaries, frozen constants, monadic states):
+  /// callers start *next at 0 on every compile, so repeated compiles reuse
+  /// the same few interned symbols instead of growing a long-lived
+  /// context. '_' keeps the names lexable, so printed programs re-parse.
   template <typename Taken>
   SymbolId InternUnused(std::string_view hint, size_t* next, Taken&& taken) {
     SymbolId name;
@@ -131,11 +128,6 @@ class Context {
   /// Human-readable name: "a", "a@nd", or "a@nd/1" when projected.
   std::string PredicateDisplayName(PredId id) const;
 
-  /// Interns a fresh predicate with a unique name derived from `hint`
-  /// (used for boolean components B_i and magic predicates).
-  PredId FreshPredicate(std::string_view hint, uint32_t arity,
-                        const Adornment& adornment = Adornment());
-
  private:
   struct PredKey {
     SymbolId name;
@@ -154,14 +146,12 @@ class Context {
   // intern under the same exclusive section, and shared_mutex must not be
   // re-entered from the same thread).
   SymbolId InternSymbolLocked(std::string_view name);
-  SymbolId FreshSymbolLocked(std::string_view hint);
 
   mutable std::shared_mutex mu_;
   std::deque<std::string> symbols_;  ///< Deque: stable refs across interns.
   std::unordered_map<std::string_view, SymbolId> symbol_ids_;
   std::deque<PredicateInfo> preds_;  ///< Deque: stable refs across interns.
   std::unordered_map<PredKey, PredId, PredKeyHash> pred_ids_;
-  uint64_t fresh_counter_ = 0;
 };
 
 using ContextPtr = std::shared_ptr<Context>;

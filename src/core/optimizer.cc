@@ -164,6 +164,12 @@ Result<OptimizedProgram> OptimizeExistential(
     return out;
   }
 
+  // Names the generated bq_N and fold_N predicates must avoid: those of
+  // the source (an earlier phase may drop some from the program while a
+  // load can still fill them) and of its facts.
+  std::vector<PredId> reserved_preds = fact_preds;
+  for (PredId p : program.AllPredicates()) reserved_preds.push_back(p);
+
   if (cancelled_before("adorn")) return out;
   if (options.adorn && program.IsIdb(program.query()->pred)) {
     PhaseScope phase = begin_phase("adorn");
@@ -197,7 +203,7 @@ Result<OptimizedProgram> OptimizeExistential(
   if (options.extract_components) {
     PhaseScope phase = begin_phase("components");
     EXDL_ASSIGN_OR_RETURN(ComponentResult components,
-                          ExtractComponents(out.program, fact_preds));
+                          ExtractComponents(out.program, reserved_preds));
     out.report.booleans_created = components.booleans_created;
     out.report.rules_split = components.rules_split;
     out.program = std::move(components.program);
@@ -269,7 +275,7 @@ Result<OptimizedProgram> OptimizeExistential(
   if (options.enable_folding && options.delete_rules && !has_negation) {
     PhaseScope phase = begin_phase("folding");
     EXDL_ASSIGN_OR_RETURN(FoldingResult folded,
-                          FoldAlmostUnitRules(out.program));
+                          FoldAlmostUnitRules(out.program, reserved_preds));
     out.report.rules_folded = folded.rules_folded;
     out.report.bodies_folded = folded.bodies_folded;
     if (folded.rules_folded > 0) {

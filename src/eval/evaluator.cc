@@ -817,12 +817,15 @@ class Engine {
   /// How many workers a variant should use: 1 (serial) unless threading is
   /// on, provenance is off, the variant has a partitionable positive
   /// outermost step, and the outer range is big enough to amortize the
-  /// spawn. Single-tuple heads stay serial (they stop at one witness).
+  /// spawn. Single-tuple heads stay serial (they stop at one witness). An
+  /// outermost index probe stays serial too: splitting the relation's row
+  /// range would make every worker repeat the same probe.
   uint32_t NumWorkers(const RulePlan& plan,
                       const std::vector<RowRange>& ranges) const {
     if (options_.num_threads <= 1 || options_.record_provenance) return 1;
     if (stop_after_first_) return 1;
     if (plan.steps.empty() || plan.steps[0].negated) return 1;
+    if (!plan.steps[0].index_columns.empty()) return 1;
     const uint32_t rows = ranges[0].hi - ranges[0].lo;
     return std::min(options_.num_threads,
                     std::max(1u, rows / kMinRowsPerWorker));

@@ -1,5 +1,7 @@
 #include "grammar/monadic.h"
 
+#include <unordered_set>
+
 #include "grammar/chain.h"
 #include "grammar/regularity.h"
 
@@ -14,25 +16,34 @@ Result<Program> MonadicProgramFromDfa(const Dfa& dfa, const Cfg& grammar,
   Context& c = *ctx;
   Program program(ctx);
 
+  SymbolId x = c.InternSymbol("X");
+  SymbolId y = c.InternSymbol("Y");
+  // Generated names (st_N, ans_N, W_N) skip the terminals' names and the
+  // rule variables X and Y.
+  std::unordered_set<SymbolId> used_names = {x, y};
   std::vector<PredId> terminal_pred(grammar.NumTerminals());
   for (uint32_t t = 0; t < grammar.NumTerminals(); ++t) {
     terminal_pred[t] = c.InternPredicate(grammar.TerminalName(t), 2);
+    used_names.insert(c.predicate(terminal_pred[t]).name);
   }
+  auto taken = [&](SymbolId name) { return used_names.count(name) > 0; };
+  size_t next_name = 0;
   std::vector<PredId> state_pred(dfa.NumStates());
   for (uint32_t s = 0; s < dfa.NumStates(); ++s) {
-    state_pred[s] = c.FreshPredicate("st", 1);
+    state_pred[s] = c.InternPredicate(c.InternUnused("st", &next_name, taken),
+                                      /*arity=*/1);
   }
-  PredId ans = c.FreshPredicate("ans", 1);
-  SymbolId x = c.InternSymbol("X");
-  SymbolId y = c.InternSymbol("Y");
+  PredId ans = c.InternPredicate(c.InternUnused("ans", &next_name, taken),
+                                 /*arity=*/1);
+  // Every rule that needs a third variable needs just one.
+  SymbolId w = c.InternUnused("W", &next_name, taken);
 
   // Path starts: any node with an outgoing edge is in the start state.
   for (uint32_t t = 0; t < grammar.NumTerminals(); ++t) {
     Rule r;
     r.head = Atom(state_pred[dfa.start()], {Term::Var(x)});
     r.body.push_back(
-        Atom(terminal_pred[t],
-             {Term::Var(x), Term::Var(c.FreshSymbol("W"))}));
+        Atom(terminal_pred[t], {Term::Var(x), Term::Var(w)}));
     program.AddRule(std::move(r));
   }
   // Transitions. Dead-state self-loops are emitted too; they derive
@@ -61,14 +72,12 @@ Result<Program> MonadicProgramFromDfa(const Dfa& dfa, const Cfg& grammar,
       Rule out;
       out.head = Atom(ans, {Term::Var(y)});
       out.body.push_back(
-          Atom(terminal_pred[t],
-               {Term::Var(y), Term::Var(c.FreshSymbol("W"))}));
+          Atom(terminal_pred[t], {Term::Var(y), Term::Var(w)}));
       program.AddRule(std::move(out));
       Rule in;
       in.head = Atom(ans, {Term::Var(y)});
       in.body.push_back(
-          Atom(terminal_pred[t],
-               {Term::Var(c.FreshSymbol("W")), Term::Var(y)}));
+          Atom(terminal_pred[t], {Term::Var(w), Term::Var(y)}));
       program.AddRule(std::move(in));
     }
   }

@@ -21,8 +21,7 @@ QueryService::QueryService(ServiceOptions options)
     : options_(Normalize(std::move(options))),
       ctx_(std::make_shared<Context>()),
       cache_(options_.program_cache_capacity),
-      durable_(options_.durable),
-      pool_(options_.num_workers - 1) {
+      durable_(options_.durable) {
   // Register every service metric before the first shard is cut (shards
   // are sized to the registry at creation time).
   obs::MetricsRegistry& metrics = service_telemetry_.metrics();
@@ -32,12 +31,14 @@ QueryService::QueryService(ServiceOptions options)
   queries_submitted_id_ = metrics.Counter("service.queries.submitted");
   queries_completed_id_ = metrics.Counter("service.queries.completed");
   queries_failed_id_ = metrics.Counter("service.queries.failed");
-  batches_id_ = metrics.Counter("service.batches");
   generation_id_ = metrics.Gauge("service.snapshot.generation");
   cow_detaches_id_ = metrics.Counter("service.load.cow_detaches");
   cow_bytes_copied_id_ = metrics.Counter("service.load.cow_bytes_copied");
   compile_factored_id_ = metrics.Counter("service.compile.factored");
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
+  workers_.reserve(options_.num_workers);
+  for (uint32_t i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 QueryService::~QueryService() {
@@ -46,14 +47,14 @@ QueryService::~QueryService() {
     shutdown_ = true;
   }
   work_cv_.notify_all();
-  dispatcher_.join();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 QueryService::Ticket QueryService::EnqueueLocked(QueryRequest request,
                                                  bool standing) {
   const Ticket ticket = next_ticket_++;
-  ++submitted_;
-  outstanding_.insert(ticket);
+  service_telemetry_.metrics().Add(queries_submitted_id_, 1);
+  tickets_.emplace(ticket, std::nullopt);
   queue_.push_back(Pending{ticket, std::move(request), snapshot_, standing});
   return ticket;
 }
@@ -73,23 +74,12 @@ std::vector<QueryService::Ticket> QueryService::SubmitBatch(
   for (QueryRequest& request : requests) {
     tickets.push_back(EnqueueLocked(std::move(request), /*standing=*/false));
   }
-  work_cv_.notify_one();
+  work_cv_.notify_all();
   return tickets;
 }
 
 QueryResponse QueryService::Await(Ticket ticket) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (outstanding_.find(ticket) == outstanding_.end()) {
-    QueryResponse response;
-    response.status =
-        Status::InvalidArgument("unknown or already consumed ticket");
-    return response;
-  }
-  done_cv_.wait(lock, [&] { return done_.find(ticket) != done_.end(); });
-  QueryResponse response = std::move(done_[ticket]);
-  done_.erase(ticket);
-  outstanding_.erase(ticket);
-  return response;
+  return *Take(ticket, std::nullopt);
 }
 
 std::vector<QueryResponse> QueryService::AwaitBatch(
@@ -102,20 +92,32 @@ std::vector<QueryResponse> QueryService::AwaitBatch(
 
 std::optional<QueryResponse> QueryService::AwaitFor(
     Ticket ticket, std::chrono::milliseconds timeout) {
+  return Take(ticket, timeout);
+}
+
+std::optional<QueryResponse> QueryService::Take(
+    Ticket ticket, std::optional<std::chrono::milliseconds> timeout) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (outstanding_.find(ticket) == outstanding_.end()) {
+  // Look the ticket up afresh after every wake: a concurrent Take of the
+  // same ticket may have consumed it meanwhile.
+  auto settled = [&] {
+    auto it = tickets_.find(ticket);
+    return it == tickets_.end() || it->second.has_value();
+  };
+  if (!timeout.has_value()) {
+    done_cv_.wait(lock, settled);
+  } else if (!done_cv_.wait_for(lock, *timeout, settled)) {
+    return std::nullopt;
+  }
+  auto it = tickets_.find(ticket);
+  if (it == tickets_.end()) {
     QueryResponse response;
     response.status =
         Status::InvalidArgument("unknown or already consumed ticket");
     return response;
   }
-  if (!done_cv_.wait_for(lock, timeout,
-                         [&] { return done_.find(ticket) != done_.end(); })) {
-    return std::nullopt;
-  }
-  QueryResponse response = std::move(done_[ticket]);
-  done_.erase(ticket);
-  outstanding_.erase(ticket);
+  QueryResponse response = std::move(*it->second);
+  tickets_.erase(it);
   return response;
 }
 
@@ -241,7 +243,7 @@ Result<uint64_t> QueryService::RegisterStandingQuery(QueryRequest request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ticket = EnqueueLocked(std::move(request), /*standing=*/true);
-    work_cv_.notify_one();
+    work_cv_.notify_all();
   }
   QueryResponse response = Await(ticket);
   if (!response.status.ok()) return response.status;
@@ -351,48 +353,33 @@ DatabaseSnapshot QueryService::snapshot() const {
 
 ProgramCache::Stats QueryService::cache_stats() const { return cache_.stats(); }
 
-void QueryService::DispatcherLoop() {
+void QueryService::WorkerLoop() {
   while (true) {
-    std::vector<Active> batch;
+    Active item;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) break;  // Shutdown with a drained queue.
-      while (!queue_.empty()) {
-        Active item;
-        item.pending = std::move(queue_.front());
-        queue_.pop_front();
-        item.shard = service_telemetry_.metrics().NewShard();
-        batch.push_back(std::move(item));
+      if (queue_.empty()) return;  // Shutdown with a drained queue.
+      item.pending = std::move(queue_.front());
+      queue_.pop_front();
+      item.shard = service_telemetry_.metrics().NewShard();
+    }
+    ProcessOne(item);
+    std::lock_guard<std::mutex> lock(mu_);
+    obs::MetricsRegistry& metrics = service_telemetry_.metrics();
+    metrics.Merge(item.shard);
+    if (item.summary.has_run) {
+      aggregate_.has_run = true;
+      aggregate_.stats += item.summary.stats;
+      aggregate_.answers += item.summary.answers;
+      aggregate_.representation += item.summary.representation;
+      if (aggregate_.termination.ok() && !item.summary.termination.ok()) {
+        aggregate_.termination = item.summary.termination;
       }
     }
-    pool_.Run(static_cast<uint32_t>(batch.size()),
-              [&](uint32_t i) { ProcessOne(batch[i]); });
-    // Quiescent point: every session of the batch has finished, so their
-    // shards can be folded into the service totals.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      obs::MetricsRegistry& metrics = service_telemetry_.metrics();
-      for (Active& item : batch) {
-        metrics.Merge(item.shard);
-        if (item.summary.has_run) {
-          aggregate_.has_run = true;
-          aggregate_.stats += item.summary.stats;
-          aggregate_.answers += item.summary.answers;
-          aggregate_.representation += item.summary.representation;
-          if (aggregate_.termination.ok() && !item.summary.termination.ok()) {
-            aggregate_.termination = item.summary.termination;
-          }
-        }
-        done_.emplace(item.pending.ticket, std::move(item.response));
-      }
-      metrics.Add(batches_id_, 1);
-      metrics.Add(queries_submitted_id_, submitted_ - submitted_published_);
-      submitted_published_ = submitted_;
-      metrics.Set(generation_id_,
-                  static_cast<double>(snapshot_.generation()));
-      done_cv_.notify_all();
-    }
+    metrics.Set(generation_id_, static_cast<double>(snapshot_.generation()));
+    tickets_[item.pending.ticket] = std::move(item.response);
+    done_cv_.notify_all();
   }
 }
 
@@ -560,7 +547,7 @@ std::string QueryService::MetricsJson(
     w.Key("queries");
     w.BeginObject();
     w.Key("submitted");
-    w.UInt(submitted_);
+    w.UInt(metrics.CounterValue(queries_submitted_id_));
     w.Key("pending");
     w.UInt(queue_.size());
     w.Key("completed");

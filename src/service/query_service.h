@@ -14,17 +14,21 @@
 //     leaving in-flight queries reading their generation untouched;
 //   * one Session per in-flight query, with its own EvalOptions copy,
 //     budget (resolved through EvalBudget::FromEnv), telemetry sink, and
-//     metric shard — merged into the service counters at batch ends.
+//     metric shard — merged into the service counters when that query
+//     finishes.
 //
-// Execution model: Submit/SubmitBatch enqueue and return tickets; a
-// dispatcher thread drains the queue into batches and fans each batch out
-// over the PR-1 persistent WorkerPool (the dispatcher participates, so
-// num_workers is the total parallelism). Await blocks for one ticket.
+// Execution model: Submit/SubmitBatch enqueue and return tickets;
+// num_workers threads each take the lowest queued ticket, run it, and
+// publish its response the moment it finishes, so a short query never
+// waits for a long one it was queued with. Await blocks for one ticket.
 //
 // Determinism: compiles pass through a ticket-ordered turnstile, so
 // symbols and predicates are interned in submission order no matter how
 // many workers race — answers for a given submission sequence are
 // byte-identical across pool sizes (service_test.cc locks this in).
+// Workers take tickets in ascending order, so the lowest ticket not yet
+// compiled is always held by a running worker: the turnstile cannot
+// deadlock.
 // LoadFacts interns through the same turnstile (after every previously
 // submitted compile, before any later one), so interleaved fact loads
 // keep the guarantee too.
@@ -46,7 +50,6 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/query_request.h"
@@ -58,13 +61,11 @@
 #include "service/program_cache.h"
 #include "storage/database.h"
 #include "util/cancellation.h"
-#include "util/worker_pool.h"
 
 namespace exdl {
 
 struct ServiceOptions {
-  /// Total per-batch parallelism (worker threads + the dispatcher).
-  /// Clamped to >= 1.
+  /// Number of threads that run queries. Clamped to >= 1.
   uint32_t num_workers = 1;
   /// ProgramCache capacity; 0 disables caching.
   size_t program_cache_capacity = 64;
@@ -253,7 +254,13 @@ class QueryService {
   /// Assigns the next ticket and queues `request` against the current
   /// snapshot. Caller holds mu_ and notifies work_cv_.
   Ticket EnqueueLocked(QueryRequest request, bool standing);
-  void DispatcherLoop();
+  /// One of the num_workers threads: takes the lowest queued ticket, runs
+  /// it, merges its shard and summary, and publishes its response.
+  void WorkerLoop();
+  /// Shared body of Await and AwaitFor: waits (without limit when
+  /// `timeout` is unset) for `ticket`'s response and moves it out.
+  std::optional<QueryResponse> Take(
+      Ticket ticket, std::optional<std::chrono::milliseconds> timeout);
   /// Runs one query end to end on a worker thread: ticket-ordered compile
   /// (through the cache), then an isolated Session evaluation. Standing
   /// requests additionally install their materialized view.
@@ -287,7 +294,6 @@ class QueryService {
   obs::MetricId queries_submitted_id_;
   obs::MetricId queries_completed_id_;
   obs::MetricId queries_failed_id_;
-  obs::MetricId batches_id_;
   obs::MetricId generation_id_;
   /// LoadFacts copy-on-write cost: relations detached from the published
   /// snapshot, and their Relation::storage_bytes.
@@ -298,17 +304,16 @@ class QueryService {
   obs::MetricId compile_factored_id_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< Dispatcher: queue or shutdown.
-  std::condition_variable done_cv_;  ///< Awaiters: responses arrived.
-  std::deque<Pending> queue_;
-  std::unordered_map<Ticket, QueryResponse> done_;
-  std::unordered_set<Ticket> outstanding_;
+  std::condition_variable work_cv_;  ///< Workers: queue or shutdown.
+  std::condition_variable done_cv_;  ///< Awaiters: a response arrived.
+  std::deque<Pending> queue_;  ///< Ascending tickets.
+  /// Every ticket not yet awaited: empty while its query is queued or
+  /// running, its response once it finished.
+  std::unordered_map<Ticket, std::optional<QueryResponse>> tickets_;
   Ticket next_ticket_ = 0;
   DatabaseSnapshot snapshot_;  ///< The published generation.
   /// Aggregate run summary over every completed query (MetricsJson).
   RunSummary aggregate_;
-  uint64_t submitted_ = 0;
-  uint64_t submitted_published_ = 0;
   bool shutdown_ = false;
 
   /// Compile turnstile: compiles (and cache fills) happen in strict
@@ -336,8 +341,7 @@ class QueryService {
   /// never goes backwards.
   ivm::IvmStats retained_standing_stats_;
 
-  WorkerPool pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace exdl

@@ -7,18 +7,18 @@
 namespace exdl {
 
 Result<ComponentResult> ExtractComponents(
-    const Program& program, const std::vector<PredId>& fact_preds) {
+    const Program& program, const std::vector<PredId>& reserved_preds) {
   Context& ctx = program.ctx();
   ComponentResult result{Program(program.context()), 0, 0};
   std::vector<Rule> boolean_rules;
 
-  // Predicate names the booleans must avoid: the program's own and those
-  // of its source facts (a fact on a reused name would make it true).
+  // Predicate names the booleans must avoid: the program's own and the
+  // reserved ones (a fact on a reused name would make it true).
   std::unordered_set<SymbolId> used_names;
   for (PredId p : program.AllPredicates()) {
     used_names.insert(ctx.predicate(p).name);
   }
-  for (PredId p : fact_preds) used_names.insert(ctx.predicate(p).name);
+  for (PredId p : reserved_preds) used_names.insert(ctx.predicate(p).name);
   auto taken = [&](SymbolId name) { return used_names.count(name) > 0; };
   size_t next_name = 0;
 

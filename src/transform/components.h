@@ -28,11 +28,12 @@ struct ComponentResult {
 };
 
 /// The booleans are named bq_0, bq_1, ... per call, skipping every name
-/// a predicate of `program` or of `fact_preds` (the predicates the
-/// program's source facts populate) already has. Later compiles over the
-/// same Context reuse those predicates instead of interning new ones.
+/// a predicate of `program` or of `reserved_preds` (the optimizer passes
+/// the source program's and its facts' predicates) already has. Later
+/// compiles over the same Context reuse those predicates instead of
+/// interning new ones.
 Result<ComponentResult> ExtractComponents(
-    const Program& program, const std::vector<PredId>& fact_preds = {});
+    const Program& program, const std::vector<PredId>& reserved_preds = {});
 
 }  // namespace exdl
 

@@ -70,11 +70,22 @@ std::vector<SymbolId> PatternVars(const std::vector<Atom>& atoms) {
 
 }  // namespace
 
-Result<FoldingResult> FoldAlmostUnitRules(const Program& program) {
+Result<FoldingResult> FoldAlmostUnitRules(
+    const Program& program, const std::vector<PredId>& reserved_preds) {
   FoldingResult result{program.Clone(), 0, 0, {}};
   if (program.HasNegation()) return result;  // positive programs only
   Context& ctx = program.ctx();
   std::unordered_set<PredId> idb = program.IdbPredicates();
+
+  // Names the auxiliaries must avoid: those of the program's predicates
+  // and of the reserved ones.
+  std::unordered_set<SymbolId> used_names;
+  for (PredId p : program.AllPredicates()) {
+    used_names.insert(ctx.predicate(p).name);
+  }
+  for (PredId p : reserved_preds) used_names.insert(ctx.predicate(p).name);
+  auto taken = [&](SymbolId name) { return used_names.count(name) > 0; };
+  size_t next_name = 0;
 
   // Candidates are examined against the evolving program; each fold turns
   // its candidate into a unit rule, so the loop terminates.
@@ -105,8 +116,9 @@ Result<FoldingResult> FoldAlmostUnitRules(const Program& program) {
 
       // Fold: introduce the auxiliary over the pattern's variables.
       std::vector<SymbolId> vars = PatternVars(candidate.body);
-      PredId aux = ctx.FreshPredicate(
-          "fold", static_cast<uint32_t>(vars.size()));
+      PredId aux =
+          ctx.InternPredicate(ctx.InternUnused("fold", &next_name, taken),
+                              static_cast<uint32_t>(vars.size()));
       result.aux_preds.insert(aux);
       std::vector<Atom> pattern = candidate.body;
 

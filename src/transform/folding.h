@@ -23,6 +23,7 @@
 #define EXDL_TRANSFORM_FOLDING_H_
 
 #include <unordered_set>
+#include <vector>
 
 #include "ast/program.h"
 #include "util/status.h"
@@ -38,8 +39,12 @@ struct FoldingResult {
 
 /// Applies the Example 11 fold to every profitable candidate (see file
 /// comment). Positive programs only (folding through negation would hide
-/// literals under the auxiliary).
-Result<FoldingResult> FoldAlmostUnitRules(const Program& program);
+/// literals under the auxiliary). The auxiliaries are named fold_0,
+/// fold_1, ... per call, skipping every name a predicate of `program` or
+/// of `reserved_preds` already has (as ExtractComponents does), so
+/// repeated compiles over one Context reuse them.
+Result<FoldingResult> FoldAlmostUnitRules(
+    const Program& program, const std::vector<PredId>& reserved_preds = {});
 
 }  // namespace exdl
 

@@ -1,8 +1,8 @@
 // WorkerPool: a persistent fork-join pool, spawned once and reused for
 // many dispatches (spawning threads per dispatch would dominate small
-// units of work). Originally private to the evaluator's parallel fixpoint
-// rounds (DESIGN.md §5a); extracted so the query service can drive its
-// session workers through the same machinery.
+// units of work). Its one user is the evaluator's intra-query parallel
+// fixpoint rounds (DESIGN.md §5a); the query service runs its own worker
+// threads and does not use it.
 //
 // Run(parts, fn) executes fn(0), fn(1), ..., fn(parts-1) across the pool
 // threads *plus the caller* and blocks until all parts finish. Parts are

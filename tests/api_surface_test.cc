@@ -118,12 +118,20 @@ TEST(StatusTest, ResultMoveSemantics) {
   EXPECT_EQ(taken, "payload");
 }
 
-TEST(ContextTest, FreshPredicateUniqueNames) {
+// A generated name restarts at `<hint>_0` on every call sequence, so a
+// second compile reuses the first one's predicate instead of interning a
+// new one.
+TEST(ContextTest, InternUnusedReusesNamesAcrossCompiles) {
   Context ctx;
-  PredId a = ctx.FreshPredicate("aux", 2);
-  PredId b = ctx.FreshPredicate("aux", 2);
+  auto none = [](SymbolId) { return false; };
+  size_t first = 0;
+  PredId a = ctx.InternPredicate(ctx.InternUnused("aux", &first, none), 2);
+  PredId b = ctx.InternPredicate(ctx.InternUnused("aux", &first, none), 2);
   EXPECT_NE(a, b);
-  EXPECT_NE(ctx.PredicateDisplayName(a), ctx.PredicateDisplayName(b));
+  const size_t preds = ctx.NumPredicates();
+  size_t second = 0;
+  EXPECT_EQ(ctx.InternPredicate(ctx.InternUnused("aux", &second, none), 2), a);
+  EXPECT_EQ(ctx.NumPredicates(), preds);
 }
 
 // The front door: compile (parse -> optimize) once, evaluate in a Session.

@@ -66,18 +66,25 @@ TEST(ContextTest, SymbolInterningIsIdempotent) {
   EXPECT_EQ(ctx.FindSymbol("carol"), std::nullopt);
 }
 
-TEST(ContextTest, FreshSymbolsAreDistinct) {
+TEST(ContextTest, InternUnusedNamesAreDistinct) {
   Context ctx;
-  SymbolId a = ctx.FreshSymbol("x");
-  SymbolId b = ctx.FreshSymbol("x");
+  size_t next = 0;
+  auto none = [](SymbolId) { return false; };
+  SymbolId a = ctx.InternUnused("x", &next, none);
+  SymbolId b = ctx.InternUnused("x", &next, none);
   EXPECT_NE(a, b);
+  EXPECT_EQ(ctx.SymbolName(a), "x_0");
+  EXPECT_EQ(ctx.SymbolName(b), "x_1");
 }
 
-TEST(ContextTest, FreshSymbolAvoidsExistingNames) {
+TEST(ContextTest, InternUnusedSkipsTakenNames) {
   Context ctx;
-  ctx.InternSymbol("x_0");
-  SymbolId a = ctx.FreshSymbol("x");
-  EXPECT_NE(ctx.SymbolName(a), "x_0");
+  const SymbolId used = ctx.InternSymbol("x_0");
+  size_t next = 0;
+  SymbolId a =
+      ctx.InternUnused("x", &next, [&](SymbolId s) { return s == used; });
+  EXPECT_EQ(ctx.SymbolName(a), "x_1");
+  EXPECT_EQ(next, 2u);
 }
 
 TEST(ContextTest, PredicateVersionsAreDistinct) {

@@ -1,9 +1,12 @@
 // The folding rewriting of Example 11 and its inverse.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "analysis/dependency_graph.h"
 #include "ast/printer.h"
+#include "core/compiled_program.h"
 #include "core/optimizer.h"
 #include "equiv/random_check.h"
 #include "equiv/summary_closure.h"
@@ -109,6 +112,54 @@ TEST(FoldingTest, OptimizerPipelineWithFolding) {
       << check->counterexample << "\n"
       << ToString(optimized->program);
   EXPECT_GE(optimized->report.rules_folded, 1u);
+}
+
+// Folding names its auxiliaries fold_0, fold_1, ... per compile, so
+// repeated compiles into one Context intern nothing after the first.
+TEST(FoldingTest, RepeatedCompilesInternNothingNew) {
+  CompileOptions options;
+  options.optimize = true;
+  options.optimizer.adorn = false;
+  options.optimizer.enable_folding = true;
+  ContextPtr ctx = std::make_shared<Context>();
+  size_t symbols = 0;
+  size_t preds = 0;
+  for (int i = 0; i < 10; ++i) {
+    Result<CompiledProgram::Ptr> compiled =
+        CompiledProgram::Compile(kExample11, options, nullptr, ctx);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_GE((*compiled)->report().rules_folded, 1u);
+    if (i == 0) {
+      symbols = ctx->NumSymbols();
+      preds = ctx->NumPredicates();
+      continue;
+    }
+    EXPECT_EQ(ctx->NumSymbols(), symbols) << "compile " << i;
+    EXPECT_EQ(ctx->NumPredicates(), preds) << "compile " << i;
+  }
+}
+
+// The auxiliaries skip every predicate name of the source, also one an
+// earlier phase dropped from the program: cleanup removes the unreachable
+// rule over the input predicate fold_0/4 before folding introduces a
+// 4-ary auxiliary, which must not become that input predicate. The
+// deletion the fold enables logs the auxiliary's name.
+TEST(FoldingTest, AuxiliaryAvoidsNamesTheSourceDropped) {
+  auto parsed = MustParse(std::string(kExample11) +
+                          "unused(X) :- fold_0(X, Y, Z, U).\n");
+  OptimizerOptions options;
+  options.adorn = false;
+  options.enable_folding = true;
+  Result<OptimizedProgram> optimized =
+      OptimizeExistential(parsed.program, options);
+  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+  ASSERT_GE(optimized->report.rules_folded, 1u);
+  bool logged_aux = false;
+  for (const std::string& line : optimized->report.log) {
+    EXPECT_EQ(line.find("fold_0("), std::string::npos) << line;
+    logged_aux |= line.find("fold_1(") != std::string::npos;
+  }
+  EXPECT_TRUE(logged_aux);
 }
 
 TEST(FoldingTest, MappingMayIdentifyVariables) {

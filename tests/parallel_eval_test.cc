@@ -6,6 +6,8 @@
 // tests pin that down on the E1 (projection / transitive closure) and E4
 // (cascade) workload shapes plus negation and boolean-cut programs.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/workload.h"
@@ -217,6 +219,35 @@ TEST(ParallelEvalTest, BitsetKernelWorkloadMatchesSerial) {
   EXPECT_EQ(generic.stats.rows_matched, kernels.stats.rows_matched);
   EXPECT_GT(kernels.representation.words_scanned, 0u);
   EXPECT_EQ(generic.representation.words_scanned, 0u);
+}
+
+// A variant whose outermost step probes an index with a constant key
+// stays serial: partitioning the probed relation's row range would make
+// every worker repeat the probe, so the counters would depend on the
+// thread count.
+TEST(ParallelEvalTest, ProbeFirstVariantCountsAlikeAtAnyThreadCount) {
+  std::string source = "q(Z) :- e(n0, Y), e(Y, Z).\n?- q(Z).\n";
+  for (int i = 0; i < 1024; ++i) {
+    source += "e(n" + std::to_string(i / 4) + ", n" + std::to_string(i) +
+              ").\n";
+  }
+  auto parsed = testing::MustParse(source);
+  EvalOptions serial_options;
+  serial_options.num_threads = 1;
+  EvalOptions parallel_options;
+  parallel_options.num_threads = 4;
+  const EvalResult serial =
+      testing::MustEval(parsed.program, parsed.edb, serial_options);
+  const EvalResult parallel =
+      testing::MustEval(parsed.program, parsed.edb, parallel_options);
+  EXPECT_EQ(serial.answers, parallel.answers);
+  EXPECT_EQ(serial.stats.rounds, parallel.stats.rounds);
+  EXPECT_EQ(serial.stats.rule_firings, parallel.stats.rule_firings);
+  EXPECT_EQ(serial.stats.tuples_inserted, parallel.stats.tuples_inserted);
+  EXPECT_EQ(serial.stats.duplicate_inserts, parallel.stats.duplicate_inserts);
+  EXPECT_EQ(serial.stats.index_probes, parallel.stats.index_probes);
+  EXPECT_EQ(serial.stats.rows_matched, parallel.stats.rows_matched);
+  EXPECT_EQ(serial.stats.rules_retired, parallel.stats.rules_retired);
 }
 
 TEST(ParallelEvalTest, TimingCountersPopulated) {

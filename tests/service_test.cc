@@ -6,8 +6,10 @@
 // storage layer underneath shares payloads until first write.
 
 #include <atomic>
+#include <chrono>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "service/query_service.h"
 #include "storage/database.h"
 #include "testing/test_util.h"
+#include "util/cancellation.h"
 #include "util/string_util.h"
 
 namespace exdl {
@@ -635,6 +638,44 @@ TEST(QueryServiceTest, PerSessionBudget) {
   EXPECT_EQ(response.result.termination.code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(response.result.stats.budget_tripped, BudgetKind::kTuples);
+}
+
+// Each worker publishes its query's response as soon as that query
+// finishes, so a tiny query submitted after a long one returns while the
+// long one still runs. The long query is a naive closure that joins r
+// with itself (cubic in the chain length: minutes, yet a few thousand
+// tuples); its Cancelled termination proves it was still running.
+TEST(QueryServiceTest, ShortQueryIsNotHeldBehindALongOne) {
+  std::string facts;
+  for (int i = 0; i < 3000; ++i) {
+    facts += "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
+  }
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.eval.seminaive = false;
+  QueryService service(options);
+  ASSERT_TRUE(service.LoadFacts(facts).ok());
+  CancellationToken cancel;
+  EvalBudget budget;
+  budget.cancellation = &cancel;
+  const QueryService::Ticket long_ticket = service.Submit(
+      {.source = "r(Y) :- e(n0, Y).\n"
+                 "r(Y) :- r(X), r(Z), e(X, Y).\n"
+                 "?- r(Y).\n",
+       .name = "long",
+       .budget = budget});
+  const QueryService::Ticket tiny_ticket = service.Submit(
+      {.source = "q(Y) :- e(n0, Y).\n?- q(Y).\n", .name = "tiny"});
+  std::optional<QueryResponse> tiny =
+      service.AwaitFor(tiny_ticket, std::chrono::seconds(10));
+  cancel.Cancel();
+  QueryResponse long_response = service.Await(long_ticket);
+  ASSERT_TRUE(tiny.has_value()) << "the tiny query waited for the long one";
+  ASSERT_TRUE(tiny->status.ok()) << tiny->status.ToString();
+  EXPECT_EQ(AnswerStrings(*service.ctx(), tiny->result.answers),
+            std::vector<std::string>{"n1"});
+  ASSERT_TRUE(long_response.status.ok()) << long_response.status.ToString();
+  EXPECT_EQ(long_response.result.termination.code(), StatusCode::kCancelled);
 }
 
 TEST(QueryServiceTest, CompileErrorsAreIsolated) {

@@ -142,8 +142,11 @@ Program RandomProgram(ContextPtr ctx, const RandomProgramOptions& options) {
   Atom body_lit;
   body_lit.pred = idb[0];
   body_lit.args.push_back(Term::Var(qv));
+  size_t next_name = 0;
+  auto taken = [&](SymbolId name) { return name == qv; };
   for (uint32_t i = 1; i < c.predicate(idb[0]).arity; ++i) {
-    body_lit.args.push_back(Term::Var(c.FreshSymbol("F")));
+    body_lit.args.push_back(
+        Term::Var(c.InternUnused("F", &next_name, taken)));
   }
   wrapper.body.push_back(std::move(body_lit));
   program.AddRule(std::move(wrapper));
@@ -272,8 +275,10 @@ Program RandomStratifiedProgram(ContextPtr ctx,
   Atom lit;
   lit.pred = top;
   lit.args.push_back(Term::Var(q));
+  size_t next_name = 0;
+  auto taken = [&](SymbolId name) { return name == q; };
   for (uint32_t i = 1; i < c.predicate(top).arity; ++i) {
-    lit.args.push_back(Term::Var(c.FreshSymbol("F")));
+    lit.args.push_back(Term::Var(c.InternUnused("F", &next_name, taken)));
   }
   wrapper.body.push_back(std::move(lit));
   program.AddRule(std::move(wrapper));
