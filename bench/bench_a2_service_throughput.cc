@@ -99,8 +99,10 @@ void RunCase(benchmark::State& state, bool warm) {
 void BM_ServiceCold(benchmark::State& state) { RunCase(state, false); }
 void BM_ServiceWarm(benchmark::State& state) { RunCase(state, true); }
 
-BENCHMARK(BM_ServiceCold)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ServiceWarm)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceCold)
+    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceWarm)
+    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace exdl::bench

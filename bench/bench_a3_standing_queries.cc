@@ -24,11 +24,21 @@
 // p50_us is the median LoadFacts latency (the JSON row records its
 // inverse as queries_per_sec: loads per second at the median).
 //
+// view_heap/views:{1,8,64} puts standing-view memory on record: N
+// same-rule views (distinct chain heads) absorb kGenerations loads, then
+// heap_per_view_kb is the live heap (mallinfo2) that unregistering them
+// releases, per view, next to edb_kb, the published snapshot's relation
+// storage. A view owns only what it derives, so the per-view figure stays
+// flat in N and far below edb_kb; the row's telemetry carries
+// ivm.private_bytes, the relation storage the live views own.
+//
 // compact_snapshot/{encode,decode}/scale:{1,10,100} time the snapshot
 // codec (DESIGN.md §11) on the same chain EDB with no index: encode is
 // what a durable service's compaction runs every compact_every loads
 // (DESIGN.md §15), decode is what a restart runs. p50_us is the median
 // call; snapshot_bytes is the blob size.
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -262,6 +272,54 @@ void BM_LoadFactsIndexed(benchmark::State& state) {
   if (MetricsEnabled()) AttachTelemetry(name, service.MetricsJson());
 }
 
+/// Bytes in live heap allocations, allocator-level: it repeats run to
+/// run, unlike resident-set figures.
+double HeapKb() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd) / 1024;
+}
+
+void BM_StandingViewHeap(benchmark::State& state) {
+  const int views = static_cast<int>(state.range(0));
+  const std::string name = "view_heap/views:" + std::to_string(views);
+  double heap_per_view_kb = 0;
+  double edb_kb = 0;
+  std::string metrics_doc;
+  for (auto _ : state) {
+    ServiceOptions options = MakeOptions(1);
+    options.program_cache_capacity = views;
+    QueryService service(options);
+    if (!service.LoadFacts(BaseFacts()).ok()) std::abort();
+    std::vector<uint64_t> ids;
+    for (int v = 0; v < views; ++v) {
+      Result<uint64_t> id = service.RegisterStandingQuery(
+          {.source = "tc(X, Y) :- e(X, Y).\n"
+                     "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                     "?- tc(" + NodeName(v, 0) + ", Y).\n",
+           .name = "v" + std::to_string(v)});
+      if (!id.ok()) std::abort();
+      ids.push_back(*id);
+    }
+    for (int g = 0; g < kGenerations; ++g) {
+      if (!service.LoadFacts(DeltaFacts(g)).ok()) std::abort();
+    }
+    metrics_doc = service.MetricsJson();
+    const double with_views = HeapKb();
+    for (uint64_t id : ids) {
+      if (!service.UnregisterStandingQuery(id).ok()) std::abort();
+    }
+    heap_per_view_kb = (with_views - HeapKb()) / views;
+    edb_kb = 0;
+    for (const auto& [pred, rel] : service.snapshot().db().relations()) {
+      edb_kb += static_cast<double>(rel.storage_bytes()) / 1024;
+    }
+  }
+  state.counters["heap_per_view_kb"] = heap_per_view_kb;
+  state.counters["edb_kb"] = edb_kb;
+  ReportThroughput(state, name, EvalResult(), 0);
+  AttachTelemetry(name, std::move(metrics_doc));
+}
+
 void RunCompactSnapshot(benchmark::State& state, bool decode) {
   const int scale = static_cast<int>(state.range(0));
   const std::string name = StrCat("compact_snapshot/",
@@ -312,6 +370,8 @@ BENCHMARK(BM_StandingRecompute)
     ->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LoadFactsIndexed)
     ->Arg(1)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StandingViewHeap)
+    ->Arg(1)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompactSnapshotEncode)
     ->Arg(1)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CompactSnapshotDecode)

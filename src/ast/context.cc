@@ -39,9 +39,8 @@ size_t Context::NumSymbols() const {
   return symbols_.size();
 }
 
-PredId Context::InternPredicate(SymbolId name, uint32_t arity,
-                                const Adornment& adornment) {
-  std::unique_lock lock(mu_);
+PredId Context::InternPredicateLocked(SymbolId name, uint32_t arity,
+                                      const Adornment& adornment) {
   PredKey key{name, arity, adornment.str()};
   auto it = pred_ids_.find(key);
   if (it != pred_ids_.end()) return it->second;
@@ -51,17 +50,16 @@ PredId Context::InternPredicate(SymbolId name, uint32_t arity,
   return id;
 }
 
+PredId Context::InternPredicate(SymbolId name, uint32_t arity,
+                                const Adornment& adornment) {
+  std::unique_lock lock(mu_);
+  return InternPredicateLocked(name, arity, adornment);
+}
+
 PredId Context::InternPredicate(std::string_view name, uint32_t arity,
                                 const Adornment& adornment) {
   std::unique_lock lock(mu_);
-  SymbolId symbol = InternSymbolLocked(name);
-  PredKey key{symbol, arity, adornment.str()};
-  auto it = pred_ids_.find(key);
-  if (it != pred_ids_.end()) return it->second;
-  PredId id = static_cast<PredId>(preds_.size());
-  preds_.push_back(PredicateInfo{symbol, arity, adornment});
-  pred_ids_.emplace(std::move(key), id);
-  return id;
+  return InternPredicateLocked(InternSymbolLocked(name), arity, adornment);
 }
 
 std::optional<PredId> Context::FindPredicate(SymbolId name, uint32_t arity,

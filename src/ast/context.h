@@ -146,6 +146,8 @@ class Context {
   // intern under the same exclusive section, and shared_mutex must not be
   // re-entered from the same thread).
   SymbolId InternSymbolLocked(std::string_view name);
+  PredId InternPredicateLocked(SymbolId name, uint32_t arity,
+                               const Adornment& adornment);
 
   mutable std::shared_mutex mu_;
   std::deque<std::string> symbols_;  ///< Deque: stable refs across interns.

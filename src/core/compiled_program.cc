@@ -53,6 +53,29 @@ std::vector<PredId> IntroducedPredicates(const Program& source,
 CompiledProgram::CompiledProgram(ContextPtr ctx, Program program)
     : ctx_(std::move(ctx)), program_(std::move(program)) {}
 
+void CompiledProgram::ClassifyPrivate() {
+  std::vector<PredId> preds;
+  for (const Rule& rule : program_.rules()) preds.push_back(rule.head.pred);
+  for (const auto& [pred, rel] : facts_.relations()) preds.push_back(pred);
+  if (magic_seed_) preds.push_back(magic_seed_->pred);
+  std::sort(preds.begin(), preds.end());
+  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+  std::erase_if(preds, [&](PredId p) {
+    return std::binary_search(introduced_.begin(), introduced_.end(), p);
+  });
+  private_ = std::move(preds);
+}
+
+EdbRole CompiledProgram::RoleOf(PredId pred) const {
+  if (std::binary_search(introduced_.begin(), introduced_.end(), pred)) {
+    return EdbRole::kDropped;
+  }
+  if (std::binary_search(private_.begin(), private_.end(), pred)) {
+    return EdbRole::kPrivate;
+  }
+  return EdbRole::kPublished;
+}
+
 uint64_t CompiledProgram::Fingerprint(const Program& program,
                                       const EvalOptions& eval,
                                       const std::optional<Atom>& seed) {
@@ -153,6 +176,7 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
     out->magic_seed_ = std::move(optimized.magic_seed);
     out->optimized_ = true;
   }
+  out->ClassifyPrivate();
   return Ptr(std::move(out));
 }
 
@@ -174,6 +198,7 @@ Result<CompiledProgram::Ptr> CompiledProgram::Optimize(
   out->optimize_termination_ = std::move(optimized.termination);
   out->magic_seed_ = std::move(optimized.magic_seed);
   out->optimized_ = true;
+  out->ClassifyPrivate();
   return Ptr(std::move(out));
 }
 

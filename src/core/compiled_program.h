@@ -49,6 +49,21 @@ struct CompileOptions {
   bool optimize = false;
 };
 
+/// How sessions and standing views source one predicate's relation
+/// (DESIGN.md §16, "Who owns a relation"). One classification per
+/// artifact; SessionEdb and MaterializedView::Apply both read it.
+enum class EdbRole {
+  /// Only ever read: sessions and views hold the published snapshot's
+  /// relation itself (a copy-on-write copy, O(1)).
+  kPublished,
+  /// Written by evaluation (a rule head), by facts() or by the seed: a
+  /// view keeps its own copy and appends loaded facts to it.
+  kPrivate,
+  /// A predicate the compile introduced: it starts empty, whatever a load
+  /// put under its name, and loaded facts for it are ignored.
+  kDropped,
+};
+
 class CompiledProgram {
  public:
   using Ptr = std::shared_ptr<const CompiledProgram>;
@@ -111,6 +126,8 @@ class CompiledProgram {
   /// of `snapshot` without the relations of predicates the optimizer
   /// introduced, plus facts(). Session::Run adds the seed fact.
   Database SessionEdb(const Database& snapshot) const;
+  /// `pred`'s role in this artifact's sessions and views.
+  EdbRole RoleOf(PredId pred) const;
   const OptimizationReport& report() const { return report_; }
   /// OK, or kCancelled when the optimizer stopped at a phase boundary.
   const Status& optimize_termination() const { return optimize_termination_; }
@@ -124,6 +141,10 @@ class CompiledProgram {
  private:
   CompiledProgram(ContextPtr ctx, Program program);
 
+  /// Fills private_ from program_, facts_ and magic_seed_ (introduced_
+  /// must already be set).
+  void ClassifyPrivate();
+
   ContextPtr ctx_;
   Program program_;
   Database facts_;
@@ -132,9 +153,12 @@ class CompiledProgram {
   std::optional<Atom> magic_seed_;
   bool optimized_ = false;
   /// Predicates of program_ that the source program and its facts do not
-  /// name and that may hold base facts, sorted. SessionEdb drops their
-  /// snapshot relations.
+  /// name and that may hold base facts, sorted: the kDropped role.
+  /// SessionEdb drops their snapshot relations.
   std::vector<PredId> introduced_;
+  /// The kPrivate role, sorted: rule heads, facts() predicates and the
+  /// seed's predicate, minus introduced_.
+  std::vector<PredId> private_;
 };
 
 }  // namespace exdl

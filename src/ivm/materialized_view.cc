@@ -1,5 +1,6 @@
 #include "ivm/materialized_view.h"
 
+#include <cassert>
 #include <optional>
 #include <utility>
 
@@ -65,16 +66,40 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
     return Reseed(edb_snapshot, generation);
   }
 
-  // One watermark capture before anything is appended: the suffix past
-  // each mark is this generation's delta. It counts the absorbed facts
-  // (re-sent facts dedup to no-ops and leave no suffix behind), it is the
-  // re-entry cursor, and the query relation's suffix past its mark holds
-  // the only possible new answers — the query predicate may itself be an
-  // EDB relation, so new facts can already be new answers.
+  // One watermark capture before anything is appended or adopted: the
+  // suffix past each mark is this generation's delta. It counts the
+  // absorbed facts (re-sent facts dedup to no-ops and leave no suffix
+  // behind; a predicate first loaded now is unlisted, so all of its rows
+  // are new), it is the re-entry cursor, and the query relation's suffix
+  // past its mark holds the only possible new answers — the query
+  // predicate may itself be an EDB relation, so new facts can already be
+  // new answers.
   EvalCursor cursor;  // Stratum 0: the program is negation-free.
   cursor.delta = Watermarks::Capture(result_.db);
   for (const Atom& fact : facts) {
-    EXDL_RETURN_IF_ERROR(result_.db.AddFact(fact));
+    switch (program_->RoleOf(fact.pred)) {
+      case EdbRole::kPublished: {
+        // The published relation extends the one the view holds in row
+        // order (each generation clones the last and appends), so taking
+        // it leaves exactly this generation's rows past the mark, in O(1).
+        const Relation* published = edb_snapshot.Find(fact.pred);
+        if (published == nullptr) {
+          return Status::InvalidArgument(
+              "Apply: the snapshot lacks a loaded predicate");
+        }
+        Relation& mine = result_.db.GetOrCreate(fact.pred, published->arity());
+        if (!mine.SharesStorageWith(*published)) {
+          assert(published->size() >= mine.size());
+          mine = *published;
+        }
+        break;
+      }
+      case EdbRole::kPrivate:
+        EXDL_RETURN_IF_ERROR(result_.db.AddFact(fact));
+        break;
+      case EdbRole::kDropped:  // The compile's own names start empty.
+        break;
+    }
   }
   const uint64_t absorbed = cursor.delta.RowsSince(result_.db);
   stats_.facts_absorbed += absorbed;
@@ -125,6 +150,16 @@ Status MaterializedView::Apply(std::span<const Atom> facts,
   last_incremental_ = true;
   result_ = std::move(*rederived);
   return Status::Ok();
+}
+
+size_t MaterializedView::private_bytes() const {
+  size_t bytes = 0;
+  for (const auto& [pred, rel] : result_.db.relations()) {
+    if (program_->RoleOf(pred) != EdbRole::kPublished) {
+      bytes += rel.storage_bytes();
+    }
+  }
+  return bytes;
 }
 
 Status MaterializedView::Reseed(const Database& edb, uint64_t generation) {

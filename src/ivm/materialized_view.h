@@ -1,12 +1,15 @@
 // MaterializedView — one standing query's maintained fixpoint (DESIGN.md
 // §16).
 //
-// The view owns the full EDB ∪ IDB database of its last evaluation; each
-// generation's new facts are appended to it and re-derived from through
-// the evaluator's semi-naive watermark machinery (the Watermarks captured
-// before the append, passed as the EvalOptions::resume cursor), so a
-// generation costs O(changed facts and their consequences), not
-// O(database).
+// The view holds the EDB ∪ IDB database of its last evaluation, but owns
+// only the relations its evaluation writes (CompiledProgram::RoleOf): for
+// every other predicate it holds the published snapshot's relation, and a
+// generation swaps in the next snapshot's in O(1) instead of copying the
+// EDB. Each generation's new facts — appended private rows and adopted
+// published suffixes alike — are re-derived from through the evaluator's
+// semi-naive watermark machinery (the Watermarks captured before the
+// append, passed as the EvalOptions::resume cursor), so a generation costs
+// O(changed facts and their consequences), not O(database).
 // Insertions over a negation-free semi-naive program are monotone, and
 // ExtractAnswers sorts + dedups, so answers are byte-identical to a cold
 // run. Programs outside that fragment (see Fallback) recompute every
@@ -63,7 +66,8 @@ class MaterializedView {
  public:
   /// Seeds a view from a finished full evaluation: `result` must be the
   /// EvalResult of evaluating `program` over generation `generation`'s
-  /// EDB (plus the program's own ground facts), with ok termination.
+  /// EDB (plus the program's own ground facts), with ok termination; its
+  /// published relations are then that snapshot's own (CoW copies).
   /// `support` is the ledger that observed that evaluation. Fallback
   /// views keep none (they recompute every generation, so nothing could
   /// read their counts); one passed for them is dropped.
@@ -71,13 +75,16 @@ class MaterializedView {
                    EvalResult result, uint64_t generation,
                    std::unique_ptr<SupportLedger> support);
 
-  /// Absorbs one generation of new facts. Appends them to the maintained
-  /// database (duplicates dedup to no-ops) and re-derives incrementally
-  /// from the delta suffixes when the program allows it; fallback
-  /// programs Reseed from `edb_snapshot` (the just-published generation's
-  /// database, which already contains the facts) instead. `generation`
-  /// must be > generation(); loads the view already absorbed are skipped
-  /// by the caller.
+  /// Absorbs one generation of new facts. `edb_snapshot` is the
+  /// just-published generation's database, which already contains them
+  /// and extends, relation by relation in row order, the snapshot the
+  /// view last absorbed. Published predicates' relations are taken from it;
+  /// facts of private predicates are appended to the view's own relations
+  /// (duplicates dedup to no-ops); facts of the compile's own predicates
+  /// are ignored. Then the view re-derives incrementally from the delta
+  /// suffixes when the program allows it; fallback programs Reseed from
+  /// `edb_snapshot` instead. `generation` must be > generation(); loads
+  /// the view already absorbed are skipped by the caller.
   Status Apply(std::span<const Atom> facts, uint64_t generation,
                const Database& edb_snapshot);
 
@@ -101,6 +108,9 @@ class MaterializedView {
   bool last_was_incremental() const { return last_incremental_; }
   /// The view's support counts; null for fallback views.
   const SupportLedger* support() const { return support_.get(); }
+  /// Relation::storage_bytes summed over the relations the view owns (the
+  /// non-published roles); published relations are the snapshot's.
+  size_t private_bytes() const;
 
   /// Classifies whether (program, eval) can be maintained incrementally.
   static Fallback Classify(const Program& program, const EvalOptions& eval);

@@ -477,18 +477,11 @@ void QueryService::InstallStandingView(
     Active& item, CompiledProgram::Ptr compiled, const EvalOptions& eval,
     std::unique_ptr<ivm::SupportLedger> ledger) {
   QueryResponse& response = item.response;
-  // The view owns its own copy of the fixpoint database (copy-on-write:
-  // O(#relations) now, payloads detach lazily as maintenance appends).
-  EvalResult seed;
-  seed.db = response.result.db.Clone();
-  seed.stats = response.result.stats;
-  seed.representation = response.result.representation;
-  seed.termination = response.result.termination;
-  seed.answers = response.result.answers;
-  seed.ground_query_true = response.result.ground_query_true;
+  // The seeding result becomes the view: RegisterStandingQuery reads only
+  // the response's status and id, so nothing else needs the database.
   auto view = std::make_unique<ivm::MaterializedView>(
-      compiled, eval, std::move(seed), item.pending.snapshot.generation(),
-      std::move(ledger));
+      compiled, eval, std::move(response.result),
+      item.pending.snapshot.generation(), std::move(ledger));
   std::lock_guard<std::mutex> lock(standing_mu_);
   // Registration raced a LoadFacts if the published generation moved past
   // the one this evaluation read: re-check under standing_mu_ (which
@@ -519,6 +512,7 @@ std::string QueryService::MetricsJson(
   uint64_t maintained_queries = 0;
   uint64_t support_bytes = 0;
   uint64_t support_tuples = 0;
+  uint64_t private_bytes = 0;
   ivm::IvmStats ivm_stats;
   {
     std::lock_guard<std::mutex> lock(standing_mu_);
@@ -526,6 +520,7 @@ std::string QueryService::MetricsJson(
     ivm_stats = retained_standing_stats_;
     for (const auto& [id, entry] : standing_) {
       ivm_stats += entry.view->stats();
+      private_bytes += entry.view->private_bytes();
       if (const ivm::SupportLedger* support = entry.view->support()) {
         support_bytes += support->bytes();
         support_tuples += support->tracked_tuples();
@@ -599,6 +594,8 @@ std::string QueryService::MetricsJson(
     w.UInt(support_bytes);
     w.Key("support_tuples");
     w.UInt(support_tuples);
+    w.Key("private_bytes");
+    w.UInt(private_bytes);
     w.EndObject();
     if (extra_keys) extra_keys(w);
   };

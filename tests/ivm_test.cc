@@ -64,16 +64,42 @@ const IvmCase kCases[] = {
      "late(X) :- e(X, Y), g(Y).\n"
      "late(X) :- e(X, Y), late(Y).\n"
      "?- late(X).\n"},
+    // The cases below read the relations whose ownership the view's
+    // maintenance decides per predicate (DESIGN.md §16, "Who owns a
+    // relation"); RandomDelta loads facts for each of them.
+    {"derived_load",  // seen/1 is derived and loaded (and a source fact
+                      // for it keeps the optimizer from renaming it).
+     "seen(n0).\n"
+     "seen(Y) :- seen(X), up(X, Y).\n"
+     "?- seen(Y).\n"},
+    {"own_facts",  // mark/1 is populated by a source fact and by loads.
+     "mark(n0).\n"
+     "tagged(X) :- mark(X).\n"
+     "tagged(Y) :- mark(X), up(X, Y).\n"
+     "?- tagged(X).\n"},
+    {"new_edb",  // k/1 is first loaded two generations after registration.
+     "kr(X) :- k(X).\n"
+     "kr(X) :- up(X, Y), kr(Y).\n"
+     "?- kr(X).\n"},
+    {"introduced_load",  // The compile introduces bq_0 :- e(zz, _).
+     "tc(X, Y) :- e(X, Y).\n"
+     "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+     "q(X) :- up(X, Y), tc(zz, Z).\n"
+     "?- q(X).\n"},
 };
 
 std::string Node(int i) { return StrCat("n", std::to_string(i)); }
 
-/// One seeded generation of facts: a mix of brand-new edges, re-sent
+/// Generation `gen`'s seeded facts: a mix of brand-new edges, re-sent
 /// duplicates, and edges introducing fresh nodes. `up`/`f` facts ride
 /// along so the same_generation case grows too, and `g` facts — which
 /// BaseFacts never loads — so late_predicate's body reads a relation the
-/// view's watermark does not list.
-std::string RandomDelta(std::mt19937& rng, int* next_node) {
+/// view's watermark does not list. The tail loads a derived predicate
+/// (`seen`), one the program's own facts populate (`mark`), one derived
+/// only in the source (`tc`, which factoring replaces), a predicate new
+/// from generation 2 (`k`) and a name the compile introduces (`bq_0`);
+/// generation 3 makes introduced_load's boolean true.
+std::string RandomDelta(std::mt19937& rng, int* next_node, int gen) {
   std::uniform_int_distribution<int> coin(0, 99);
   std::string facts;
   const int edges = 3 + static_cast<int>(rng() % 5);
@@ -102,6 +128,14 @@ std::string RandomDelta(std::mt19937& rng, int* next_node) {
       facts += "g(" + Node(static_cast<int>(rng() % *next_node)) + ").\n";
     }
   }
+  auto any_node = [&] { return Node(static_cast<int>(rng() % *next_node)); };
+  facts += "seen(" + any_node() + ").\n";
+  facts += "mark(" + any_node() + ").\n";
+  const std::string tc_from = any_node();
+  facts += "tc(" + tc_from + ", " + any_node() + ").\n";
+  if (gen >= 2) facts += "k(" + any_node() + ").\n";
+  if (coin(rng) < 50) facts += "bq_0.\n";
+  if (gen == 3) facts += "e(zz, n1).\n";
   return facts;
 }
 
@@ -118,11 +152,11 @@ std::string BaseFacts(std::mt19937& rng, int* next_node) {
   return facts;
 }
 
-ServiceOptions MakeOptions(uint32_t workers) {
+ServiceOptions MakeOptions(uint32_t workers, bool optimize = true) {
   ServiceOptions options;
   options.num_workers = workers;
   options.eval.num_threads = workers;
-  options.compile.optimize = true;
+  options.compile.optimize = optimize;
   return options;
 }
 
@@ -146,33 +180,38 @@ void ExpectPollMatchesCold(QueryService& service, uint64_t id,
   }
 }
 
+// Unoptimized programs keep their source names: there the loads of `tc`
+// land in a relation the tc view derives.
 TEST(IvmRandomizedTest, IncrementalMatchesColdEverywhere) {
   for (uint32_t workers : {1u, 4u}) {
     for (uint32_t seed : {7u, 1234u}) {
-      std::mt19937 rng(seed);
-      int next_node = 0;
-      const std::string base = BaseFacts(rng, &next_node);
-      QueryService service(MakeOptions(workers));
-      ASSERT_TRUE(service.LoadFacts(base).ok());
-      std::vector<QueryRequest> requests;
-      std::vector<uint64_t> ids;
-      for (const IvmCase& c : kCases) {
-        QueryRequest request{.source = c.source, .name = c.label};
-        Result<uint64_t> id = service.RegisterStandingQuery(request);
-        ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().ToString();
-        requests.push_back(std::move(request));
-        ids.push_back(*id);
-      }
-      for (int g = 0; g < 5; ++g) {
-        ASSERT_TRUE(
-            service.LoadFacts(RandomDelta(rng, &next_node)).ok());
-        for (size_t q = 0; q < ids.size(); ++q) {
-          SCOPED_TRACE(std::string(kCases[q].label) + " workers=" +
-                       std::to_string(workers) + " seed=" +
-                       std::to_string(seed) + " gen=" +
-                       std::to_string(g));
-          ExpectPollMatchesCold(service, ids[q], requests[q],
-                                /*expect_incremental=*/true);
+      for (bool optimize : {true, false}) {
+        std::mt19937 rng(seed);
+        int next_node = 0;
+        const std::string base = BaseFacts(rng, &next_node);
+        QueryService service(MakeOptions(workers, optimize));
+        ASSERT_TRUE(service.LoadFacts(base).ok());
+        std::vector<QueryRequest> requests;
+        std::vector<uint64_t> ids;
+        for (const IvmCase& c : kCases) {
+          QueryRequest request{.source = c.source, .name = c.label};
+          Result<uint64_t> id = service.RegisterStandingQuery(request);
+          ASSERT_TRUE(id.ok()) << c.label << ": " << id.status().ToString();
+          requests.push_back(std::move(request));
+          ids.push_back(*id);
+        }
+        for (int g = 0; g < 5; ++g) {
+          ASSERT_TRUE(
+              service.LoadFacts(RandomDelta(rng, &next_node, g)).ok());
+          for (size_t q = 0; q < ids.size(); ++q) {
+            SCOPED_TRACE(std::string(kCases[q].label) + " workers=" +
+                         std::to_string(workers) + " seed=" +
+                         std::to_string(seed) + " optimize=" +
+                         std::to_string(optimize) + " gen=" +
+                         std::to_string(g));
+            ExpectPollMatchesCold(service, ids[q], requests[q],
+                                  /*expect_incremental=*/true);
+          }
         }
       }
     }
@@ -301,6 +340,8 @@ TEST(IvmTest, MetricsJsonCarriesIvmObject) {
   const uint64_t support_bytes = gauge("support_bytes");
   EXPECT_GT(support_tuples, 0u);
   EXPECT_GT(support_bytes, 0u);
+  // The view owns the relations it derives, not the loaded `e`.
+  EXPECT_GT(gauge("private_bytes"), 0u);
 }
 
 // --- Support ledger (DESIGN.md §16, "Counting support") ---
@@ -421,7 +462,7 @@ TEST(SupportLedgerTest, CountsIdenticalAcrossThreads) {
           testing::MustParseWith(ctx, BaseFacts(rng, &next_node)).edb;
       std::vector<std::vector<Atom>> deltas;
       for (int g = 0; g < 5; ++g) {
-        deltas.push_back(ParseAtoms(RandomDelta(rng, &next_node), ctx));
+        deltas.push_back(ParseAtoms(RandomDelta(rng, &next_node, g), ctx));
       }
       std::optional<std::vector<std::vector<uint32_t>>> reference;
       for (uint32_t threads : {1u, 4u}) {
@@ -487,6 +528,77 @@ TEST(SupportLedgerTest, OnlyIncrementalViewsKeepALedger) {
   ASSERT_NE(view->support(), nullptr);
   EXPECT_EQ(view->stats().full_recomputes, 2u);
   EXPECT_EQ(view->support()->tracked_tuples(), 6u);  // tc over a-b-c-d
+}
+
+// Ownership (DESIGN.md §16, "Who owns a relation"): after five loads
+// every view, optimized or not, holds the published snapshot's own `e`,
+// so the EDB is stored once however many views there are, while a
+// relation a view derives and loads also write stays the view's own copy:
+// derived_load's `seen`, and `tc` where the unoptimized tc view keeps it.
+// At 1 and 4 evaluation threads.
+TEST(IvmTest, ViewsShareThePublishedEdb) {
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EvalOptions eval;
+    eval.num_threads = threads;
+    auto ctx = std::make_shared<Context>();
+    std::mt19937 rng(7);
+    int next_node = 0;
+    auto published = std::make_shared<const Database>(
+        testing::MustParseWith(ctx, BaseFacts(rng, &next_node)).edb);
+    struct Maintained {
+      std::string_view label;
+      bool optimize;
+      std::unique_ptr<ivm::MaterializedView> view;
+    };
+    std::vector<Maintained> views;
+    for (bool optimize : {true, false}) {
+      for (const IvmCase& c : kCases) {
+        CompiledProgram::Ptr compiled =
+            CompileSource(c.source, optimize, ctx);
+        ASSERT_NE(compiled, nullptr);
+        views.push_back(
+            {c.label, optimize, ReseededView(compiled, eval, *published)});
+      }
+    }
+    for (int g = 0; g < 5; ++g) {
+      const std::vector<Atom> delta =
+          ParseAtoms(RandomDelta(rng, &next_node, g), ctx);
+      // Published as QueryService publishes: a clone of the last
+      // generation plus the load's rows.
+      Database next = published->Clone();
+      for (const Atom& fact : delta) ASSERT_TRUE(next.AddFact(fact).ok());
+      published = std::make_shared<const Database>(std::move(next));
+      for (const Maintained& m : views) {
+        ASSERT_TRUE(m.view->Apply(delta, g + 2, *published).ok());
+        ASSERT_TRUE(m.view->last_was_incremental());
+      }
+    }
+    const PredId e = ctx->InternPredicate("e", 2);
+    auto expect_owned = [&](const Maintained& m, PredId pred) {
+      const Relation* derived = m.view->result().db.Find(pred);
+      ASSERT_NE(derived, nullptr);
+      EXPECT_FALSE(derived->SharesStorageWith(*published->Find(pred)));
+      EXPECT_GE(m.view->private_bytes(), derived->storage_bytes());
+    };
+    for (const Maintained& m : views) {
+      SCOPED_TRACE(std::string(m.label) +
+                   " optimize=" + std::to_string(m.optimize));
+      const Relation* held = m.view->result().db.Find(e);
+      ASSERT_NE(held, nullptr);
+      EXPECT_TRUE(held->SharesStorageWith(*published->Find(e)));
+      if (m.label == "derived_load") {
+        expect_owned(m, ctx->InternPredicate("seen", 1));
+      }
+      if (m.label == "tc" && !m.optimize) {
+        expect_owned(m, ctx->InternPredicate("tc", 2));
+      }
+      if (m.label == "edb_query" && m.optimize) {
+        // Its rules are deleted: the view writes nothing and owns nothing.
+        EXPECT_EQ(m.view->private_bytes(), 0u);
+      }
+    }
+  }
 }
 
 // Concurrency smoke (run under TSan in CI): registrations, fact loads,

@@ -502,6 +502,36 @@ TEST(QueryServiceTest, LoadedFactsCannotSatisfyAGeneratedBoolean) {
   EXPECT_EQ(plain[2], "2:x\ny\n");
 }
 
+// A standing view ignores loads under the compile's own names as a cold
+// run does: `bq_0.` loaded after registration leaves the boolean component
+// `bq_0 :- e(a, Y)` false, so the view keeps answering nothing.
+TEST(QueryServiceTest, StandingViewIgnoresLoadsOfAGeneratedBoolean) {
+  ServiceOptions options;
+  options.compile.optimize = true;
+  QueryService service(options);
+  ASSERT_TRUE(service.LoadFacts("e(b, c).").ok());
+  const QueryRequest request{
+      .source = "tc(X, Y) :- e(X, Y).\n"
+                "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                "q(X) :- e(X, Y), tc(a, Z).\n"
+                "?- q(X).\n",
+      .name = "q"};
+  Result<uint64_t> id = service.RegisterStandingQuery(request);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(service.LoadFacts("bq_0.").ok());
+  QueryResponse cold = service.Await(service.Submit(request));
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_NE(ToString(cold.program->program()).find("bq_0 :- e(a, "),
+            std::string::npos);
+  EXPECT_TRUE(cold.result.answers.empty());
+  Result<StandingQueryResult> polled = service.PollStandingQuery(*id);
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_EQ(polled->generation, cold.snapshot_generation);
+  EXPECT_EQ(polled->answer_count, 0u);
+  EXPECT_EQ(polled->answers,
+            RenderAnswerRows(*service.ctx(), cold.result.answers));
+}
+
 // LoadFacts counts the relations it detaches from the published snapshot
 // and the bytes each detach copied (service.load.cow_*).
 TEST(QueryServiceTest, LoadFactsCountsCopyOnWriteDetaches) {
