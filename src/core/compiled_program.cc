@@ -48,14 +48,22 @@ std::vector<PredId> IntroducedPredicates(const Program& source,
   return out;
 }
 
+/// The head predicates of `program`'s rules, sorted and distinct.
+std::vector<PredId> HeadPredicates(const Program& program) {
+  std::vector<PredId> preds;
+  for (const Rule& rule : program.rules()) preds.push_back(rule.head.pred);
+  std::sort(preds.begin(), preds.end());
+  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+  return preds;
+}
+
 }  // namespace
 
 CompiledProgram::CompiledProgram(ContextPtr ctx, Program program)
     : ctx_(std::move(ctx)), program_(std::move(program)) {}
 
 void CompiledProgram::ClassifyPrivate() {
-  std::vector<PredId> preds;
-  for (const Rule& rule : program_.rules()) preds.push_back(rule.head.pred);
+  std::vector<PredId> preds = HeadPredicates(program_);
   for (const auto& [pred, rel] : facts_.relations()) preds.push_back(pred);
   if (magic_seed_) preds.push_back(magic_seed_->pred);
   std::sort(preds.begin(), preds.end());
@@ -74,6 +82,14 @@ EdbRole CompiledProgram::RoleOf(PredId pred) const {
     return EdbRole::kPrivate;
   }
   return EdbRole::kPublished;
+}
+
+bool CompiledProgram::HidesLoadedFacts(const Database& snapshot) const {
+  return std::any_of(source_derived_.begin(), source_derived_.end(),
+                     [&](PredId p) {
+                       const Relation* rel = snapshot.Find(p);
+                       return rel != nullptr && rel->size() > 0;
+                     });
 }
 
 uint64_t CompiledProgram::Fingerprint(const Program& program,
@@ -170,6 +186,7 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
         OptimizeExistential(out->program_, opt, FactPredicates(out->facts_)));
     out->introduced_ = IntroducedPredicates(out->program_, out->facts_,
                                             optimized.program);
+    out->source_derived_ = HeadPredicates(out->program_);
     out->program_ = std::move(optimized.program);
     out->report_ = std::move(optimized.report);
     out->optimize_termination_ = std::move(optimized.termination);
@@ -194,6 +211,7 @@ Result<CompiledProgram::Ptr> CompiledProgram::Optimize(
       base.ctx_, std::move(optimized.program)));
   out->facts_ = base.facts_.Clone();
   out->introduced_ = std::move(introduced);
+  out->source_derived_ = HeadPredicates(base.program_);
   out->report_ = std::move(optimized.report);
   out->optimize_termination_ = std::move(optimized.termination);
   out->magic_seed_ = std::move(optimized.magic_seed);

@@ -128,6 +128,11 @@ class CompiledProgram {
   Database SessionEdb(const Database& snapshot) const;
   /// `pred`'s role in this artifact's sessions and views.
   EdbRole RoleOf(PredId pred) const;
+  /// True when this artifact is optimized and `snapshot` holds rows for a
+  /// predicate the source rules derive. The rewrites read only what the
+  /// rules derive (Example 1's tc is gone), so those rows could be lost:
+  /// such a snapshot needs the unoptimized artifact.
+  bool HidesLoadedFacts(const Database& snapshot) const;
   const OptimizationReport& report() const { return report_; }
   /// OK, or kCancelled when the optimizer stopped at a phase boundary.
   const Status& optimize_termination() const { return optimize_termination_; }
@@ -159,6 +164,8 @@ class CompiledProgram {
   /// The kPrivate role, sorted: rule heads, facts() predicates and the
   /// seed's predicate, minus introduced_.
   std::vector<PredId> private_;
+  /// Head predicates of the source rules, sorted; empty unless optimized.
+  std::vector<PredId> source_derived_;
 };
 
 }  // namespace exdl

@@ -5,19 +5,38 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 namespace exdl::daemon {
 
 namespace {
 
-/// Reads exactly `n` bytes. Returns the byte count actually read: `n` on
-/// success, less on EOF/error (errno preserved; 0 errno means plain EOF).
-size_t ReadExact(int fd, char* buf, size_t n) {
+/// Drops the first `n` bytes a transfer moved through `msg`'s iovecs.
+void Consume(msghdr* msg, size_t n) {
+  while (msg->msg_iovlen > 0 && n >= msg->msg_iov->iov_len) {
+    n -= msg->msg_iov->iov_len;
+    ++msg->msg_iov;
+    --msg->msg_iovlen;
+  }
+  if (msg->msg_iovlen > 0) {
+    msg->msg_iov->iov_base = static_cast<char*>(msg->msg_iov->iov_base) + n;
+    msg->msg_iov->iov_len -= n;
+  }
+}
+
+/// Fills the `count` buffers of `iov` exactly. Returns the byte count
+/// actually read: their total on success, less on EOF/error (errno
+/// preserved; 0 errno means plain EOF).
+size_t ReadExact(int fd, iovec* iov, size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
   size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
+  while (msg.msg_iovlen > 0) {
+    const ssize_t r = ::recvmsg(fd, &msg, 0);
     if (r > 0) {
       got += static_cast<size_t>(r);
+      Consume(&msg, static_cast<size_t>(r));
       continue;
     }
     if (r < 0 && errno == EINTR) continue;
@@ -32,7 +51,8 @@ size_t ReadExact(int fd, char* buf, size_t n) {
 Status ReadFrame(int fd, Frame* out, bool* clean_eof) {
   *clean_eof = false;
   char prefix[4];
-  const size_t got = ReadExact(fd, prefix, sizeof prefix);
+  iovec prefix_iov = {prefix, sizeof prefix};
+  const size_t got = ReadExact(fd, &prefix_iov, 1);
   if (got == 0 && errno == 0) {
     *clean_eof = true;
     return Status::Unavailable("connection closed");
@@ -52,17 +72,20 @@ Status ReadFrame(int fd, Frame* out, bool* clean_eof) {
                                    std::to_string(length) +
                                    " bytes exceeds the protocol cap");
   }
-  std::string payload(length, '\0');
-  if (ReadExact(fd, payload.data(), length) < length) {
+  // One read scatters the type byte into a local and the rest straight
+  // into the frame's body: the payload is never staged and copied.
+  char type_byte = 0;
+  out->body.resize(length - 1);
+  iovec payload_iov[2] = {{&type_byte, 1}, {out->body.data(), length - 1}};
+  if (ReadExact(fd, payload_iov, 2) < length) {
     return Status::Unavailable("torn connection: short frame body");
   }
-  const uint8_t type = static_cast<uint8_t>(payload[0]);
+  const uint8_t type = static_cast<uint8_t>(type_byte);
   if (!IsKnownMsgType(type)) {
     return Status::InvalidArgument("unknown message type " +
                                    std::to_string(type));
   }
   out->type = static_cast<MsgType>(type);
-  out->body.assign(payload, 1, payload.size() - 1);
   return Status::Ok();
 }
 
@@ -70,19 +93,22 @@ Status WriteFrame(int fd, std::string_view payload) {
   if (payload.empty() || payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload size out of range");
   }
-  std::string wire;
-  wire.reserve(4 + payload.size());
+  char prefix[4];
   const uint32_t length = static_cast<uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i) {
-    wire.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
+    prefix[i] = static_cast<char>((length >> (8 * i)) & 0xff);
   }
-  wire.append(payload.data(), payload.size());
-  size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t w =
-        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
+  // Prefix and payload leave in one sendmsg; a partial write resumes
+  // where it stopped.
+  iovec iov[2] = {{prefix, sizeof prefix},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w > 0) {
-      sent += static_cast<size_t>(w);
+      Consume(&msg, static_cast<size_t>(w));
       continue;
     }
     if (w < 0 && errno == EINTR) continue;

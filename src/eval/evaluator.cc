@@ -1083,16 +1083,13 @@ class Engine {
   /// emission; Shape B — binary outer scan and/or one binary index probe —
   /// runs a tight per-row loop over the pre-resolved bit probes. All three
   /// reproduce the generic descent's derivation sequence and counters
-  /// exactly (DESIGN.md §14).
+  /// exactly, governed or not (DESIGN.md §14).
   void RunBitsetPartition(const RulePlan& plan,
                           const std::vector<RowRange>& ranges,
                           DescentState& ws) {
     ws.open_run = static_cast<size_t>(-1);
     const Relation::View outer = step_rels_[0]->view();
-    // Governed runs keep a per-row loop: it checks the deadline and the
-    // token every kBudgetCheckStride rows and counts each derivation
-    // against max_derivations_per_round.
-    if (plan.projection && !governed_) {
+    if (plan.projection) {
       RunProjection(plan, ranges[0], outer, ws);
     } else if (outer.arity() == 1 &&
                plan.binary_probe_step == static_cast<size_t>(-1)) {
@@ -1106,10 +1103,12 @@ class Engine {
   /// gather of its columns and the head's constants. The partition is one
   /// PendingFact run filled column by column, and the generic descent's
   /// counters — one matched row and one firing per outer row — are folded
-  /// in once.
+  /// in once. A governed run first settles how many rows the budget lets
+  /// it take (GovernedRows).
   void RunProjection(const RulePlan& plan, RowRange outer,
                      const Relation::View& view, DescentState& ws) {
-    const uint32_t n = outer.hi - outer.lo;
+    uint32_t n = outer.hi - outer.lo;
+    if (governed_) n = GovernedRows(n, ws);
     ws.stats.rows_matched += n;
     ws.stats.rule_firings += n;
     ws.projection_rows += n;
@@ -1139,6 +1138,43 @@ class Engine {
     fact.rule = static_cast<uint32_t>(current_rule_index_);
     fact.count = n;
     ws.buffer.push_back(std::move(fact));
+  }
+
+  /// How many of a projection partition's `n` rows a governed run takes.
+  /// The rows go in chunks that end exactly where the per-row loop would
+  /// check the deadline and the token (every kBudgetCheckStride rows,
+  /// counted by ws.rows_since_check), and one fetch_add reserves a chunk's
+  /// derivations against max_derivations_per_round. On a partial grant the
+  /// row whose derivation was refused still counts as matched, as in the
+  /// generic descent, and the run trips after the granted prefix.
+  uint32_t GovernedRows(uint32_t n, DescentState& ws) {
+    const uint64_t cap = options_.budget.max_derivations_per_round;
+    uint32_t taken = 0;
+    while (taken < n) {
+      uint32_t chunk;
+      if (ws.rows_since_check + 1 >= kBudgetCheckStride) {
+        // The next row is the one the per-row loop checks before.
+        ws.rows_since_check = 0;
+        if (CheckMidRound()) break;
+        chunk = std::min(n - taken, kBudgetCheckStride);
+        ws.rows_since_check = chunk - 1;
+      } else {
+        chunk = std::min(n - taken,
+                         kBudgetCheckStride - 1 - ws.rows_since_check);
+        ws.rows_since_check += chunk;
+      }
+      if (cap != 0) {
+        const uint64_t before =
+            round_derivations_.fetch_add(chunk, std::memory_order_relaxed);
+        if (before + chunk > cap) {
+          ++ws.stats.rows_matched;
+          Trip(BudgetKind::kRoundDerivations);
+          return taken + static_cast<uint32_t>(before < cap ? cap - before : 0);
+        }
+      }
+      taken += chunk;
+    }
+    return taken;
   }
 
   /// Shape A: every surviving binding is a distinct symbol id (the outer

@@ -390,8 +390,30 @@ void QueryService::ProcessOne(Active& item) {
   if (options_.collect_telemetry) {
     response.telemetry = std::make_shared<obs::Telemetry>();
   }
-  std::string key = CompiledProgram::CacheKeyMaterial(
-      item.pending.request.source, options_.compile);
+  // Cache lookup, or a compile that fills the cache; a failure lands in
+  // response.status.
+  auto lookup_or_compile =
+      [&](const CompileOptions& options) -> CompiledProgram::Ptr {
+    std::string key = CompiledProgram::CacheKeyMaterial(
+        item.pending.request.source, options);
+    CompiledProgram::Ptr compiled = cache_.Lookup(key);
+    response.cache_hit = compiled != nullptr;
+    if (compiled != nullptr) {
+      item.shard.Add(cache_hit_id_, 1);
+      return compiled;
+    }
+    item.shard.Add(cache_miss_id_, 1);
+    Result<CompiledProgram::Ptr> compile_result = CompiledProgram::Compile(
+        item.pending.request.source, options, response.telemetry.get(), ctx_);
+    if (!compile_result.ok()) {
+      response.status = compile_result.status();
+      return nullptr;
+    }
+    compiled = *compile_result;
+    if (compiled->report().factored) item.shard.Add(compile_factored_id_, 1);
+    item.shard.Add(cache_eviction_id_, cache_.Insert(std::move(key), compiled));
+    return compiled;
+  };
   CompiledProgram::Ptr compiled;
   {
     // Compile turnstile: cache fills and Context interning happen in
@@ -399,25 +421,14 @@ void QueryService::ProcessOne(Active& item) {
     // independent of worker count and scheduling.
     std::unique_lock<std::mutex> lock(compile_mu_);
     compile_cv_.wait(lock, [&] { return next_compile_ == item.pending.ticket; });
-    compiled = cache_.Lookup(key);
-    if (compiled != nullptr) {
-      response.cache_hit = true;
-      item.shard.Add(cache_hit_id_, 1);
-    } else {
-      item.shard.Add(cache_miss_id_, 1);
-      Result<CompiledProgram::Ptr> compile_result = CompiledProgram::Compile(
-          item.pending.request.source, options_.compile,
-          response.telemetry.get(), ctx_);
-      if (compile_result.ok()) {
-        compiled = *compile_result;
-        if (compiled->report().factored) {
-          item.shard.Add(compile_factored_id_, 1);
-        }
-        item.shard.Add(cache_eviction_id_,
-                       cache_.Insert(std::move(key), compiled));
-      } else {
-        response.status = compile_result.status();
-      }
+    compiled = lookup_or_compile(options_.compile);
+    // Loads that put rows under a predicate the source derives are read
+    // only by the program as written.
+    if (compiled != nullptr && item.pending.snapshot.valid() &&
+        compiled->HidesLoadedFacts(item.pending.snapshot.db())) {
+      CompileOptions as_written = options_.compile;
+      as_written.optimize = false;
+      compiled = lookup_or_compile(as_written);
     }
     ++next_compile_;
     compile_cv_.notify_all();

@@ -111,6 +111,115 @@ TEST(ProtocolTest, UnknownStatusCodeMapsToInternal) {
 }
 
 // ---------------------------------------------------------------------------
+// Frame transport over a socketpair.
+
+/// Writes `bytes` raw into one end of a fresh socketpair, closes it, and
+/// reads one frame from the other end.
+Status ReadRawFrame(const std::string& bytes, Frame* frame, bool* clean_eof) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    return Status::Internal("socketpair failed");
+  }
+  if (!bytes.empty()) {
+    ::send(fds[0], bytes.data(), bytes.size(), MSG_NOSIGNAL);
+  }
+  ::close(fds[0]);
+  Status status = ReadFrame(fds[1], frame, clean_eof);
+  ::close(fds[1]);
+  return status;
+}
+
+std::string LengthPrefix(uint32_t length) {
+  std::string prefix;
+  for (int i = 0; i < 4; ++i) {
+    prefix.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
+  }
+  return prefix;
+}
+
+TEST(FrameIoTest, LargeFramesRoundTripThroughPartialWrites) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // Far past the socket buffer: the writer resumes after partial sends
+  // while the reader drains.
+  ResultMsg big;
+  big.answers.assign(3u << 20, 'x');
+  for (size_t i = 0; i < big.answers.size(); i += 7) big.answers[i] = '\n';
+  AwaitMsg small;
+  small.ticket = 42;
+  const std::string first = Encode(big);
+  const std::string second = Encode(small);
+  Status written;
+  std::thread writer([&] {
+    written = WriteFrame(fds[0], first);
+    if (written.ok()) written = WriteFrame(fds[0], second);
+  });
+  Frame frame;
+  bool clean_eof = false;
+  const Status read_first = ReadFrame(fds[1], &frame, &clean_eof);
+  const Frame first_frame = frame;
+  // The same Frame again: the body is replaced, not appended to.
+  const Status read_second = ReadFrame(fds[1], &frame, &clean_eof);
+  // A failed read must not leave the writer blocked on a full socket.
+  if (!read_first.ok() || !read_second.ok()) ::shutdown(fds[1], SHUT_RDWR);
+  writer.join();
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  ASSERT_TRUE(read_first.ok()) << read_first.ToString();
+  EXPECT_EQ(first_frame.type, MsgType::kResult);
+  EXPECT_EQ(first_frame.body, first.substr(1));
+  ASSERT_TRUE(read_second.ok()) << read_second.ToString();
+  EXPECT_EQ(frame.type, MsgType::kAwait);
+  EXPECT_EQ(frame.body, second.substr(1));
+  ::close(fds[0]);
+  EXPECT_EQ(ReadFrame(fds[1], &frame, &clean_eof).code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(clean_eof);
+  ::close(fds[1]);
+}
+
+TEST(FrameIoTest, MalformedFramesKeepTheirStatuses) {
+  Frame frame;
+  bool clean_eof = true;
+  struct Case {
+    std::string bytes;
+    StatusCode code;
+    const char* message;
+  };
+  const Case cases[] = {
+      {std::string("\x10\x00", 2), StatusCode::kUnavailable,
+       "short length prefix"},
+      {LengthPrefix(0), StatusCode::kInvalidArgument, "empty payload"},
+      {LengthPrefix(kMaxFrameBytes + 1), StatusCode::kInvalidArgument,
+       "exceeds the protocol cap"},
+      {LengthPrefix(64) + "\x06" + "abc", StatusCode::kUnavailable,
+       "short frame body"},
+      // A short body is reported before an unknown type.
+      {LengthPrefix(8) + "\xee" + "ab", StatusCode::kUnavailable,
+       "short frame body"},
+      {LengthPrefix(1) + "\xee", StatusCode::kInvalidArgument,
+       "unknown message type 238"},
+      {LengthPrefix(1) + std::string(1, '\0'),
+       StatusCode::kInvalidArgument, "unknown message type 0"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.message);
+    const Status status = ReadRawFrame(c.bytes, &frame, &clean_eof);
+    EXPECT_EQ(status.code(), c.code) << status.ToString();
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(clean_eof);
+  }
+  EXPECT_EQ(ReadRawFrame("", &frame, &clean_eof).code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(clean_eof);
+  // A one-byte payload is a known type with an empty body.
+  ASSERT_TRUE(
+      ReadRawFrame(LengthPrefix(1) + "\x06", &frame, &clean_eof).ok());
+  EXPECT_EQ(frame.type, MsgType::kAwait);
+  EXPECT_TRUE(frame.body.empty());
+}
+
+// ---------------------------------------------------------------------------
 // Admission policy.
 
 TEST(AdmissionTest, ParsePolicyWithDefaultAndTenant) {
@@ -328,6 +437,47 @@ TEST_F(DaemonTest, LoadFactsFeedsLaterQueries) {
 
   // Rules are rejected as facts.
   EXPECT_FALSE(client.LoadFacts("p(X) :- e(X, Y).\n").ok());
+  server.Stop();
+}
+
+// Every SUBMIT carries the connection's cancellation token, so a served
+// evaluation is always governed. The optimized Example 1 must still run
+// as one projection over `e`: STATS counts each of its 8,192 rows.
+TEST_F(DaemonTest, ServedExampleOneRunsTheProjectionKernel) {
+  DaemonOptions options = Options();
+  options.service.compile.optimize = true;
+  DaemonServer server(std::move(options));
+  ASSERT_TRUE(server.Start().ok());
+  DaemonClient client;
+  ASSERT_TRUE(client.Connect(endpoint(), "").ok());
+  std::ostringstream chains;
+  for (int c = 0; c < 512; ++c) {
+    for (int j = 0; j < 16; ++j) {
+      chains << "e(c" << c << "x" << j << ", c" << c << "x" << j + 1
+             << ").\n";
+    }
+  }
+  ASSERT_TRUE(client.LoadFacts(chains.str()).ok());
+
+  SubmitMsg submit;
+  submit.name = "example1";
+  submit.source = "tc(X, Y) :- e(X, Y).\ntc(X, Z) :- e(X, Y), tc(Y, Z).\n"
+                  "q(X) :- tc(X, _).\n?- q(X).\n";
+  bool admitted = false;
+  TicketMsg ticket;
+  RetryLaterMsg retry;
+  ErrorMsg error;
+  ASSERT_TRUE(
+      client.Submit(submit, &admitted, &ticket, &retry, &error).ok());
+  ASSERT_TRUE(admitted);
+  ResultMsg result;
+  ASSERT_TRUE(client.Await(ticket.ticket, &result).ok());
+  EXPECT_EQ(result.status_code, 0u);
+  EXPECT_EQ(result.answer_count, 8192u);
+
+  std::string json;
+  ASSERT_TRUE(client.Stats(&json).ok());
+  EXPECT_NE(json.find("\"projection_rows\":8192"), std::string::npos) << json;
   server.Stop();
 }
 

@@ -216,8 +216,8 @@ TEST(RepresentationTest, ProjectionRunsMatchTheGenericDescent) {
     const EvalResult run = testing::MustEval(parsed.program, edb);
     EXPECT_GT(run.stats.duplicate_inserts, 0u);
     EXPECT_GT(run.representation.projection_rows, 0u);
-    // A budget that never trips keeps the per-row loop, ternary scans
-    // included, with the same outcome.
+    // A budget that never trips runs the same projection kernel, ternary
+    // scans included, with the same outcome.
     EvalOptions reference_options;
     reference_options.record_provenance = true;
     EvalOptions governed;
@@ -227,16 +227,16 @@ TEST(RepresentationTest, ProjectionRunsMatchTheGenericDescent) {
     ExpectSameOutcome(
         testing::MustEval(parsed.program, edb, reference_options),
         governed_run);
-    EXPECT_EQ(governed_run.representation.projection_rows, 0u);
+    EXPECT_GT(governed_run.representation.projection_rows, 0u);
   }
 }
 
 TEST(RepresentationTest, GovernedProjectionTripsLikeTheGenericDescent) {
   // A per-round derivation budget the first round exceeds: the governed
-  // run keeps a per-row loop and returns the same status and (empty)
-  // committed prefix as the reference. Serially it also trips at the
-  // same row; pool workers each count the derivations they made before
-  // seeing the trip, so at 4 threads only the prefix is compared.
+  // projection run returns the same status and (empty) committed prefix
+  // as the reference. Serially it also trips at the same row; pool
+  // workers each count the derivations they made before seeing the trip,
+  // so at 4 threads only the prefix is compared.
   auto parsed =
       testing::MustParse(std::string(kProjectionRules) + "?- p1(X).\n");
   const Database edb = ProjectionEdb(parsed.ctx.get());
@@ -258,7 +258,41 @@ TEST(RepresentationTest, GovernedProjectionTripsLikeTheGenericDescent) {
     EXPECT_EQ(reference.stats.rounds, run.stats.rounds);
     EXPECT_EQ(reference.stats.tuples_inserted, run.stats.tuples_inserted);
     EXPECT_EQ(reference.termination.ToString(), run.termination.ToString());
-    EXPECT_EQ(run.representation.projection_rows, 0u);
+    EXPECT_GT(run.representation.projection_rows, 0u);
+  }
+}
+
+TEST(RepresentationTest, GovernedProjectionChunksTripAtTheGenericRow) {
+  // A governed projection takes its rows in chunks between the per-row
+  // loop's budget checks (every 1024 rows) and reserves each chunk's
+  // derivations at once. Caps on either side of a chunk boundary, and
+  // caps the second rule of the round reaches with the check counter
+  // mid-chunk, trip serially with the reference's counters and status.
+  auto parsed = testing::MustParse(
+      "p1(X) :- big(X, Y).\n"
+      "p2(Y) :- big(X, Y).\n"
+      "?- p1(X).\n");
+  const PredId big = parsed.ctx->InternPredicate("big", 2);
+  Database edb;
+  MakeRandomTuples(parsed.ctx.get(), &edb, big, 3000, 2000, 41);
+  const uint64_t rows = edb.Find(big)->size();
+  ASSERT_GT(rows, 2048u);
+  for (uint64_t cap : {uint64_t{1}, uint64_t{1023}, uint64_t{1024},
+                       uint64_t{1025}, rows - 1, rows + 1, rows + 1024,
+                       2 * rows - 1}) {
+    SCOPED_TRACE("max_derivations_per_round " + std::to_string(cap));
+    EvalOptions reference_options;
+    reference_options.record_provenance = true;
+    reference_options.budget.max_derivations_per_round = cap;
+    const EvalResult reference =
+        testing::MustEval(parsed.program, edb, reference_options);
+    ASSERT_EQ(reference.stats.budget_tripped, BudgetKind::kRoundDerivations);
+    EvalOptions options;
+    options.budget.max_derivations_per_round = cap;
+    const EvalResult run = testing::MustEval(parsed.program, edb, options);
+    ExpectSameOutcome(reference, run);
+    EXPECT_EQ(reference.termination.ToString(), run.termination.ToString());
+    EXPECT_EQ(run.representation.projection_rows, std::min(cap, 2 * rows));
   }
 }
 

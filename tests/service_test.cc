@@ -502,6 +502,40 @@ TEST(QueryServiceTest, LoadedFactsCannotSatisfyAGeneratedBoolean) {
   EXPECT_EQ(plain[2], "2:x\ny\n");
 }
 
+// Loaded facts for a predicate the source derives are read as the source
+// reads them: the optimized Example 1 is `q@n(X) :- e(X, Y)`, which never
+// reads `tc` or `q`, so an optimized service falls back to the program as
+// written once the snapshot holds such rows.
+TEST(QueryServiceTest, LoadedFactsForADerivedPredicateAreKept) {
+  const std::string source =
+      "tc(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+      "q(X) :- tc(X, _).\n?- q(X).\n";
+  auto render = [&](bool optimize) {
+    ServiceOptions options;
+    options.compile.optimize = optimize;
+    QueryService service(options);
+    std::vector<std::string> out;
+    for (const char* load : {"e(a, b).", "tc(z, w).", "q(k)."}) {
+      EXPECT_TRUE(service.LoadFacts(load).ok());
+      QueryResponse response =
+          service.Await(service.Submit({.source = source}));
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      // Only the first generation holds no derived rows.
+      EXPECT_EQ(response.program->optimized(),
+                optimize && response.snapshot_generation == 1);
+      out.push_back(RenderAnswerRows(*service.ctx(), response.result.answers));
+    }
+    // The fallback artifact has its own cache entry: a second submit at
+    // the same generation hits it.
+    EXPECT_TRUE(service.Await(service.Submit({.source = source})).cache_hit);
+    return out;
+  };
+  const std::vector<std::string> plain = render(false);
+  EXPECT_EQ(render(true), plain);
+  EXPECT_EQ(plain, (std::vector<std::string>{"a\n", "a\nz\n", "a\nz\nk\n"}));
+}
+
 // A standing view ignores loads under the compile's own names as a cold
 // run does: `bq_0.` loaded after registration leaves the boolean component
 // `bq_0 :- e(a, Y)` false, so the view keeps answering nothing.

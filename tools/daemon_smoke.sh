@@ -29,7 +29,9 @@
 #      the §3.1 boolean hit :- e(c, Y), tc(Y, _) once true and once false
 #      (the --optimize daemon unfolds tc@nd into it), each printed
 #      byte-identically by `exdlc run --jobs 1`, a plain daemon and an
-#      --optimize daemon.
+#      --optimize daemon; the --optimize daemon's STATS must count at least
+#      8,192 projection_rows (Example 1 served through the projection
+#      kernel).
 #
 # Any divergent output, unexpected exit code, or invalid document fails
 # the smoke. Runs are bounded by `timeout` so a hang cannot stall CI.
@@ -344,10 +346,23 @@ for mode in "" "--optimize"; do
   cmp -s "$WORK/large_ref.out" "$WORK/large.out" \
     || { flunk "large answers over the socket ($mode) differ from exdlc run"; \
          diff "$WORK/large_ref.out" "$WORK/large.out" | head; }
+  if [ "$mode" = "--optimize" ]; then
+    # Served queries are governed (every SUBMIT carries a cancellation
+    # token), yet the optimized Example 1 must still run as one projection
+    # over its 8,192 e rows: a deterministic counter in STATS.
+    $RUN "$EXDLC" connect --socket "$SOCK" --stats >"$WORK/large_stats.json" \
+      2>&1 || flunk "exdlc connect --stats failed after the large answers"
+    python3 - "$WORK/large_stats.json" <<'EOF' || fail=1
+import json, sys
+doc = json.load(open(sys.argv[1]))
+rows = doc["storage"]["representation"]["projection_rows"]
+assert rows >= 8192, f"projection_rows = {rows} after Example 1 (want >= 8192)"
+EOF
+  fi
   kill -TERM "$DPID" 2>/dev/null
   wait "$DPID" 2>/dev/null
 done
-say "8,192-row, 16-row and boolean (true and false) answers are byte-identical over the socket"
+say "8,192-row, 16-row and boolean (true and false) answers are byte-identical over the socket; Example 1 ran as a projection"
 
 if [ "$fail" -ne 0 ]; then
   echo "daemon smoke: FAILED"
