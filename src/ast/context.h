@@ -18,8 +18,8 @@
 // the `const&` returned by SymbolName/predicate stays valid across later
 // interning; one QueryService can therefore render answers for a finished
 // session while another session's compile is still interning. Interning is
-// still *serialized* by callers that need deterministic ids (the service
-// compile turnstile): the lock makes concurrent access safe, not ordered.
+// still *serialized* by callers that need deterministic ids (QueryService's
+// intern mutex): the lock makes concurrent access safe, not ordered.
 // A reader that walks whole tables (the snapshot encoder) goes through
 // ReadTables, which holds one lock for the whole walk.
 

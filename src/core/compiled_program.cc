@@ -179,19 +179,8 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
       new CompiledProgram(std::move(ctx), std::move(program)));
   out->facts_ = std::move(facts);
   if (options.optimize) {
-    OptimizerOptions opt = options.optimizer;
-    if (opt.telemetry == nullptr) opt.telemetry = telemetry;
-    EXDL_ASSIGN_OR_RETURN(
-        OptimizedProgram optimized,
-        OptimizeExistential(out->program_, opt, FactPredicates(out->facts_)));
-    out->introduced_ = IntroducedPredicates(out->program_, out->facts_,
-                                            optimized.program);
-    out->source_derived_ = HeadPredicates(out->program_);
-    out->program_ = std::move(optimized.program);
-    out->report_ = std::move(optimized.report);
-    out->optimize_termination_ = std::move(optimized.termination);
-    out->magic_seed_ = std::move(optimized.magic_seed);
-    out->optimized_ = true;
+    EXDL_RETURN_IF_ERROR(
+        out->OptimizeFrom(out->program_, options.optimizer, telemetry));
   }
   out->ClassifyPrivate();
   return Ptr(std::move(out));
@@ -200,24 +189,30 @@ Result<CompiledProgram::Ptr> CompiledProgram::FromProgram(
 Result<CompiledProgram::Ptr> CompiledProgram::Optimize(
     const CompiledProgram& base, const OptimizerOptions& options,
     obs::Telemetry* telemetry) {
-  OptimizerOptions opt = options;
-  if (opt.telemetry == nullptr) opt.telemetry = telemetry;
-  EXDL_ASSIGN_OR_RETURN(
-      OptimizedProgram optimized,
-      OptimizeExistential(base.program_, opt, FactPredicates(base.facts_)));
-  std::vector<PredId> introduced =
-      IntroducedPredicates(base.program_, base.facts_, optimized.program);
-  std::shared_ptr<CompiledProgram> out(new CompiledProgram(
-      base.ctx_, std::move(optimized.program)));
+  std::shared_ptr<CompiledProgram> out(
+      new CompiledProgram(base.ctx_, Program(base.ctx_)));
   out->facts_ = base.facts_.Clone();
-  out->introduced_ = std::move(introduced);
-  out->source_derived_ = HeadPredicates(base.program_);
-  out->report_ = std::move(optimized.report);
-  out->optimize_termination_ = std::move(optimized.termination);
-  out->magic_seed_ = std::move(optimized.magic_seed);
-  out->optimized_ = true;
+  EXDL_RETURN_IF_ERROR(out->OptimizeFrom(base.program_, options, telemetry));
   out->ClassifyPrivate();
   return Ptr(std::move(out));
+}
+
+Status CompiledProgram::OptimizeFrom(const Program& source,
+                                     OptimizerOptions options,
+                                     obs::Telemetry* telemetry) {
+  if (options.telemetry == nullptr) options.telemetry = telemetry;
+  EXDL_ASSIGN_OR_RETURN(
+      OptimizedProgram optimized,
+      OptimizeExistential(source, options, FactPredicates(facts_)));
+  introduced_ = IntroducedPredicates(source, facts_, optimized.program);
+  source_derived_ = HeadPredicates(source);
+  // `source` may be program_ itself: replace it only after its last read.
+  program_ = std::move(optimized.program);
+  report_ = std::move(optimized.report);
+  optimize_termination_ = std::move(optimized.termination);
+  magic_seed_ = std::move(optimized.magic_seed);
+  optimized_ = true;
+  return Status::Ok();
 }
 
 }  // namespace exdl

@@ -149,6 +149,11 @@ class CompiledProgram {
   /// Fills private_ from program_, facts_ and magic_seed_ (introduced_
   /// must already be set).
   void ClassifyPrivate();
+  /// Runs the optimizer over `source` with facts_ (already set) and makes
+  /// the result this artifact's program, report and seed. Shared body of
+  /// FromProgram and Optimize.
+  Status OptimizeFrom(const Program& source, OptimizerOptions options,
+                      obs::Telemetry* telemetry);
 
   ContextPtr ctx_;
   Program program_;

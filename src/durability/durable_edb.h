@@ -24,8 +24,8 @@
 //
 // Recovery (Open) loads the newest valid snapshot, scans the log with
 // torn-tail repair, and exposes the filtered replay tail; the service
-// layer (service/edb_recovery.h) replays it through the compile
-// turnstile. Mid-log corruption, a corrupt snapshot, or a generation gap
+// layer (service/edb_recovery.h) replays it through the path a live load
+// takes, so it interns in the same order. Mid-log corruption, a corrupt snapshot, or a generation gap
 // all fail closed with kCorruptCheckpoint.
 
 #ifndef EXDL_DURABILITY_DURABLE_EDB_H_

@@ -162,21 +162,26 @@ size_t MaterializedView::private_bytes() const {
   return bytes;
 }
 
-Status MaterializedView::Reseed(const Database& edb, uint64_t generation) {
+Status MaterializedView::Reseed(const Database& edb, uint64_t generation,
+                               CompiledProgram::Ptr program) {
+  if (program == nullptr) program = program_;
+  const Fallback fallback = Classify(program->program(), eval_);
   // Through a Session, like the seeding run: Session::Run adds the seed.
   SessionOptions session_options;
   session_options.eval = eval_;
   std::unique_ptr<SupportLedger> ledger;
-  if (fallback_ == Fallback::kNone) ledger = std::make_unique<SupportLedger>();
+  if (fallback == Fallback::kNone) ledger = std::make_unique<SupportLedger>();
   session_options.eval.support_sink = ledger.get();
   Session session(std::move(session_options));
-  session.Bind(program_);
-  Result<EvalResult> recomputed = session.Run(program_->SessionEdb(edb));
+  session.Bind(program);
+  Result<EvalResult> recomputed = session.Run(program->SessionEdb(edb));
   if (!recomputed.ok()) return recomputed.status();
   if (!recomputed->termination.ok()) return recomputed->termination;
   ++stats_.generations_applied;
   ++stats_.full_recomputes;
   stats_.tuples_rederived += recomputed->stats.tuples_inserted;
+  program_ = std::move(program);
+  fallback_ = fallback;
   support_ = std::move(ledger);
   last_incremental_ = false;
   generation_ = generation;

@@ -89,10 +89,11 @@ class MaterializedView {
                const Database& edb_snapshot);
 
   /// Rebuilds the view from scratch over `edb` (the current snapshot's
-  /// database) as a cold session would. Used when the view missed a
-  /// generation (registration raced a fact load) and by every generation
-  /// of a fallback program — counted as a full recompute.
-  Status Reseed(const Database& edb, uint64_t generation);
+  /// database) as a cold session would, switching to `program` when set.
+  /// Used when the view missed a generation or changes artifact, and by
+  /// every generation of a fallback program — a full recompute.
+  Status Reseed(const Database& edb, uint64_t generation,
+                CompiledProgram::Ptr program = nullptr);
 
   /// The maintained result: db is EDB ∪ IDB, answers are the query's
   /// sorted, deduplicated rows — byte-identical (via RenderAnswerRows) to

@@ -2,7 +2,7 @@
 //
 // Bridges durability::DurableEdb and QueryService: installs the newest
 // compacted snapshot, then replays the fact-log tail through the
-// service's normal parse/turnstile/publish path — the same interning
+// service's normal parse/intern/publish path — the same interning
 // sequence the original loads performed, so a recovered daemon answers
 // byte-identically to one that never died. The daemon.recover_replay
 // fault site fires once per replayed record.

@@ -50,18 +50,64 @@ QueryService::~QueryService() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-QueryService::Ticket QueryService::EnqueueLocked(QueryRequest request,
-                                                 bool standing) {
-  const Ticket ticket = next_ticket_++;
+QueryService::Ticket QueryService::EnqueueLocked(
+    QueryRequest request, ivm::SupportLedger* ledger) {
+  // Loads publish under intern_mu_ too, so snapshot_ is stable here.
+  Pending pending{.request = std::move(request),
+                  .snapshot = snapshot_,
+                  .shard = service_telemetry_.metrics().NewShard(),
+                  .ledger = ledger};
+  if (options_.collect_telemetry) {
+    pending.telemetry = std::make_shared<obs::Telemetry>();
+  }
+  ResolveLocked(pending);
+  std::lock_guard<std::mutex> lock(mu_);
+  pending.ticket = next_ticket_++;
   service_telemetry_.metrics().Add(queries_submitted_id_, 1);
-  tickets_.emplace(ticket, std::nullopt);
-  queue_.push_back(Pending{ticket, std::move(request), snapshot_, standing});
-  return ticket;
+  tickets_.emplace(pending.ticket, std::nullopt);
+  queue_.push_back(std::move(pending));
+  return queue_.back().ticket;
+}
+
+void QueryService::ResolveLocked(Pending& pending) {
+  const std::string& source = pending.request.source;
+  auto lookup_or_compile =
+      [&](const CompileOptions& options) -> Result<CompiledProgram::Ptr> {
+    std::string key = CompiledProgram::CacheKeyMaterial(source, options);
+    CompiledProgram::Ptr compiled = cache_.Lookup(key);
+    pending.cache_hit = compiled != nullptr;
+    if (compiled != nullptr) {
+      pending.shard.Add(cache_hit_id_, 1);
+      return compiled;
+    }
+    pending.shard.Add(cache_miss_id_, 1);
+    EXDL_ASSIGN_OR_RETURN(compiled, CompiledProgram::Compile(
+                                        source, options,
+                                        pending.telemetry.get(), ctx_));
+    if (compiled->report().factored) pending.shard.Add(compile_factored_id_, 1);
+    pending.shard.Add(cache_eviction_id_,
+                      cache_.Insert(std::move(key), compiled));
+    return compiled;
+  };
+  Result<CompiledProgram::Ptr> compiled = lookup_or_compile(options_.compile);
+  // Loads that put rows under a predicate the source derives are read
+  // only by the program as written.
+  if (compiled.ok() && pending.snapshot.valid() &&
+      (*compiled)->HidesLoadedFacts(pending.snapshot.db())) {
+    CompileOptions as_written = options_.compile;
+    as_written.optimize = false;
+    compiled = lookup_or_compile(as_written);
+  }
+  pending.compile_error = compiled.status();
+  if (compiled.ok()) pending.program = std::move(*compiled);
 }
 
 QueryService::Ticket QueryService::Submit(QueryRequest request) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Ticket ticket = EnqueueLocked(std::move(request), /*standing=*/false);
+  Ticket ticket;
+  {
+    std::lock_guard<std::mutex> intern(intern_mu_);
+    ticket = EnqueueLocked(std::move(request), /*ledger=*/nullptr);
+  }
   work_cv_.notify_one();
   return ticket;
 }
@@ -70,11 +116,11 @@ std::vector<QueryService::Ticket> QueryService::SubmitBatch(
     std::vector<QueryRequest> requests) {
   std::vector<Ticket> tickets;
   tickets.reserve(requests.size());
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> intern(intern_mu_);
   for (QueryRequest& request : requests) {
-    tickets.push_back(EnqueueLocked(std::move(request), /*standing=*/false));
+    tickets.push_back(EnqueueLocked(std::move(request), /*ledger=*/nullptr));
+    work_cv_.notify_one();
   }
-  work_cv_.notify_all();
   return tickets;
 }
 
@@ -126,28 +172,13 @@ Status QueryService::LoadFacts(std::string_view source) {
 }
 
 Status QueryService::LoadFactsImpl(std::string_view source, bool durable) {
-  // Parsing interns symbols/predicates into the shared Context, and the
-  // compile turnstile orders all other interning strictly by ticket. Go
-  // through the same turnstile: wait until every query submitted before
-  // this call has passed its compile, then parse while holding
-  // compile_mu_. Interned ids then depend only on the interleaving of
-  // Submit and LoadFacts calls — never on pool size or scheduling — which
-  // preserves the byte-identical-answers determinism guarantee. Recovery
-  // replay takes the same path (on an idle service the turnstile passes
-  // straight through), so a replayed load interns exactly what the
-  // original did.
-  Ticket submitted_before;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    submitted_before = next_ticket_;
-  }
-  ParsedUnit parsed(ctx_);
-  {
-    std::unique_lock<std::mutex> compile_lock(compile_mu_);
-    compile_cv_.wait(compile_lock,
-                     [&] { return next_compile_ >= submitted_before; });
-    EXDL_ASSIGN_OR_RETURN(parsed, ParseProgram(source, ctx_));
-  }
+  // Parse through publish under intern_mu_: the parse interns in call
+  // order with every Submit's compile, and no query resolves its artifact
+  // against a snapshot this load is about to replace. Recovery replay takes
+  // the same path, so a replayed load interns exactly what the original
+  // did.
+  std::unique_lock<std::mutex> intern(intern_mu_);
+  EXDL_ASSIGN_OR_RETURN(ParsedUnit parsed, ParseProgram(source, ctx_));
   if (!parsed.program.rules().empty()) {
     return Status::InvalidArgument(
         "LoadFacts source must contain only ground facts");
@@ -201,10 +232,11 @@ Status QueryService::LoadFactsImpl(std::string_view source, bool durable) {
     }
     published = snapshot_;
   }
-  // Standing views absorb the generation outside mu_ (lock order:
-  // standing_mu_ before mu_): queries against the new snapshot proceed
-  // while views re-derive, and polls see the new generation only once
-  // its maintenance finished.
+  intern.unlock();
+  // Standing views absorb the generation outside both locks (lock order:
+  // standing_mu_ first): queries against the new snapshot proceed while
+  // views re-derive, and polls see the new generation only once its
+  // maintenance finished.
   MaintainStandingViews(parsed.facts, published);
   return Status::Ok();
 }
@@ -220,41 +252,76 @@ void QueryService::MaintainStandingViews(std::span<const Atom> facts,
     if (entry.health.ok() && snapshot.generation() <= view.generation()) {
       continue;
     }
-    Status status;
     if (entry.health.ok() &&
-        snapshot.generation() == view.generation() + 1) {
-      status = view.Apply(facts, snapshot.generation(), snapshot.db());
-      // A failed Apply may have half-appended the delta; rebuilding from
-      // the published snapshot restores the invariant.
-      if (!status.ok()) {
-        status = view.Reseed(snapshot.db(), snapshot.generation());
-      }
-    } else {
-      // Unhealthy, or the view missed a generation (registration raced
-      // several loads): the delta is not reconstructible, recompute.
-      status = view.Reseed(snapshot.db(), snapshot.generation());
+        snapshot.generation() == view.generation() + 1 &&
+        !view.program()->HidesLoadedFacts(snapshot.db()) &&
+        view.Apply(facts, snapshot.generation(), snapshot.db()).ok()) {
+      continue;
     }
-    entry.health = status;
+    // Unhealthy, a missed generation (registration raced several loads),
+    // an artifact that now hides loaded rows, or a failed Apply that may
+    // have half-appended the delta: rebuild from the published snapshot.
+    entry.health = ReseedView(view, entry.source, snapshot);
   }
 }
 
-Result<uint64_t> QueryService::RegisterStandingQuery(QueryRequest request) {
-  Ticket ticket;
+Status QueryService::ReseedView(ivm::MaterializedView& view,
+                                std::string_view source,
+                                const DatabaseSnapshot& snapshot) {
+  if (!view.program()->HidesLoadedFacts(snapshot.db())) {
+    return view.Reseed(snapshot.db(), snapshot.generation());
+  }
+  // The source was parsed at registration, so this interns nothing new.
+  Pending probe{.request = {.source = std::string(source)},
+                .snapshot = snapshot,
+                .shard = service_telemetry_.metrics().NewShard()};
+  {
+    std::lock_guard<std::mutex> intern(intern_mu_);
+    ResolveLocked(probe);
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ticket = EnqueueLocked(std::move(request), /*standing=*/true);
-    work_cv_.notify_all();
+    service_telemetry_.metrics().Merge(probe.shard);
   }
+  if (probe.program == nullptr) return probe.compile_error;
+  return view.Reseed(snapshot.db(), snapshot.generation(), probe.program);
+}
+
+Result<uint64_t> QueryService::RegisterStandingQuery(QueryRequest request) {
+  StandingEntry entry;
+  entry.name = request.name;
+  entry.source = request.source;
+  // The seeding evaluation writes this ledger; it outlives the wait below.
+  auto ledger = std::make_unique<ivm::SupportLedger>();
+  Ticket ticket;
+  {
+    std::lock_guard<std::mutex> intern(intern_mu_);
+    ticket = EnqueueLocked(std::move(request), ledger.get());
+  }
+  work_cv_.notify_all();
   QueryResponse response = Await(ticket);
   if (!response.status.ok()) return response.status;
-  if (response.standing_id == 0) {
-    // Evaluation succeeded but did not converge (budget trip): a partial
-    // fixpoint must not be installed as a materialization.
+  if (!response.result.termination.ok()) {
+    // A partial fixpoint (budget trip) must not be installed as a
+    // materialization.
     return Status::FailedPrecondition(
         "standing query seeding did not converge: " +
         response.result.termination.ToString());
   }
-  return response.standing_id;
+  entry.view = std::make_unique<ivm::MaterializedView>(
+      response.program, options_.eval, std::move(response.result),
+      response.snapshot_generation, std::move(ledger));
+  std::lock_guard<std::mutex> lock(standing_mu_);
+  // Loads published after the seeding snapshot were maintained without
+  // this view (maintenance also holds standing_mu_): catch it up before it
+  // becomes visible.
+  const DatabaseSnapshot current = snapshot();
+  if (current.valid() && current.generation() != entry.view->generation()) {
+    EXDL_RETURN_IF_ERROR(ReseedView(*entry.view, entry.source, current));
+  }
+  const uint64_t id = next_standing_id_++;
+  standing_.emplace(id, std::move(entry));
+  return id;
 }
 
 Status QueryService::UnregisterStandingQuery(uint64_t standing_id) {
@@ -293,6 +360,7 @@ Result<StandingQueryResult> QueryService::PollStandingQuery(
 
 Status QueryService::RestoreSnapshot(recovery::Snapshot snapshot,
                                      uint64_t generation) {
+  std::lock_guard<std::mutex> intern(intern_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   if (next_ticket_ != 0 || snapshot_.generation() != 0 ||
       ctx_->NumSymbols() != 0) {
@@ -362,12 +430,11 @@ void QueryService::WorkerLoop() {
       if (queue_.empty()) return;  // Shutdown with a drained queue.
       item.pending = std::move(queue_.front());
       queue_.pop_front();
-      item.shard = service_telemetry_.metrics().NewShard();
     }
     ProcessOne(item);
     std::lock_guard<std::mutex> lock(mu_);
     obs::MetricsRegistry& metrics = service_telemetry_.metrics();
-    metrics.Merge(item.shard);
+    metrics.Merge(item.pending.shard);
     if (item.summary.has_run) {
       aggregate_.has_run = true;
       aggregate_.stats += item.summary.stats;
@@ -384,69 +451,28 @@ void QueryService::WorkerLoop() {
 }
 
 void QueryService::ProcessOne(Active& item) {
+  Pending& pending = item.pending;
   QueryResponse& response = item.response;
-  response.name = item.pending.request.name;
-  response.snapshot_generation = item.pending.snapshot.generation();
-  if (options_.collect_telemetry) {
-    response.telemetry = std::make_shared<obs::Telemetry>();
-  }
-  // Cache lookup, or a compile that fills the cache; a failure lands in
-  // response.status.
-  auto lookup_or_compile =
-      [&](const CompileOptions& options) -> CompiledProgram::Ptr {
-    std::string key = CompiledProgram::CacheKeyMaterial(
-        item.pending.request.source, options);
-    CompiledProgram::Ptr compiled = cache_.Lookup(key);
-    response.cache_hit = compiled != nullptr;
-    if (compiled != nullptr) {
-      item.shard.Add(cache_hit_id_, 1);
-      return compiled;
-    }
-    item.shard.Add(cache_miss_id_, 1);
-    Result<CompiledProgram::Ptr> compile_result = CompiledProgram::Compile(
-        item.pending.request.source, options, response.telemetry.get(), ctx_);
-    if (!compile_result.ok()) {
-      response.status = compile_result.status();
-      return nullptr;
-    }
-    compiled = *compile_result;
-    if (compiled->report().factored) item.shard.Add(compile_factored_id_, 1);
-    item.shard.Add(cache_eviction_id_, cache_.Insert(std::move(key), compiled));
-    return compiled;
-  };
-  CompiledProgram::Ptr compiled;
-  {
-    // Compile turnstile: cache fills and Context interning happen in
-    // strict ticket order, making ids — and therefore answers —
-    // independent of worker count and scheduling.
-    std::unique_lock<std::mutex> lock(compile_mu_);
-    compile_cv_.wait(lock, [&] { return next_compile_ == item.pending.ticket; });
-    compiled = lookup_or_compile(options_.compile);
-    // Loads that put rows under a predicate the source derives are read
-    // only by the program as written.
-    if (compiled != nullptr && item.pending.snapshot.valid() &&
-        compiled->HidesLoadedFacts(item.pending.snapshot.db())) {
-      CompileOptions as_written = options_.compile;
-      as_written.optimize = false;
-      compiled = lookup_or_compile(as_written);
-    }
-    ++next_compile_;
-    compile_cv_.notify_all();
-  }
-  if (!response.status.ok()) {
-    item.shard.Add(queries_failed_id_, 1);
+  response.name = pending.request.name;
+  response.snapshot_generation = pending.snapshot.generation();
+  response.cache_hit = pending.cache_hit;
+  response.telemetry = std::move(pending.telemetry);
+  if (pending.program == nullptr) {
+    response.status = pending.compile_error;
+    pending.shard.Add(queries_failed_id_, 1);
     return;
   }
+  const CompiledProgram::Ptr& compiled = pending.program;
   response.program = compiled;
   // Session EDB: the submission-time snapshot generation (copy-on-write
   // clone — no tuple copy) plus the program's own ground facts.
-  const Database edb = item.pending.snapshot.valid()
-                           ? compiled->SessionEdb(item.pending.snapshot.db())
+  const Database edb = pending.snapshot.valid()
+                           ? compiled->SessionEdb(pending.snapshot.db())
                            : compiled->SessionEdb(Database());
   SessionOptions session_options;
   session_options.eval = options_.eval;
-  if (item.pending.request.budget.has_value()) {
-    session_options.eval.budget = *item.pending.request.budget;
+  if (pending.request.budget.has_value()) {
+    session_options.eval.budget = *pending.request.budget;
   }
   session_options.eval.budget = EvalBudget::FromEnv(session_options.eval.budget);
   if (response.telemetry != nullptr) {
@@ -456,63 +482,26 @@ void QueryService::ProcessOne(Active& item) {
   // support ledger (counting IVM substrate) unless the program is a
   // fallback case: those views recompute every generation, so nothing
   // could ever read their counts, and they keep no ledger.
-  std::unique_ptr<ivm::SupportLedger> ledger;
-  if (item.pending.standing &&
+  if (pending.ledger != nullptr &&
       ivm::MaterializedView::Classify(compiled->program(),
                                       session_options.eval) ==
           ivm::Fallback::kNone) {
-    ledger = std::make_unique<ivm::SupportLedger>();
-    session_options.eval.support_sink = ledger.get();
+    session_options.eval.support_sink = pending.ledger;
   }
-  const EvalOptions standing_eval = session_options.eval;
   Session session(std::move(session_options));
   session.Bind(compiled);
   Result<EvalResult> evaluated = session.Run(edb);
   if (!evaluated.ok()) {
     response.status = evaluated.status();
-    item.shard.Add(queries_failed_id_, 1);
+    pending.shard.Add(queries_failed_id_, 1);
     return;
   }
   response.result = std::move(*evaluated);
   item.summary = session.summary();
-  item.shard.Add(queries_completed_id_, 1);
+  pending.shard.Add(queries_completed_id_, 1);
   if (options_.collect_telemetry) {
     response.telemetry_json = session.TelemetryJson("service", response.name);
   }
-  if (item.pending.standing && response.result.termination.ok()) {
-    InstallStandingView(item, compiled, standing_eval, std::move(ledger));
-  }
-}
-
-void QueryService::InstallStandingView(
-    Active& item, CompiledProgram::Ptr compiled, const EvalOptions& eval,
-    std::unique_ptr<ivm::SupportLedger> ledger) {
-  QueryResponse& response = item.response;
-  // The seeding result becomes the view: RegisterStandingQuery reads only
-  // the response's status and id, so nothing else needs the database.
-  auto view = std::make_unique<ivm::MaterializedView>(
-      compiled, eval, std::move(response.result),
-      item.pending.snapshot.generation(), std::move(ledger));
-  std::lock_guard<std::mutex> lock(standing_mu_);
-  // Registration raced a LoadFacts if the published generation moved past
-  // the one this evaluation read: re-check under standing_mu_ (which
-  // maintenance also holds) and rebuild from the current snapshot, so the
-  // installed view is never behind the published generation.
-  const DatabaseSnapshot current = snapshot();
-  const uint64_t current_gen = current.valid() ? current.generation() : 0;
-  if (current_gen != view->generation()) {
-    Status reseeded = view->Reseed(current.db(), current_gen);
-    if (!reseeded.ok()) {
-      response.status = reseeded;
-      return;
-    }
-  }
-  const uint64_t id = next_standing_id_++;
-  StandingEntry entry;
-  entry.name = item.pending.request.name;
-  entry.view = std::move(view);
-  standing_.emplace(id, std::move(entry));
-  response.standing_id = id;
 }
 
 std::string QueryService::MetricsJson(

@@ -17,21 +17,18 @@
 //     metric shard — merged into the service counters when that query
 //     finishes.
 //
-// Execution model: Submit/SubmitBatch enqueue and return tickets;
-// num_workers threads each take the lowest queued ticket, run it, and
-// publish its response the moment it finishes, so a short query never
-// waits for a long one it was queued with. Await blocks for one ticket.
+// Execution model: Submit/SubmitBatch resolve each request's artifact on
+// the calling thread (a compile on a cache miss) and enqueue it; each of
+// num_workers threads takes the lowest queued ticket, evaluates it, and
+// publishes its response the moment it finishes, so a short query never
+// waits for a long one. Await blocks for one ticket.
 //
-// Determinism: compiles pass through a ticket-ordered turnstile, so
-// symbols and predicates are interned in submission order no matter how
-// many workers race — answers for a given submission sequence are
-// byte-identical across pool sizes (service_test.cc locks this in).
-// Workers take tickets in ascending order, so the lowest ticket not yet
-// compiled is always held by a running worker: the turnstile cannot
-// deadlock.
-// LoadFacts interns through the same turnstile (after every previously
-// submitted compile, before any later one), so interleaved fact loads
-// keep the guarantee too.
+// Determinism: every write to the shared Context — a compile on a cache
+// miss, a LoadFacts parse — happens on the calling thread under one mutex,
+// so symbol and predicate ids depend only on the order of the Submit,
+// SubmitBatch, RegisterStandingQuery and LoadFacts calls, never on pool
+// size or scheduling: answers for a given call sequence are byte-identical
+// across pool sizes (service_test.cc locks this in).
 
 #ifndef EXDL_SERVICE_QUERY_SERVICE_H_
 #define EXDL_SERVICE_QUERY_SERVICE_H_
@@ -108,10 +105,6 @@ struct QueryResponse {
   bool cache_hit = false;
   /// QueryRequest::name echoed back.
   std::string name;
-  /// Non-zero when the request came through RegisterStandingQuery and the
-  /// evaluation converged: the id of the installed materialized view, for
-  /// PollStandingQuery / UnregisterStandingQuery.
-  uint64_t standing_id = 0;
 };
 
 /// One PollStandingQuery answer: the maintained view's current state,
@@ -145,17 +138,21 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues one query against the current EDB snapshot; returns a
-  /// ticket for Await. Tickets also fix the compile order (determinism).
+  /// Resolves the query's artifact against the current EDB snapshot on
+  /// this thread (compiling on a cache miss; a compile error is delivered
+  /// through Await), then enqueues it; returns a ticket for Await.
   Ticket Submit(QueryRequest request);
-  /// Enqueues a pipeline of queries in order; one ticket each.
+  /// Submit for each request in order, so workers evaluate earlier ones
+  /// while later ones compile; one ticket each.
   std::vector<Ticket> SubmitBatch(std::vector<QueryRequest> requests);
 
   /// Registers a standing query (DESIGN.md §16): evaluates `request` once
-  /// through the normal Submit path (same turnstile, cache, budget), then
-  /// installs the result as a materialized view that every later
-  /// LoadFacts maintains incrementally. Blocks until the seeding
-  /// evaluation finishes; returns the standing id.
+  /// through the normal Submit path (same artifact rule, cache, budget),
+  /// then installs the result as a materialized view that every later
+  /// LoadFacts maintains incrementally. A view on an optimized artifact
+  /// switches to the unoptimized one, as a cold Submit would, once a load
+  /// puts rows under a predicate the source derives. Blocks until the
+  /// seeding evaluation finishes; returns the standing id.
   Result<uint64_t> RegisterStandingQuery(QueryRequest request);
 
   /// Drops a standing view. Its maintenance counters are retained for
@@ -188,11 +185,8 @@ class QueryService {
   /// one plus the new facts. In-flight queries keep reading the
   /// generation they were submitted against.
   ///
-  /// Interning goes through the compile turnstile: the parse waits for
-  /// every query submitted before this call to finish compiling, then
-  /// runs exclusively, so symbol/predicate ids depend only on the
-  /// Submit/LoadFacts call sequence — not on pool size or scheduling.
-  /// (Consequently this call blocks until prior submissions compile.)
+  /// The parse interns in call order with Submit's compiles (ids depend
+  /// only on the call sequence); the load never waits for queries to run.
   ///
   /// With a durable EDB attached, the fact-log record is fsync'd before
   /// the generation is published; a durability failure leaves the
@@ -207,8 +201,8 @@ class QueryService {
   /// an id mismatch fails closed with kCorruptCheckpoint.
   Status RestoreSnapshot(recovery::Snapshot snapshot, uint64_t generation);
 
-  /// Recovery replay of one logged LoadFacts: same parse/turnstile/
-  /// publish path, but nothing is re-appended to the log, and the
+  /// Recovery replay of one logged LoadFacts: same parse/intern/publish
+  /// path, but nothing is re-appended to the log, and the
   /// resulting generation must equal `expected_generation` (else
   /// kCorruptCheckpoint). Must run before the service takes traffic.
   Status ReplayFacts(std::string_view source, uint64_t expected_generation);
@@ -240,20 +234,31 @@ class QueryService {
     Ticket ticket = 0;
     QueryRequest request;
     DatabaseSnapshot snapshot;
-    /// Set only by RegisterStandingQuery: install the finished evaluation
-    /// as a materialized view.
-    bool standing = false;
+    /// Resolved on the submitting thread (ResolveLocked): the artifact,
+    /// or null and the compile error.
+    CompiledProgram::Ptr program = nullptr;
+    Status compile_error = Status::Ok();
+    bool cache_hit = false;
+    /// Per-query sink (collect_telemetry), holding the compile's spans.
+    std::shared_ptr<obs::Telemetry> telemetry = nullptr;
+    obs::MetricsShard shard;  ///< Cache traffic, then evaluation counters.
+    /// RegisterStandingQuery's ledger for the seeding run (it owns it and
+    /// waits for the run).
+    ivm::SupportLedger* ledger = nullptr;
   };
   struct Active {
     Pending pending;
     QueryResponse response;
     RunSummary summary;
-    obs::MetricsShard shard;
   };
 
-  /// Assigns the next ticket and queues `request` against the current
-  /// snapshot. Caller holds mu_ and notifies work_cv_.
-  Ticket EnqueueLocked(QueryRequest request, bool standing);
+  /// Resolves `request` against the published snapshot and queues it under
+  /// the next ticket. Caller holds intern_mu_ and notifies work_cv_.
+  Ticket EnqueueLocked(QueryRequest request, ivm::SupportLedger* ledger);
+  /// Sets `pending`'s program (or compile_error): its source under
+  /// options_.compile, or with optimize=false when its snapshot holds rows
+  /// the rewrites would hide (HidesLoadedFacts). Caller holds intern_mu_.
+  void ResolveLocked(Pending& pending);
   /// One of the num_workers threads: takes the lowest queued ticket, runs
   /// it, merges its shard and summary, and publishes its response.
   void WorkerLoop();
@@ -261,23 +266,19 @@ class QueryService {
   /// `timeout` is unset) for `ticket`'s response and moves it out.
   std::optional<QueryResponse> Take(
       Ticket ticket, std::optional<std::chrono::milliseconds> timeout);
-  /// Runs one query end to end on a worker thread: ticket-ordered compile
-  /// (through the cache), then an isolated Session evaluation. Standing
-  /// requests additionally install their materialized view.
+  /// Evaluates one resolved query on a worker thread in an isolated
+  /// Session.
   void ProcessOne(Active& item);
   /// Shared body of LoadFacts (durable == true) and ReplayFacts.
   Status LoadFactsImpl(std::string_view source, bool durable);
   /// Absorbs one published generation into every standing view. Called
-  /// by LoadFactsImpl after mu_ is released (lock order is standing_mu_
-  /// before mu_, never the reverse).
+  /// by LoadFactsImpl after it released intern_mu_ and mu_.
   void MaintainStandingViews(std::span<const Atom> facts,
                              const DatabaseSnapshot& snapshot);
-  /// Installs a standing request's finished evaluation as a materialized
-  /// view (re-checking the published generation under standing_mu_) and
-  /// stamps the new id into the response.
-  void InstallStandingView(Active& item, CompiledProgram::Ptr compiled,
-                           const EvalOptions& eval,
-                           std::unique_ptr<ivm::SupportLedger> ledger);
+  /// Rebuilds `view` over `snapshot` on the artifact a cold query of
+  /// `source` reads there (ResolveLocked). Caller holds standing_mu_.
+  Status ReseedView(ivm::MaterializedView& view, std::string_view source,
+                    const DatabaseSnapshot& snapshot);
 
   ServiceOptions options_;
   ContextPtr ctx_;
@@ -303,6 +304,9 @@ class QueryService {
   /// "Factoring bound queries"); cache hits do not count again.
   obs::MetricId compile_factored_id_;
 
+  // Lock order: standing_mu_, then intern_mu_, then mu_; never the
+  // reverse. LoadFactsImpl maintains views only after releasing the other
+  // two.
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< Workers: queue or shutdown.
   std::condition_variable done_cv_;  ///< Awaiters: a response arrived.
@@ -311,23 +315,23 @@ class QueryService {
   /// running, its response once it finished.
   std::unordered_map<Ticket, std::optional<QueryResponse>> tickets_;
   Ticket next_ticket_ = 0;
-  DatabaseSnapshot snapshot_;  ///< The published generation.
+  /// The published generation. Written under intern_mu_ and mu_, so
+  /// either one suffices to read it.
+  DatabaseSnapshot snapshot_;
   /// Aggregate run summary over every completed query (MetricsJson).
   RunSummary aggregate_;
   bool shutdown_ = false;
 
-  /// Compile turnstile: compiles (and cache fills) happen in strict
-  /// ticket order so interning into the shared Context is deterministic.
-  std::mutex compile_mu_;
-  std::condition_variable compile_cv_;
-  Ticket next_compile_ = 0;
+  /// Serializes every write to ctx_ and every ProgramCache fill in call
+  /// order: held from a query's resolution through its enqueue, and from a
+  /// load's parse (or a snapshot restore) through its publish.
+  std::mutex intern_mu_;
 
-  /// Standing-query registry (DESIGN.md §16). Lock order: standing_mu_
-  /// may be held while taking mu_ (installation re-checks the snapshot),
-  /// never the reverse — LoadFactsImpl maintains views only after
-  /// releasing mu_.
+  /// Standing-query registry (DESIGN.md §16).
   struct StandingEntry {
     std::string name;
+    /// The registered source: ReseedView resolves its artifact anew.
+    std::string source;
     std::unique_ptr<ivm::MaterializedView> view;
     /// Non-OK after a maintenance failure: polls surface this, and the
     /// next generation retries with a full Reseed instead of trusting a

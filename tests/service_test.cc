@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -282,8 +283,9 @@ TEST(QueryServiceTest, MatchesSerialEngineAcrossPoolSizes) {
 }
 
 TEST(QueryServiceTest, RawAnswersIdenticalAcrossPoolSizes) {
-  // The compile turnstile makes interning order — and therefore the raw
-  // Value ids in every answer — independent of the worker count.
+  // Compiles intern on the submitting thread in call order, so interning
+  // order — and therefore the raw Value ids in every answer — is
+  // independent of the worker count.
   auto run = [](uint32_t workers) {
     ServiceOptions options;
     options.num_workers = workers;
@@ -566,6 +568,47 @@ TEST(QueryServiceTest, StandingViewIgnoresLoadsOfAGeneratedBoolean) {
             RenderAnswerRows(*service.ctx(), cold.result.answers));
 }
 
+// A standing view obeys SUBMIT's artifact rule: once a load puts rows
+// under a predicate the source derives, the optimized view (`q@n(X) :-
+// e(X, Y)`, which never reads `tc` or `q`) reseeds on the program as
+// written and then polls like a cold SUBMIT. The switch reuses names the
+// registration already interned.
+TEST(QueryServiceTest, StandingViewKeepsLoadedFactsForADerivedPredicate) {
+  ServiceOptions options;
+  options.compile.optimize = true;
+  QueryService service(options);
+  ASSERT_TRUE(service.LoadFacts("e(a, b).").ok());
+  const QueryRequest request{.source = "tc(X, Y) :- e(X, Y).\n"
+                                       "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
+                                       "q(X) :- tc(X, _).\n?- q(X).\n",
+                             .name = "q"};
+  Result<uint64_t> id = service.RegisterStandingQuery(request);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const size_t predicates = service.ctx()->NumPredicates();
+  ASSERT_TRUE(service.LoadFacts("tc(z, w).").ok());
+  EXPECT_EQ(service.ctx()->NumPredicates(), predicates);
+  Result<StandingQueryResult> switched = service.PollStandingQuery(*id);
+  ASSERT_TRUE(switched.ok()) << switched.status().ToString();
+  EXPECT_FALSE(switched->last_was_incremental);
+  EXPECT_EQ(switched->stats.full_recomputes, 1u);
+  ASSERT_TRUE(service.LoadFacts("q(k).").ok());
+  Result<StandingQueryResult> applied = service.PollStandingQuery(*id);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_TRUE(applied->last_was_incremental);
+
+  const std::vector<std::string> expected = {"a\nz\n", "a\nz\nk\n"};
+  const StandingQueryResult* polls[] = {&*switched, &*applied};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(polls[i]->answers, expected[i]) << "poll " << i;
+  }
+  // A cold SUBMIT of the last generation renders what the view holds.
+  QueryResponse cold = service.Await(service.Submit(request));
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_EQ(cold.snapshot_generation, applied->generation);
+  EXPECT_EQ(RenderAnswerRows(*service.ctx(), cold.result.answers),
+            applied->answers);
+}
+
 // LoadFacts counts the relations it detaches from the published snapshot
 // and the bytes each detach copied (service.load.cow_*).
 TEST(QueryServiceTest, LoadFactsCountsCopyOnWriteDetaches) {
@@ -740,6 +783,51 @@ TEST(QueryServiceTest, ShortQueryIsNotHeldBehindALongOne) {
             std::vector<std::string>{"n1"});
   ASSERT_TRUE(long_response.status.ok()) << long_response.status.ToString();
   EXPECT_EQ(long_response.result.termination.code(), StatusCode::kCancelled);
+}
+
+// A load never waits for queries: with the one worker busy on a long
+// query and a tiny one queued behind it, LoadFacts from another thread
+// returns while the long query still runs (its Cancelled termination,
+// after the load returned, proves it was running).
+TEST(QueryServiceTest, LoadIsNotHeldBehindARunningQuery) {
+  std::string facts;
+  for (int i = 0; i < 3000; ++i) {
+    facts += "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
+  }
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.eval.seminaive = false;
+  QueryService service(options);
+  ASSERT_TRUE(service.LoadFacts(facts).ok());
+  CancellationToken cancel;
+  EvalBudget budget;
+  budget.cancellation = &cancel;
+  const QueryService::Ticket long_ticket = service.Submit(
+      {.source = "r(Y) :- e(n0, Y).\n"
+                 "r(Y) :- r(X), r(Z), e(X, Y).\n"
+                 "?- r(Y).\n",
+       .name = "long",
+       .budget = budget});
+  const QueryService::Ticket tiny_ticket = service.Submit(
+      {.source = "q(Y) :- e(n0, Y).\n?- q(Y).\n", .name = "tiny"});
+  std::promise<Status> loaded;
+  std::future<Status> load = loaded.get_future();
+  std::thread loader([&] { loaded.set_value(service.LoadFacts("f(a).")); });
+  const bool in_time =
+      load.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  cancel.Cancel();
+  loader.join();
+  QueryResponse long_response = service.Await(long_ticket);
+  QueryResponse tiny = service.Await(tiny_ticket);
+  ASSERT_TRUE(in_time) << "the load waited for the running query";
+  EXPECT_TRUE(load.get().ok());
+  ASSERT_TRUE(long_response.status.ok()) << long_response.status.ToString();
+  EXPECT_EQ(long_response.result.termination.code(), StatusCode::kCancelled);
+  ASSERT_TRUE(tiny.status.ok()) << tiny.status.ToString();
+  // Submitted before the load, so it reads the generation before it.
+  EXPECT_EQ(tiny.snapshot_generation, 1u);
+  EXPECT_EQ(AnswerStrings(*service.ctx(), tiny.result.answers),
+            std::vector<std::string>{"n1"});
 }
 
 TEST(QueryServiceTest, CompileErrorsAreIsolated) {

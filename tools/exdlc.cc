@@ -29,10 +29,11 @@
 //       batch through a shared QueryService (src/service/): one shared
 //       interning context, a warm ProgramCache, and N parallel session
 //       workers. Output is printed per file in submission order under a
-//       "== <file> ==" header and is byte-identical for any N (compiles
-//       pass a ticket-ordered turnstile). --metrics-json then writes the
-//       merged service document (with a "service" object); checkpoint/
-//       resume flags are rejected in batch mode.
+//       "== <file> ==" header and is byte-identical for any N (files
+//       compile in submission order on the submitting thread).
+//       --metrics-json then writes the merged service document (with a
+//       "service" object); checkpoint/resume flags are rejected in batch
+//       mode.
 //
 //   exdlc grammar <file>
 //       For a binary chain program: print the grammar, regularity
@@ -122,6 +123,7 @@
 #include <vector>
 
 #include "ast/printer.h"
+#include "cli_flags.h"
 #include "core/compiled_program.h"
 #include "core/session.h"
 #include "daemon/client.h"
@@ -182,17 +184,21 @@ int Usage() {
 // is strict — an unknown flag, a flag on the wrong subcommand, or a missing
 // value exits 2. Adding a flag means adding a row, nothing else.
 
+using cli::FindFlag;
+using cli::FlagSpec;
+using cli::FlagString;
+using cli::FlagValue;
+using cli::FlagValue64;
+using cli::HasFlag;
+
+/// Upper bound of every count-valued flag (threads, jobs, retries, ...).
+constexpr uint32_t kMaxCount = 1024;
+
 enum : uint32_t {
   kCmdOptimize = 1u << 0,
   kCmdRun = 1u << 1,
   kCmdCheck = 1u << 2,
   kCmdConnect = 1u << 3,
-};
-
-struct FlagSpec {
-  const char* name;
-  bool takes_value;
-  uint32_t commands;  ///< Bitmask of subcommands that accept the flag.
 };
 
 constexpr FlagSpec kFlagTable[] = {
@@ -238,13 +244,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"--metrics-json", true, kCmdOptimize | kCmdRun},
 };
 
-const FlagSpec* FindFlag(const std::string& arg) {
-  for (const FlagSpec& spec : kFlagTable) {
-    if (arg == spec.name) return &spec;
-  }
-  return nullptr;
-}
-
 /// Strict pass over the argument vector: every token starting with "--"
 /// must be a known flag accepted by `command`; value-taking flags consume
 /// the next token. Positional arguments (paths, fact text) pass through.
@@ -254,7 +253,7 @@ void ValidateFlags(const std::vector<std::string>& args,
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg.rfind("--", 0) != 0) continue;  // positional
-    const FlagSpec* spec = FindFlag(arg);
+    const FlagSpec* spec = FindFlag(kFlagTable, arg);
     if (spec == nullptr) {
       std::cerr << "unknown flag: " << arg << "\n";
       std::exit(2);
@@ -271,74 +270,6 @@ void ValidateFlags(const std::vector<std::string>& args,
       ++i;  // skip the value token
     }
   }
-}
-
-bool HasFlag(const std::vector<std::string>& args, const std::string& flag) {
-  for (const std::string& a : args) {
-    if (a == flag) return true;
-  }
-  return false;
-}
-
-/// Returns the value following `flag` (e.g. "--threads 4"), or
-/// `fallback` when absent. Exits with usage on a missing/bad value.
-uint32_t FlagValue(const std::vector<std::string>& args,
-                   const std::string& flag, uint32_t fallback) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      std::cerr << flag << " requires a value\n";
-      std::exit(2);
-    }
-    try {
-      unsigned long v = std::stoul(args[i + 1]);
-      if (v == 0 || v > 1024) throw std::out_of_range("range");
-      return static_cast<uint32_t>(v);
-    } catch (...) {
-      std::cerr << flag << " requires a positive integer, got '"
-                << args[i + 1] << "'\n";
-      std::exit(2);
-    }
-  }
-  return fallback;
-}
-
-/// 64-bit variant for budget flags (tuple and byte counts routinely exceed
-/// FlagValue's 1024 cap). Returns `fallback` (0 = no budget) when absent.
-uint64_t FlagValue64(const std::vector<std::string>& args,
-                     const std::string& flag, uint64_t fallback) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      std::cerr << flag << " requires a value\n";
-      std::exit(2);
-    }
-    try {
-      unsigned long long v = std::stoull(args[i + 1]);
-      if (v == 0) throw std::out_of_range("range");
-      return static_cast<uint64_t>(v);
-    } catch (...) {
-      std::cerr << flag << " requires a positive integer, got '"
-                << args[i + 1] << "'\n";
-      std::exit(2);
-    }
-  }
-  return fallback;
-}
-
-/// String-valued flag (e.g. "--metrics-json out.json"), `fallback` when
-/// absent. ValidateFlags already guaranteed the value token exists.
-std::string FlagString(const std::vector<std::string>& args,
-                       const std::string& flag, std::string fallback) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    if (i + 1 >= args.size()) {
-      std::cerr << flag << " requires a value\n";
-      std::exit(2);
-    }
-    return args[i + 1];
-  }
-  return fallback;
 }
 
 /// True when --trace or --metrics-json asks for a telemetry sink.
@@ -440,7 +371,7 @@ int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
   SessionOptions options;
   options.eval.seminaive = !HasFlag(flags, "--naive");
   options.eval.boolean_cut = !HasFlag(flags, "--no-cut");
-  options.eval.num_threads = FlagValue(flags, "--threads", 1);
+  options.eval.num_threads = FlagValue(flags, "--threads", 1, 1, kMaxCount);
   // Budget precedence: explicit flags, then EXDL_BUDGET_* environment
   // variables for whatever the flags left unset (see EvalBudget::FromEnv).
   options.eval.budget = EvalBudget::FromEnv(EvalBudget::FromFlags(
@@ -450,7 +381,7 @@ int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
   options.checkpoint_directory =
       FlagString(flags, "--checkpoint-dir", std::string());
   options.eval.checkpoint_every_rounds =
-      FlagValue(flags, "--checkpoint-every-rounds", 1);
+      FlagValue(flags, "--checkpoint-every-rounds", 1, 1, kMaxCount);
   std::unique_ptr<obs::Telemetry> telemetry;
   if (WantsTelemetry(flags)) telemetry = std::make_unique<obs::Telemetry>();
   options.eval.telemetry = telemetry.get();
@@ -509,10 +440,10 @@ int CmdRunService(const std::vector<std::string>& files,
     return 2;
   }
   ServiceOptions options;
-  options.num_workers = FlagValue(flags, "--jobs", 1);
+  options.num_workers = FlagValue(flags, "--jobs", 1, 1, kMaxCount);
   options.eval.seminaive = !HasFlag(flags, "--naive");
   options.eval.boolean_cut = !HasFlag(flags, "--no-cut");
-  options.eval.num_threads = FlagValue(flags, "--threads", 1);
+  options.eval.num_threads = FlagValue(flags, "--threads", 1, 1, kMaxCount);
   // Flag-set limits only; the service resolves EXDL_BUDGET_* per session
   // via EvalBudget::FromEnv.
   options.eval.budget = EvalBudget::FromFlags(
@@ -606,8 +537,9 @@ int CmdConnect(const std::vector<std::string>& files,
   options.deadline_ms = FlagValue64(flags, "--deadline-ms", 0);
   options.max_tuples = FlagValue64(flags, "--max-tuples", 0);
   options.max_bytes = FlagValue64(flags, "--max-bytes", 0);
-  options.max_retries = FlagValue(flags, "--retries", 5);
-  options.retry_base_ms = FlagValue(flags, "--retry-base-ms", 25);
+  options.max_retries = FlagValue(flags, "--retries", 5, 1, kMaxCount);
+  options.retry_base_ms =
+      FlagValue(flags, "--retry-base-ms", 25, 1, kMaxCount);
 
   const std::string facts_path =
       FlagString(flags, "--load-facts", std::string());
@@ -863,7 +795,8 @@ int CmdCheck(const std::string& path1, const std::string& path2,
   }
   RandomCheckOptions options;
   options.trials = static_cast<int>(
-      FlagValue(flags, "--trials", static_cast<uint32_t>(options.trials)));
+      FlagValue(flags, "--trials", static_cast<uint32_t>(options.trials), 1,
+                kMaxCount));
   Result<RandomCheckReport> report =
       CheckQueryEquivalentOnEdb(p1->program, p2->program, options);
   if (!report.ok()) {
@@ -949,7 +882,7 @@ int Main(int argc, char** argv) {
     std::vector<std::string> files;
     for (size_t i = 0; i < rest.size(); ++i) {
       if (rest[i].rfind("--", 0) == 0) {
-        const FlagSpec* spec = FindFlag(rest[i]);
+        const FlagSpec* spec = FindFlag(kFlagTable, rest[i]);
         if (spec != nullptr && spec->takes_value) ++i;
         continue;
       }
@@ -966,7 +899,7 @@ int Main(int argc, char** argv) {
     std::vector<std::string> files;
     for (size_t i = 0; i < rest.size(); ++i) {
       if (rest[i].rfind("--", 0) == 0) {
-        const FlagSpec* spec = FindFlag(rest[i]);
+        const FlagSpec* spec = FindFlag(kFlagTable, rest[i]);
         if (spec != nullptr && spec->takes_value) ++i;
         continue;
       }

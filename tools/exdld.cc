@@ -66,6 +66,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "cli_flags.h"
 #include "daemon/server.h"
 #include "recovery/atomic_file.h"
 #include "recovery/fault.h"
@@ -91,10 +92,14 @@ int Usage() {
   return 2;
 }
 
-struct FlagSpec {
-  const char* name;
-  bool takes_value;
-};
+using cli::FindFlag;
+using cli::FlagSpec;
+using cli::FlagString;
+using cli::FlagValue;
+using cli::HasFlag;
+
+/// Upper bound of every integer flag.
+constexpr uint32_t kMaxFlagValue = 1u << 20;
 
 constexpr FlagSpec kFlagTable[] = {
     {"--socket", true},      {"--tcp", true},      {"--policy", true},
@@ -106,46 +111,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"--metrics-interval-ms", true},
 };
 
-const FlagSpec* FindFlag(const std::string& arg) {
-  for (const FlagSpec& spec : kFlagTable) {
-    if (arg == spec.name) return &spec;
-  }
-  return nullptr;
-}
-
-bool HasFlag(const std::vector<std::string>& args, const std::string& flag) {
-  for (const std::string& a : args) {
-    if (a == flag) return true;
-  }
-  return false;
-}
-
-std::string FlagString(const std::vector<std::string>& args,
-                       const std::string& flag, std::string fallback) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == flag && i + 1 < args.size()) return args[i + 1];
-  }
-  return fallback;
-}
-
-uint32_t FlagValue(const std::vector<std::string>& args,
-                   const std::string& flag, uint32_t fallback,
-                   uint32_t min_value = 1) {
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != flag) continue;
-    try {
-      unsigned long v = std::stoul(args[i + 1]);
-      if (v < min_value || v > 1u << 20) throw std::out_of_range("range");
-      return static_cast<uint32_t>(v);
-    } catch (...) {
-      std::cerr << flag << " requires a positive integer, got '"
-                << args[i + 1] << "'\n";
-      std::exit(2);
-    }
-  }
-  return fallback;
-}
-
 int Main(int argc, char** argv) {
   Status fault = FaultPlan::Global().ArmFromEnv();
   if (!fault.ok()) {
@@ -154,7 +119,7 @@ int Main(int argc, char** argv) {
   }
   std::vector<std::string> args(argv + 1, argv + argc);
   for (size_t i = 0; i < args.size(); ++i) {
-    const FlagSpec* spec = FindFlag(args[i]);
+    const FlagSpec* spec = FindFlag(kFlagTable, args[i]);
     if (spec == nullptr) {
       std::cerr << "unknown flag: " << args[i] << "\n";
       return Usage();
@@ -197,14 +162,19 @@ int Main(int argc, char** argv) {
     }
     options.policy = std::move(*policy);
   }
-  options.service.num_workers = FlagValue(args, "--jobs", 1);
-  options.service.eval.num_threads = FlagValue(args, "--threads", 1);
+  options.service.num_workers =
+      FlagValue(args, "--jobs", 1, 1, kMaxFlagValue);
+  options.service.eval.num_threads =
+      FlagValue(args, "--threads", 1, 1, kMaxFlagValue);
   options.service.compile.optimize = HasFlag(args, "--optimize");
-  options.max_pending = FlagValue(args, "--queue-depth", 64);
-  options.drain_timeout_ms = FlagValue(args, "--drain-ms", 5000, 0);
+  options.max_pending = FlagValue(args, "--queue-depth", 64, 1, kMaxFlagValue);
+  options.drain_timeout_ms =
+      FlagValue(args, "--drain-ms", 5000, 0, kMaxFlagValue);
   options.durability.data_dir = FlagString(args, "--data-dir", std::string());
-  options.durability.compact_every = FlagValue(args, "--compact-every", 8, 0);
-  options.max_facts_bytes = FlagValue(args, "--max-facts-bytes", 0, 0);
+  options.durability.compact_every =
+      FlagValue(args, "--compact-every", 8, 0, kMaxFlagValue);
+  options.max_facts_bytes =
+      FlagValue(args, "--max-facts-bytes", 0, 0, kMaxFlagValue);
 
   // SIGTERM / SIGINT drain through the self-pipe; SIGPIPE would otherwise
   // kill the daemon whenever a client disappears mid-write.
@@ -254,7 +224,8 @@ int Main(int argc, char** argv) {
   const int poll_timeout_ms =
       metrics_path.empty()
           ? -1
-          : static_cast<int>(FlagValue(args, "--metrics-interval-ms", 1000));
+          : static_cast<int>(FlagValue(args, "--metrics-interval-ms", 1000, 1,
+                                           kMaxFlagValue));
   while (true) {
     pollfd pfd{g_signal_pipe[0], POLLIN, 0};
     const int rc = ::poll(&pfd, 1, poll_timeout_ms);
