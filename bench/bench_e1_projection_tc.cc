@@ -33,16 +33,13 @@ Database MakeEdb(Context* ctx, GraphSpec::Kind kind, int nodes) {
   return edb;
 }
 
-std::string CaseName(bool optimized, GraphSpec::Kind kind,
-                     uint32_t num_threads, int64_t nodes) {
+std::string CaseName(bool optimized, GraphSpec::Kind kind, int64_t nodes) {
   std::string name = optimized ? "Unary_" : "Binary_";
   name += kind == GraphSpec::Kind::kChain ? "Chain" : "Random";
-  if (num_threads > 1) name += "_T" + std::to_string(num_threads);
   return name + "/" + std::to_string(nodes);
 }
 
-void RunCase(benchmark::State& state, bool optimized, GraphSpec::Kind kind,
-             uint32_t num_threads = 1) {
+void RunCase(benchmark::State& state, bool optimized, GraphSpec::Kind kind) {
   Setup setup = ParseOrDie(kProgram);
   // E1 isolates Phase 2 (projection pushing): rule deletion is disabled
   // here, otherwise subsumption also removes the unary recursive rule
@@ -53,14 +50,9 @@ void RunCase(benchmark::State& state, bool optimized, GraphSpec::Kind kind,
                               : setup.program.Clone();
   Database edb =
       MakeEdb(setup.ctx.get(), kind, static_cast<int>(state.range(0)));
-  EvalOptions eval_options;
-  eval_options.num_threads = num_threads;
   EvalResult best;
-  for (auto _ : state) {
-    KeepFastest(EvalOrDie(program, edb, eval_options), &best);
-  }
-  ReportResult(state, CaseName(optimized, kind, num_threads, state.range(0)),
-               best);
+  for (auto _ : state) KeepFastest(EvalOrDie(program, edb), &best);
+  ReportResult(state, CaseName(optimized, kind, state.range(0)), best);
 }
 
 void BM_Binary_Chain(benchmark::State& state) {
@@ -75,13 +67,6 @@ void BM_Binary_Random(benchmark::State& state) {
 void BM_Unary_Random(benchmark::State& state) {
   RunCase(state, true, GraphSpec::Kind::kRandomSparse);
 }
-// Parallel fixpoint rounds (4 workers) over the same workloads.
-void BM_Binary_Chain_T4(benchmark::State& state) {
-  RunCase(state, false, GraphSpec::Kind::kChain, 4);
-}
-void BM_Binary_Random_T4(benchmark::State& state) {
-  RunCase(state, false, GraphSpec::Kind::kRandomSparse, 4);
-}
 
 BENCHMARK(BM_Binary_Chain)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
@@ -90,12 +75,6 @@ BENCHMARK(BM_Unary_Chain)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
 BENCHMARK(BM_Binary_Random)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
     ->Arg(2048)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Unary_Random)->Arg(64)->Arg(128)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Binary_Chain_T4)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-// 2048: the intra-query parallelism evidence (a ~0.3 s closure per
-// evaluation, serial vs 4 workers).
-BENCHMARK(BM_Binary_Random_T4)->Arg(256)->Arg(512)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -5,8 +5,8 @@
 // budget". The service, the daemon's SUBMIT and REGISTER_QUERY frames, and
 // the CLI all build one; it is plain data, aggregate-initializable at call
 // sites that only need `{source, name}`. Everything else about an
-// evaluation has exactly one home elsewhere: semantics, threads and
-// telemetry in the service's EvalOptions, the compile pipeline in its
+// evaluation has exactly one home elsewhere: semantics and telemetry in
+// the service's EvalOptions, the compile pipeline in its
 // CompileOptions, and standing registration in
 // QueryService::RegisterStandingQuery. None of these fields feeds the
 // program-cache key.

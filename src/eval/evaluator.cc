@@ -1,25 +1,17 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/stratification.h"
 #include "obs/telemetry.h"
 #include "recovery/fault.h"
-#include "util/worker_pool.h"
 
 namespace exdl {
 
@@ -158,18 +150,13 @@ struct ConstArgsKey {
   Value operator[](size_t i) const { return (*args)[i].const_value; }
 };
 
-// The persistent fork-join WorkerPool used for parallelized rule variants
-// lives in util/worker_pool.h (extracted so the query service can reuse
-// it); the evaluator spawns one per evaluation and reuses it every round.
-
-/// Per-worker evaluation state. Serial evaluation uses one of these;
-/// parallel variants give each worker its own, then merge buffers in
-/// partition order (so the flushed insertion order — and therefore every
-/// row id, relation, and answer — matches serial evaluation exactly).
+/// The state one rule variant's execution writes: registers, the
+/// provenance spine, counters, and the derivations buffered for the
+/// round's flush. One per evaluation, reused by every variant.
 struct DescentState {
   std::vector<Value> regs;
   std::vector<char> reg_set;
-  std::vector<TupleRef> path;  ///< Provenance spine (serial only).
+  std::vector<TupleRef> path;  ///< Provenance spine.
   EvalStats stats;
   std::vector<PendingFact> buffer;
   std::vector<Value> values;  ///< Flat arena backing buffer's tuples.
@@ -179,19 +166,16 @@ struct DescentState {
   /// Index into `buffer` of the kernel emission run currently being
   /// extended, or SIZE_MAX when none is open (see PendingFact::count).
   size_t open_run = static_cast<size_t>(-1);
-  /// 64-bit words read by the bitset kernels on this participant's
-  /// partitions (storage.representation.words_scanned after the merge).
+  /// 64-bit words read by the bitset kernels in the current variant
+  /// (storage.representation.words_scanned once drained).
   uint64_t words_scanned = 0;
-  /// Outer rows this participant emitted through projection runs
-  /// (storage.representation.projection_rows after the merge).
+  /// Outer rows the current variant emitted through a projection run
+  /// (storage.representation.projection_rows once drained).
   uint64_t projection_rows = 0;
   /// Bitset-kernel scratch: the surviving-values mask of the current
-  /// all-unary variant partition (reused across variants; sized to the
-  /// outer relation's bitset).
+  /// all-unary variant (reused across variants; sized to the outer
+  /// relation's bitset).
   std::vector<uint64_t> mask;
-  /// This participant's private metrics shard (null when telemetry is
-  /// off). Written only by the owning thread, merged at round boundaries.
-  obs::MetricsShard* shard = nullptr;
 };
 
 /// One pre-resolved unary membership test of a bitset-kernel variant:
@@ -239,9 +223,6 @@ class Engine {
   /// detach — the property standing-query maintenance depends on.
   Result<EvalResult> RunOwned(Database input) {
     eval_begin_ = Clock::now();
-    pool_min_delta_rows_ = options_.pool_min_delta_rows != 0
-                               ? options_.pool_min_delta_rows
-                               : kDefaultPoolMinDeltaRows;
     EXDL_RETURN_IF_ERROR(Compile());
     SetupObs();
     SpanGuard eval_span(obs_.t, "eval");
@@ -303,21 +284,16 @@ class Engine {
       EXDL_RETURN_IF_ERROR(RunFixpoint(si, strata[si], &stop));
     }
 
-    // Catch shard contents written since the last round boundary (e.g. the
-    // partial work of a discarded round); workers are quiescent here.
-    MergeShards();
     if (options_.support_sink != nullptr) options_.support_sink->Finished(*db_);
 
     stats_.eval_seconds = resumed_seconds_ + SecondsSince(eval_begin_);
-    const BudgetKind trip = static_cast<BudgetKind>(
-        trip_.load(std::memory_order_relaxed));
-    if (trip != BudgetKind::kNone) {
-      stats_.budget_tripped = trip;
-      result.termination = TripStatus(trip);
+    if (Tripped()) {
+      stats_.budget_tripped = trip_;
+      result.termination = TripStatus(trip_);
       if (obs_.t != nullptr) {
         obs_.t->trace().Event(std::string("event:budget_trip:") +
-                              std::string(BudgetKindName(trip)));
-        obs_.m->Add(obs_.trip_counters[static_cast<size_t>(trip)], 1);
+                              std::string(BudgetKindName(trip_)));
+        obs_.m->Add(obs_.trip_counters[static_cast<size_t>(trip_)], 1);
       }
     }
     for (const auto& [pred, rel] : db_->relations()) {
@@ -395,7 +371,7 @@ class Engine {
       // sizes_ only changes at FinishRound's flush, so within a round it
       // IS the pre-round snapshot — variants read it directly, no copy.
       round_begin = Clock::now();
-      round_derivations_.store(0, std::memory_order_relaxed);
+      round_derivations_ = 0;
       delta = sizes_;
       {
         SpanGuard round_span(
@@ -443,7 +419,7 @@ class Engine {
       }
       if (!any_delta) break;
       round_begin = Clock::now();
-      round_derivations_.store(0, std::memory_order_relaxed);
+      round_derivations_ = 0;
       {
         SpanGuard round_span(
             obs_.t, obs_.t != nullptr
@@ -544,28 +520,15 @@ class Engine {
 
  private:
   static constexpr size_t kNoDelta = static_cast<size_t>(-1);
-  /// Minimum outer rows per worker before a variant is worth splitting.
-  static constexpr uint32_t kMinRowsPerWorker = 64;
-  /// EvalOptions::pool_min_delta_rows when the option is 0. Small
-  /// semi-naive rounds cost more to dispatch to the pool than to run
-  /// inline — 4096 delta rows is comfortably past the crossover on the E1
-  /// chain workloads (see EXPERIMENTS.md E1: T4 was slower than serial
-  /// before this gate).
-  static constexpr uint32_t kDefaultPoolMinDeltaRows = 4096;
-  /// Rows between cooperative deadline/cancellation checks inside a round
-  /// (per descent state, so each pool worker checks independently).
+  /// Rows between cooperative deadline/cancellation checks inside a round.
   static constexpr uint32_t kBudgetCheckStride = 1024;
 
-  bool Tripped() const {
-    return trip_.load(std::memory_order_relaxed) != 0;
-  }
+  bool Tripped() const { return trip_ != BudgetKind::kNone; }
 
-  /// Records the first budget trip; later trips lose the race and keep
-  /// the original reason. Safe from any worker thread.
+  /// Records the first budget trip; a later trip keeps the original
+  /// reason.
   void Trip(BudgetKind kind) {
-    uint32_t expected = 0;
-    trip_.compare_exchange_strong(expected, static_cast<uint32_t>(kind),
-                                  std::memory_order_relaxed);
+    if (trip_ == BudgetKind::kNone) trip_ = kind;
   }
 
   /// Round-boundary check of every budget. The database was just flushed,
@@ -603,19 +566,11 @@ class Engine {
   void DiscardRound() {
     round_buffer_.clear();
     round_values_.clear();
-    pool_skipped_this_round_ = false;
   }
 
   /// Round tail shared by round 0 and the delta rounds: flush the buffered
-  /// derivations, bump round stats, record round telemetry, and merge the
-  /// metric shards (the workers are quiescent here).
+  /// derivations, bump round stats, and record round telemetry.
   void FinishRound(Clock::time_point round_begin, obs::SpanId round_span) {
-    // A fault injected earlier in the round (pool dispatch) means some
-    // variants never ran: the buffered partial round must not be flushed.
-    if (!injected_.ok()) {
-      DiscardRound();
-      return;
-    }
     // Fault site: arena growth at the flush. An injected failure discards
     // the buffered round and surfaces as a hard kInternal error, leaving
     // the database (and any on-disk checkpoint) at the previous boundary.
@@ -624,13 +579,6 @@ class Engine {
       injected_ = Status::Internal("injected fault at storage.arena_grow");
       DiscardRound();
       return;
-    }
-    if (pool_skipped_this_round_) {
-      // At least one variant this round stayed inline because its delta
-      // was under the pool threshold (the metric is how EXPERIMENTS.md E1
-      // shows the gate firing on the chain workloads).
-      pool_skipped_this_round_ = false;
-      if (obs_.t != nullptr) obs_.m->Add(obs_.pool_skipped_rounds, 1);
     }
     const uint64_t inserted_before = stats_.tuples_inserted;
     Flush();
@@ -645,13 +593,10 @@ class Engine {
       obs_.m->Observe(obs_.round_seconds_hist, secs);
       obs_.t->trace().SetAttr(round_span, "inserted",
                               static_cast<double>(grew));
-      MergeShards();
     }
   }
 
-  /// Registers the evaluator's metrics and sizes the per-participant
-  /// shards. Everything must be registered before the shards are created
-  /// (a shard's cell layout is fixed at creation).
+  /// Registers the evaluator's metrics.
   void SetupObs() {
     obs_.t = options_.telemetry;
     if (obs_.t == nullptr) return;
@@ -673,7 +618,6 @@ class Engine {
     obs_.checkpoint_bytes = m.Counter("eval.checkpoint.bytes");
     obs_.checkpoint_seconds_hist = m.Histogram(
         "eval.checkpoint.seconds", {0.0001, 0.001, 0.01, 0.1, 1, 10});
-    obs_.pool_skipped_rounds = m.Counter("eval.pool.skipped_rounds");
     obs_.rep_bitset_relations_gauge =
         m.Gauge("storage.representation.bitset_relations");
     obs_.rep_words_scanned = m.Counter("storage.representation.words_scanned");
@@ -699,32 +643,10 @@ class Engine {
       obs_.rule_firings[i] = m.Counter("eval.rule.firings", LabelSetOf(i));
       obs_.rule_probes[i] = m.Counter("eval.rule.probes", LabelSetOf(i));
     }
-    shards_.clear();
-    const uint32_t nshards = std::max(1u, options_.num_threads) + 1;
-    shards_.reserve(nshards);
-    for (uint32_t i = 0; i < nshards; ++i) shards_.push_back(m.NewShard());
-    serial_.shard = &shards_[0];
   }
 
   static obs::LabelSet LabelSetOf(size_t rule_index) {
     return {{"rule", std::to_string(rule_index)}};
-  }
-
-  /// Folds every participant shard into the registry. Owner thread only,
-  /// at quiescent points (round boundaries / end of run).
-  void MergeShards() {
-    if (obs_.t == nullptr) return;
-    for (obs::MetricsShard& shard : shards_) obs_.m->Merge(shard);
-  }
-
-  /// Writes this participant's variant counters into its private shard,
-  /// on the participant's own thread — the worker-pool path exercises the
-  /// shard-merge contract instead of funneling through the main thread.
-  void RecordVariantShard(DescentState& ws) {
-    if (ws.shard == nullptr) return;
-    ws.shard->Add(obs_.firings, ws.stats.rule_firings);
-    ws.shard->Add(obs_.probes, ws.stats.index_probes);
-    ws.shard->Add(obs_.rows, ws.stats.rows_matched);
   }
 
   /// The structured error describing a trip, with progress attached.
@@ -814,32 +736,13 @@ class Engine {
     return Status::Ok();
   }
 
-  /// How many workers a variant should use: 1 (serial) unless threading is
-  /// on, provenance is off, the variant has a partitionable positive
-  /// outermost step, and the outer range is big enough to amortize the
-  /// spawn. Single-tuple heads stay serial (they stop at one witness). An
-  /// outermost index probe stays serial too: splitting the relation's row
-  /// range would make every worker repeat the same probe.
-  uint32_t NumWorkers(const RulePlan& plan,
-                      const std::vector<RowRange>& ranges) const {
-    if (options_.num_threads <= 1 || options_.record_provenance) return 1;
-    if (stop_after_first_) return 1;
-    if (plan.steps.empty() || plan.steps[0].negated) return 1;
-    if (!plan.steps[0].index_columns.empty()) return 1;
-    const uint32_t rows = ranges[0].hi - ranges[0].lo;
-    return std::min(options_.num_threads,
-                    std::max(1u, rows / kMinRowsPerWorker));
-  }
-
   /// Fires one rule variant over the pre-round sizes_. `delta_step`
   /// designates the step reading only rows [delta_lo, size) of its
   /// relation (kNoDelta = none; every step reads [0, size)). Derivations
-  /// land in per-worker buffers and are appended to round_buffer_ in
-  /// deterministic (partition) order.
+  /// are appended to round_buffer_ in the order the variant makes them.
   void FireVariant(CompiledRule& cr, size_t delta_step = kNoDelta,
                    uint32_t delta_lo = 0) {
     if (Tripped()) return;  // budget already blown; finish the round fast
-    if (!injected_.ok()) return;  // fault pending; finish the round fast
     // Delta variants run the delta-first plan when one was compiled: the
     // delta literal is its step 0, so the outer scan covers only the
     // suffix [delta_lo, size) and every other literal is an index probe.
@@ -925,82 +828,20 @@ class Engine {
       }
     }
 
-    // Pool-skip gate: a semi-naive round whose delta is tiny costs more to
-    // dispatch than to run inline (see EvalOptions::pool_min_delta_rows).
-    uint32_t workers = NumWorkers(plan, ranges);
-    if (workers > 1 && delta_step != kNoDelta) {
-      const uint32_t delta_rows =
-          ranges[delta_step].hi - ranges[delta_step].lo;
-      if (delta_rows < pool_min_delta_rows_) {
-        workers = 1;
-        pool_skipped_this_round_ = true;
-      }
-    }
     // The bitset kernels never record provenance (they have no per-row
     // descent spine): provenance runs take the generic descent everywhere.
     bool kernel = !options_.record_provenance && plan.bitset_eligible &&
                   !stop_after_first_;
     if (kernel && !PrepareBitsetVariant(plan, ranges)) kernel = false;
-    if (workers <= 1) {
-      serial_.regs.assign(plan.num_regs, 0);
-      if (kernel) {
-        RunBitsetPartition(plan, ranges, serial_);
-      } else {
-        serial_.reg_set.assign(plan.num_regs, false);
-        serial_.path.clear();
-        Descend(plan, ranges, 0, serial_);
-      }
-      RecordVariantShard(serial_);
-      Drain(serial_);
-      return;
+    descent_.regs.assign(plan.num_regs, 0);
+    if (kernel) {
+      RunBitsetVariant(plan, ranges, descent_);
+    } else {
+      descent_.reg_set.assign(plan.num_regs, false);
+      descent_.path.clear();
+      Descend(plan, ranges, 0, descent_);
     }
-
-    // Partition the outermost row range into contiguous chunks, one per
-    // worker. Chunk order == serial scan order, so appending the worker
-    // buffers in chunk order reproduces the serial derivation sequence.
-    const uint32_t lo = ranges[0].lo;
-    const uint32_t total = ranges[0].hi - lo;
-    if (worker_states_.size() < workers) worker_states_.resize(workers);
-    if (obs_.t != nullptr) {
-      // shards_[0] is the serial/main participant; worker w owns w + 1.
-      for (uint32_t w = 0; w < workers; ++w) {
-        worker_states_[w].shard = &shards_[w + 1];
-      }
-    }
-    // Fault site: worker-pool dispatch. Fails the variant before any part
-    // runs, so no worker buffer is left half-filled.
-    if (FaultPlan::Global().armed() &&
-        FaultPlan::Global().ShouldFail("eval.pool_dispatch")) {
-      injected_ = Status::Internal("injected fault at eval.pool_dispatch");
-      return;
-    }
-    if (pool_ == nullptr) {
-      // Never oversubscribe: pool threads beyond the CPUs actually
-      // available to this process only add contention. The partition
-      // count (and therefore every result and counter) still follows
-      // num_threads; with zero extra threads the caller simply claims
-      // all partitions itself, in order.
-      const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-      pool_ = std::make_unique<WorkerPool>(
-          std::min(options_.num_threads, hw) - 1);
-    }
-    pool_->Run(workers, [this, &plan, &ranges, lo, total, workers,
-                         kernel](uint32_t w) {
-      DescentState& ws = worker_states_[w];
-      ws.regs.assign(plan.num_regs, 0);
-      ws.reg_set.assign(plan.num_regs, false);
-      std::vector<RowRange> my_ranges = ranges;
-      my_ranges[0] = RowRange{lo + w * total / workers,
-                              lo + (w + 1) * total / workers};
-      if (my_ranges[0].empty()) return;
-      if (kernel) {
-        RunBitsetPartition(plan, my_ranges, ws);
-      } else {
-        Descend(plan, my_ranges, 0, ws);
-      }
-      RecordVariantShard(ws);
-    });
-    for (uint32_t w = 0; w < workers; ++w) Drain(worker_states_[w]);
+    Drain(descent_);
   }
 
   /// Builds the pre-/post- unary-probe descriptors of a bitset-eligible
@@ -1047,11 +888,10 @@ class Engine {
   /// Buffers one head derivation from the current register file — the
   /// kernels' equivalent of Descend's emission base case (no provenance:
   /// kernels never run on explain evaluations). Returns false when the
-  /// per-round derivation budget tripped and the partition must stop.
+  /// per-round derivation budget tripped and the variant must stop.
   bool EmitHead(const RulePlan& plan, DescentState& ws) {
     if (options_.budget.max_derivations_per_round != 0 &&
-        round_derivations_.fetch_add(1, std::memory_order_relaxed) >=
-            options_.budget.max_derivations_per_round) {
+        round_derivations_++ >= options_.budget.max_derivations_per_round) {
       Trip(BudgetKind::kRoundDerivations);
       return false;
     }
@@ -1060,7 +900,7 @@ class Engine {
                                                           : ws.regs[a.reg]);
     }
     if (ws.open_run != static_cast<size_t>(-1)) {
-      // Every kernel emission in this partition shares pred/len/rule and
+      // Every kernel emission in this variant shares pred/len/rule and
       // the tuples are contiguous in ws.values: extend the open run.
       ++ws.buffer[ws.open_run].count;
     } else {
@@ -1076,17 +916,17 @@ class Engine {
     return true;
   }
 
-  /// Executes one outer-range partition of a bitset-eligible variant
-  /// (ranges[0] is this participant's slice). A projection (one scan, no
+  /// Executes a bitset-eligible variant over its outer range ranges[0].
+  /// A projection (one scan, no
   /// probes) is a single column gather; Shape A — unary outer scan, no
   /// binary probe — runs word-wise mask kernels and replays the arena for
   /// emission; Shape B — binary outer scan and/or one binary index probe —
   /// runs a tight per-row loop over the pre-resolved bit probes. All three
   /// reproduce the generic descent's derivation sequence and counters
   /// exactly, governed or not (DESIGN.md §14).
-  void RunBitsetPartition(const RulePlan& plan,
-                          const std::vector<RowRange>& ranges,
-                          DescentState& ws) {
+  void RunBitsetVariant(const RulePlan& plan,
+                        const std::vector<RowRange>& ranges,
+                        DescentState& ws) {
     ws.open_run = static_cast<size_t>(-1);
     const Relation::View outer = step_rels_[0]->view();
     if (plan.projection) {
@@ -1100,7 +940,7 @@ class Engine {
   }
 
   /// Projection run: every outer row derives exactly one head tuple, a
-  /// gather of its columns and the head's constants. The partition is one
+  /// gather of its columns and the head's constants. The variant is one
   /// PendingFact run filled column by column, and the generic descent's
   /// counters — one matched row and one firing per outer row — are folded
   /// in once. A governed run first settles how many rows the budget lets
@@ -1140,11 +980,10 @@ class Engine {
     ws.buffer.push_back(std::move(fact));
   }
 
-  /// How many of a projection partition's `n` rows a governed run takes.
-  /// The rows go in chunks that end exactly where the per-row loop would
-  /// check the deadline and the token (every kBudgetCheckStride rows,
-  /// counted by ws.rows_since_check), and one fetch_add reserves a chunk's
-  /// derivations against max_derivations_per_round. On a partial grant the
+  /// How many of a projection's `n` rows a governed run takes. The rows
+  /// go in chunks that end exactly where the per-row loop would check the
+  /// deadline and the token (every kBudgetCheckStride rows, counted by
+  /// ws.rows_since_check), and each chunk's derivations are reserved at once against max_derivations_per_round. On a partial grant the
   /// row whose derivation was refused still counts as matched, as in the
   /// generic descent, and the run trips after the granted prefix.
   uint32_t GovernedRows(uint32_t n, DescentState& ws) {
@@ -1164,8 +1003,8 @@ class Engine {
         ws.rows_since_check += chunk;
       }
       if (cap != 0) {
-        const uint64_t before =
-            round_derivations_.fetch_add(chunk, std::memory_order_relaxed);
+        const uint64_t before = round_derivations_;
+        round_derivations_ += chunk;
         if (before + chunk > cap) {
           ++ws.stats.rows_matched;
           Trip(BudgetKind::kRoundDerivations);
@@ -1178,7 +1017,7 @@ class Engine {
   }
 
   /// Shape A: every surviving binding is a distinct symbol id (the outer
-  /// relation deduplicates), so the whole partition is one bit mask.
+  /// relation deduplicates), so the whole outer range is one bit mask.
   /// Each unary probe is a word-wise AND / ANDNOT over the mask; counters
   /// are reconstructed from popcounts (a probe per surviving row, a match
   /// per survivor after a positive probe — exactly the generic per-row
@@ -1321,14 +1160,15 @@ class Engine {
     }
   }
 
-  /// Folds one worker's stats into the engine's and appends its buffered
-  /// derivations to the round buffer. Called in variant/partition order so
-  /// the flushed insertion order matches serial evaluation.
+  /// Folds one variant's stats into the engine's and appends its
+  /// buffered derivations to the round buffer, in variant order.
   void Drain(DescentState& ws) {
     if (obs_.t != nullptr) {
-      // Per-rule attribution happens here — per variant, on the main
-      // thread, before the stats fold/reset — so the descent inner loop
-      // carries no instrumentation.
+      // Attribution happens here — once per variant, before the stats
+      // fold/reset — so the descent inner loop carries no instrumentation.
+      obs_.m->Add(obs_.firings, ws.stats.rule_firings);
+      obs_.m->Add(obs_.probes, ws.stats.index_probes);
+      obs_.m->Add(obs_.rows, ws.stats.rows_matched);
       obs_.m->Add(obs_.rule_firings[current_rule_index_],
                   ws.stats.rule_firings);
       obs_.m->Add(obs_.rule_probes[current_rule_index_],
@@ -1359,15 +1199,13 @@ class Engine {
   }
 
   /// Returns false when evaluation of this variant should stop (the
-  /// single-tuple head was emitted and one witness suffices). `ws` is this
-  /// worker's private state; when serial it aliases serial_, whose stats
-  /// and buffer are folded into the engine-wide ones by Flush.
+  /// single-tuple head was emitted and one witness suffices). `ws`'s stats
+  /// and buffer are folded into the engine-wide ones by Drain.
   bool Descend(const RulePlan& plan, const std::vector<RowRange>& ranges,
                size_t step_idx, DescentState& ws) {
     if (step_idx == plan.steps.size()) {
       if (options_.budget.max_derivations_per_round != 0 &&
-          round_derivations_.fetch_add(1, std::memory_order_relaxed) >=
-              options_.budget.max_derivations_per_round) {
+          round_derivations_++ >= options_.budget.max_derivations_per_round) {
         Trip(BudgetKind::kRoundDerivations);
         return false;
       }
@@ -1505,7 +1343,7 @@ class Engine {
     for (PendingFact& f : round_buffer_) {
       // Each entry is a run of f.count tuples (stride f.len) from one
       // rule into one relation; the generic descent buffers runs of 1,
-      // kernels one run per partition. Resolve the relation and fold the
+      // kernels one run per variant. Resolve the relation and fold the
       // per-rule telemetry once per run. A unary run goes in with one
       // Relation call unless provenance or the support sink needs each
       // tuple's outcome; everything else is inserted per tuple.
@@ -1609,10 +1447,9 @@ class Engine {
   EvalStats stats_;
   Watermarks sizes_;  ///< Relation sizes, kept current by Flush.
   /// Budget state. total_tuples_/arena_bytes_ mirror the database and are
-  /// maintained by Flush; trip_ holds the first BudgetKind that fired
-  /// (0 = none) and is shared with the pool workers; round_derivations_
-  /// counts head tuples buffered in the current round (used only when
-  /// max_derivations_per_round is set).
+  /// maintained by Flush; trip_ holds the first BudgetKind that fired;
+  /// round_derivations_ counts head tuples buffered in the current round
+  /// (used only when max_derivations_per_round is set).
   bool governed_ = false;
   Clock::time_point eval_begin_;
   Clock::time_point deadline_;
@@ -1625,18 +1462,13 @@ class Engine {
   Status injected_;
   uint64_t total_tuples_ = 0;
   uint64_t arena_bytes_ = 0;
-  std::atomic<uint32_t> trip_{0};
-  std::atomic<uint64_t> round_derivations_{0};
-  DescentState serial_;
-  /// Pool + per-worker states, created on first parallel variant and
-  /// reused across rounds (thread spawns would dominate small rounds).
-  std::unique_ptr<WorkerPool> pool_;
-  std::vector<DescentState> worker_states_;
+  BudgetKind trip_ = BudgetKind::kNone;
+  uint64_t round_derivations_ = 0;
+  DescentState descent_;
   std::vector<PendingFact> round_buffer_;
   std::vector<Value> round_values_;  ///< Arena backing round_buffer_.
   /// Per-variant caches: each body step's relation and resolved index,
-  /// filled by FireVariant before descending (shared read-only with the
-  /// pool workers for the variant's duration).
+  /// filled by FireVariant before descending.
   std::vector<const Relation*> step_rels_;
   std::vector<const Relation::Index*> step_indexes_;
   std::vector<RowRange> ranges_scratch_;  ///< FireVariant's step ranges.
@@ -1646,16 +1478,10 @@ class Engine {
   std::vector<const UnaryBitset*> step_bits_;
   UnaryBitset delta_bits_scratch_;
   /// Per-variant bitset-kernel probe descriptors, split around the binary
-  /// probe step (read-only to the pool workers for the variant's
-  /// duration, like the caches above).
+  /// probe step.
   std::vector<BitProbe> pre_probes_;
   std::vector<BitProbe> post_probes_;
   RepresentationStats rep_stats_;
-  /// Resolved pool-skip threshold (kDefaultPoolMinDeltaRows when the
-  /// option is 0) and the per-round "gate fired" flag FinishRound turns
-  /// into the eval.pool.skipped_rounds metric.
-  uint32_t pool_min_delta_rows_ = 0;
-  bool pool_skipped_this_round_ = false;
   bool stop_after_first_ = false;
   size_t current_rule_index_ = 0;
   std::unordered_map<TupleRef, Provenance, TupleRefHash> provenance_;
@@ -1677,7 +1503,6 @@ class Engine {
     obs::MetricId checkpoint_writes = 0;
     obs::MetricId checkpoint_bytes = 0;
     obs::MetricId checkpoint_seconds_hist = 0;
-    obs::MetricId pool_skipped_rounds = 0;
     obs::MetricId rep_bitset_relations_gauge = 0;
     obs::MetricId rep_words_scanned = 0;
     obs::MetricId rep_fallbacks = 0;
@@ -1691,10 +1516,6 @@ class Engine {
     obs::MetricId trip_counters[6] = {};
   };
   ObsState obs_;
-  /// Per-participant metric shards: [0] = serial/main, [w + 1] = pool
-  /// worker w. Sized once in SetupObs, so the pointers handed to the
-  /// DescentStates stay stable.
-  std::vector<obs::MetricsShard> shards_;
 };
 
 }  // namespace

@@ -1,5 +1,10 @@
 // Bottom-up fixpoint evaluation (Section 1.1's model of execution).
 //
+// Evaluation is serial: every rule variant runs on the calling thread, in
+// a fixed order, so relations, row order, answers and counters are a
+// function of the program, the input and the options. Queries run in
+// parallel with each other (QueryService's workers), never within one.
+//
 // Two engines share one executor:
 //   * semi-naive (default): per-round deltas; a rule variant reads the
 //     delta at one body literal and the pre-round contents elsewhere;
@@ -48,8 +53,8 @@ enum class BudgetKind : uint8_t {
 std::string_view BudgetKindName(BudgetKind kind);
 
 /// Run-time resource budget, enforced cooperatively: at round boundaries
-/// and, within a round, every few thousand rows in both the serial loop
-/// and the worker pool. All limits are 0 (= unlimited) by default.
+/// and, within a round, every 1024 rows. All limits are 0 (= unlimited)
+/// by default.
 ///
 /// Exceeding a budget does not tear down state: evaluation stops at a
 /// round boundary (a partially derived round is discarded), Evaluate
@@ -157,14 +162,13 @@ class CheckpointSink {
 };
 
 /// Receives every head tuple the fixpoint flushes — new tuples and
-/// duplicate re-derivations alike — at round boundaries, from the
-/// coordinating thread only (never from pool workers). This is the
-/// substrate for counting-based incremental view maintenance (DESIGN.md
-/// §16): a ledger that tallies derivations per tuple can later support
-/// retraction by decrementing instead of recomputing. The call sequence is
-/// deterministic across thread counts and executors (derivations are
-/// drained in partition order before the flush). Null sink = a never-taken
-/// branch on the flush path.
+/// duplicate re-derivations alike — at round boundaries, on the
+/// evaluating thread. This is the substrate for counting-based
+/// incremental view maintenance (DESIGN.md §16): a ledger that tallies
+/// derivations per tuple can later support retraction by decrementing
+/// instead of recomputing. The call sequence is deterministic and the
+/// same on the kernels and the generic descent (derivations are flushed
+/// in variant order). Null sink = a never-taken branch on the flush path.
 class SupportSink {
  public:
   virtual ~SupportSink() = default;
@@ -194,29 +198,18 @@ struct EvalOptions {
   /// the derivation trees of Section 1.1. Costs memory; see
   /// EvalResult::provenance and ExplainTuple.
   bool record_provenance = false;
-  /// Worker threads used to partition each rule variant's outermost row
-  /// range. Derivations are buffered per worker and merged in partition
-  /// order before the flush, so results (relations, row order, answers)
-  /// are byte-identical to serial evaluation. <= 1 — or record_provenance —
-  /// evaluates serially.
+  /// No effect: evaluation is serial. The field stays only because the
+  /// benchmark harness (perfbench/src/harness.cc:22) still assigns it; it
+  /// goes once that assignment does. Nothing else reads or writes it.
   uint32_t num_threads = 1;
-  /// Semi-naive rounds whose delta is smaller than this row count stay on
-  /// the calling thread even when num_threads > 1 — tiny rounds otherwise
-  /// pay full pool-dispatch overhead and parallel chains run slower than
-  /// serial. 0 means the built-in default (4096). Set to 1 to dispatch every
-  /// parallel-eligible variant regardless of delta size (tests and fault
-  /// sweeps that must reach the pool use this). eval.pool.skipped_rounds
-  /// counts rounds where the skip fired.
-  uint32_t pool_min_delta_rows = 0;
   /// Resource governance (deadline, memory, cancellation); see EvalBudget.
   EvalBudget budget;
   /// Observability sink. When non-null the evaluator records trace spans
   /// ("eval > round:<n> > rule:<i>"), per-rule counters (derived,
   /// duplicates, firings, probes — labeled rule=<i>), per-round tuple
   /// growth histograms, budget-trip events, and end-of-run storage gauges.
-  /// Worker threads write through per-thread MetricsShards merged at round
-  /// boundaries. Null = every site is a never-taken branch; answers, db,
-  /// and stats are byte-identical either way. Not owned.
+  /// Null = every site is a never-taken branch; answers, db, and stats are
+  /// byte-identical either way. Not owned.
   obs::Telemetry* telemetry = nullptr;
   /// Durable checkpointing. When non-null the evaluator hands the sink a
   /// consistent (database, cursor) pair every `checkpoint_every_rounds`
@@ -267,8 +260,8 @@ struct RepresentationStats {
   /// Rules that ran the generic descent because their plan is not
   /// bitset-eligible (or provenance recording forced the generic path).
   uint64_t fallbacks = 0;
-  /// Outer rows emitted by projection runs: single-scan rules whose
-  /// partitions are one column gather, not one head emission per row.
+  /// Outer rows emitted by projection runs: single-scan rule variants
+  /// that are one column gather, not one head emission per row.
   uint64_t projection_rows = 0;
 
   RepresentationStats& operator+=(const RepresentationStats& o) {

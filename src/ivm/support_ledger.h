@@ -4,7 +4,7 @@
 // along a delete-delta instead of recomputing (insert-only today: counts
 // are populated, never decremented). It plugs into the evaluator as a
 // SupportSink; Flush reports every head tuple, new and duplicate alike, in
-// an order identical across thread counts and executors.
+// an order identical across executors.
 //
 // Layout: one dense uint32 count column per counted predicate, indexed by
 // the tuple's row id (relations are append-only, so row ids are stable).

@@ -2,9 +2,11 @@
 // fixed bucket boundaries.
 //
 // Threading model (see DESIGN.md §10): the hot path never takes a lock.
-// Each worker increments its own MetricsShard — a plain array of cells —
-// and an owner (the evaluator's main thread) folds shards into the
-// registry's totals at quiescent points (round boundaries). Registration,
+// Each concurrent writer (a QueryService query) increments its own
+// MetricsShard — a plain array of cells — and the owner folds shards into
+// the registry's totals at quiescent points (when the query finishes).
+// A single-threaded writer such as the evaluator adds to the registry
+// directly. Registration,
 // merging, and snapshotting are single-threaded by contract; only
 // *different shards on different threads* may be touched concurrently.
 //

@@ -7,10 +7,9 @@
 //   optimize > phase:projection
 //   eval > round:17 > rule:3
 //
-// A Trace is single-threaded by contract: the evaluator's worker pool
-// records metrics through per-thread MetricsShards, while spans are only
-// opened and closed by the owning (main) thread at variant/round
-// boundaries. The span count is capped (kDefaultMaxSpans); spans beyond
+// A Trace is single-threaded by contract: spans are only opened and
+// closed by the owning thread, at variant/round boundaries in the
+// evaluator. The span count is capped (kDefaultMaxSpans); spans beyond
 // the cap are dropped and counted, never reallocated mid-run.
 
 #ifndef EXDL_OBS_TRACE_H_

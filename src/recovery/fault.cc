@@ -8,11 +8,11 @@ namespace exdl {
 namespace {
 
 constexpr std::string_view kSites[] = {
-    "storage.arena_grow",     "eval.pool_dispatch",   "snapshot.open",
-    "snapshot.write",         "snapshot.fsync",       "snapshot.rename",
-    "daemon.accept",          "daemon.read",          "daemon.write",
-    "daemon.dispatch",        "factlog.append",       "factlog.fsync",
-    "factlog.compact_rename", "daemon.recover_replay",
+    "storage.arena_grow",     "snapshot.open",        "snapshot.write",
+    "snapshot.fsync",         "snapshot.rename",      "daemon.accept",
+    "daemon.read",            "daemon.write",         "daemon.dispatch",
+    "factlog.append",         "factlog.fsync",        "factlog.compact_rename",
+    "daemon.recover_replay",
 };
 
 }  // namespace

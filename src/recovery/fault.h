@@ -10,7 +10,6 @@
 //
 // The registered sites are:
 //   storage.arena_grow   tuple-arena growth at the end-of-round flush
-//   eval.pool_dispatch   worker-pool dispatch of a parallel rule variant
 //   snapshot.open        opening the checkpoint temp file
 //   snapshot.write       writing snapshot bytes (fails as a short write)
 //   snapshot.fsync       flushing the temp file to stable storage

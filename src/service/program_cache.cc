@@ -14,28 +14,25 @@ CompiledProgram::Ptr ProgramCache::Lookup(std::string_view key) {
   return it->second->second;
 }
 
-size_t ProgramCache::Insert(std::string key, CompiledProgram::Ptr value) {
+void ProgramCache::Insert(std::string key, CompiledProgram::Ptr value) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) {
     ++evictions_;
-    return 1;
+    return;
   }
   auto it = by_key_.find(key);
   if (it != by_key_.end()) {
     it->second->second = std::move(value);
     lru_.splice(lru_.begin(), lru_, it->second);
-    return 0;
+    return;
   }
   lru_.emplace_front(std::move(key), std::move(value));
   by_key_[lru_.front().first] = lru_.begin();
-  size_t evicted = 0;
   while (lru_.size() > capacity_) {
     by_key_.erase(std::string_view(lru_.back().first));
     lru_.pop_back();
     ++evictions_;
-    ++evicted;
   }
-  return evicted;
 }
 
 ProgramCache::Stats ProgramCache::stats() const {

@@ -55,9 +55,9 @@ class ProgramCache {
 
   /// Installs `value` under `key` (replacing any racing entry another
   /// session inserted first — last writer wins; both artifacts are
-  /// equivalent by construction). Returns the number of entries evicted
+  /// equivalent by construction), evicting least-recently-used entries
   /// to stay within capacity.
-  size_t Insert(std::string key, CompiledProgram::Ptr value);
+  void Insert(std::string key, CompiledProgram::Ptr value);
 
   Stats stats() const;
 

@@ -25,9 +25,6 @@ QueryService::QueryService(ServiceOptions options)
   // Register every service metric before the first shard is cut (shards
   // are sized to the registry at creation time).
   obs::MetricsRegistry& metrics = service_telemetry_.metrics();
-  cache_hit_id_ = metrics.Counter("service.cache.hit");
-  cache_miss_id_ = metrics.Counter("service.cache.miss");
-  cache_eviction_id_ = metrics.Counter("service.cache.eviction");
   queries_submitted_id_ = metrics.Counter("service.queries.submitted");
   queries_completed_id_ = metrics.Counter("service.queries.completed");
   queries_failed_id_ = metrics.Counter("service.queries.failed");
@@ -76,17 +73,12 @@ void QueryService::ResolveLocked(Pending& pending) {
     std::string key = CompiledProgram::CacheKeyMaterial(source, options);
     CompiledProgram::Ptr compiled = cache_.Lookup(key);
     pending.cache_hit = compiled != nullptr;
-    if (compiled != nullptr) {
-      pending.shard.Add(cache_hit_id_, 1);
-      return compiled;
-    }
-    pending.shard.Add(cache_miss_id_, 1);
+    if (compiled != nullptr) return compiled;
     EXDL_ASSIGN_OR_RETURN(compiled, CompiledProgram::Compile(
                                         source, options,
                                         pending.telemetry.get(), ctx_));
     if (compiled->report().factored) pending.shard.Add(compile_factored_id_, 1);
-    pending.shard.Add(cache_eviction_id_,
-                      cache_.Insert(std::move(key), compiled));
+    cache_.Insert(std::move(key), compiled);
     return compiled;
   };
   Result<CompiledProgram::Ptr> compiled = lookup_or_compile(options_.compile);

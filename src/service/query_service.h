@@ -7,7 +7,7 @@
 //     and predicate the service ever sees;
 //   * a ProgramCache of immutable CompiledPrograms keyed by source text +
 //     compile options, so re-submitting a query skips parse and optimize
-//     entirely (service.cache.hit, and no "optimize >" spans on a warm
+//     entirely (cache_stats().hits, and no "optimize >" spans on a warm
 //     submission);
 //   * a DatabaseSnapshot of the current EDB generation; LoadFacts builds
 //     the *next* generation from a copy-on-write clone and publishes it,
@@ -241,7 +241,7 @@ class QueryService {
     bool cache_hit = false;
     /// Per-query sink (collect_telemetry), holding the compile's spans.
     std::shared_ptr<obs::Telemetry> telemetry = nullptr;
-    obs::MetricsShard shard;  ///< Cache traffic, then evaluation counters.
+    obs::MetricsShard shard;  ///< Compile, then evaluation counters.
     /// RegisterStandingQuery's ledger for the seeding run (it owns it and
     /// waits for the run).
     ivm::SupportLedger* ledger = nullptr;
@@ -289,9 +289,6 @@ class QueryService {
   obs::Telemetry service_telemetry_;
 
   // Service metric ids (registered in the constructor, before any shard).
-  obs::MetricId cache_hit_id_;
-  obs::MetricId cache_miss_id_;
-  obs::MetricId cache_eviction_id_;
   obs::MetricId queries_submitted_id_;
   obs::MetricId queries_completed_id_;
   obs::MetricId queries_failed_id_;

@@ -1,5 +1,5 @@
-// Integration test driving the exdlc binary end to end (path injected by
-// CMake as EXDLC_PATH).
+// Integration test driving the exdlc and exdld binaries end to end (paths
+// injected by CMake as EXDLC_PATH and EXDLD_PATH).
 
 #include <sys/wait.h>
 
@@ -290,14 +290,45 @@ TEST_F(CliObsTest, UnknownFlagIsUsageError) {
       << out;
 }
 
-// There is one executor: the retired --representation flag is unknown.
-TEST_F(CliObsTest, RepresentationFlagIsUsageError) {
+// A value-taking flag followed by another flag has no value: the second
+// flag is not taken as the first one's value (which the first-occurrence
+// accessors would then read as the flag itself).
+TEST_F(CliObsTest, FlagNameIsNotAFlagValue) {
+  int status = 0;
+  std::string out = RunCommand(
+      Exdlc() + " run " + program_path_ + " --metrics-json --deadline-ms",
+      &status);
+  EXPECT_EQ(DecodeExitCode(status), 2) << out;
+  EXPECT_NE(out.find("--metrics-json requires a value"), std::string::npos)
+      << out;
+  // Without the check this ran and wrote the metrics to a file named
+  // "--trace" in the working directory.
+  out = RunCommand(Exdlc() + " run " + program_path_ + " --metrics-json --trace",
+                   &status);
+  EXPECT_EQ(DecodeExitCode(status), 2) << out;
+  EXPECT_NE(out.find("--metrics-json requires a value"), std::string::npos)
+      << out;
+  out = RunCommand(std::string(EXDLD_PATH) + " --policy --optimize", &status);
+  EXPECT_EQ(DecodeExitCode(status), 2) << out;
+  EXPECT_NE(out.find("--policy requires a value"), std::string::npos) << out;
+}
+
+// Retired flags are unknown: there is one executor (no --representation),
+// and evaluation is serial (no --threads, in either binary).
+TEST_F(CliObsTest, RetiredFlagsAreUsageErrors) {
   int status = 0;
   std::string out = RunCommand(
       Exdlc() + " run " + program_path_ + " --representation bitset", &status);
   EXPECT_EQ(DecodeExitCode(status), 2) << out;
   EXPECT_NE(out.find("unknown flag: --representation"), std::string::npos)
       << out;
+  out = RunCommand(Exdlc() + " run " + program_path_ + " --threads 4",
+                   &status);
+  EXPECT_EQ(DecodeExitCode(status), 2) << out;
+  EXPECT_NE(out.find("unknown flag: --threads"), std::string::npos) << out;
+  out = RunCommand(std::string(EXDLD_PATH) + " --threads 4", &status);
+  EXPECT_EQ(DecodeExitCode(status), 2) << out;
+  EXPECT_NE(out.find("unknown flag: --threads"), std::string::npos) << out;
 }
 
 class CliRecoveryTest : public CliBudgetTest {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/workload.h"
 #include "eval/evaluator.h"
 #include "eval/plan.h"
 #include "service/answer_text.h"
@@ -250,6 +251,78 @@ TEST(EvalTest, StatsAreConsistent) {
   EXPECT_GT(result.stats.rounds, 1u);
   std::string s = result.stats.ToString();
   EXPECT_NE(s.find("rounds="), std::string::npos);
+}
+
+TEST(EvalTest, TimingCountersPopulated) {
+  auto parsed = MustParse(
+      "a(X, Y) :- p(X, Y).\n"
+      "a(X, Y) :- p(X, Z), a(Z, Y).\n"
+      "?- a(X, Y).\n");
+  GraphSpec spec;
+  spec.kind = GraphSpec::Kind::kChain;
+  spec.nodes = 100;
+  PredId p = parsed.ctx->InternPredicate("p", 2);
+  Database edb;
+  MakeGraph(parsed.ctx.get(), &edb, p, spec);
+  EvalResult result = MustEval(parsed.program, edb);
+  EXPECT_GT(result.stats.eval_seconds, 0.0);
+  EXPECT_GT(result.stats.max_round_seconds, 0.0);
+  EXPECT_LE(result.stats.max_round_seconds, result.stats.eval_seconds);
+  EXPECT_NE(result.stats.ToString().find("eval_ms="), std::string::npos);
+  EXPECT_NE(result.stats.ToString().find("max_round_ms="),
+            std::string::npos);
+}
+
+// Mutually recursive unary predicates advanced through a binary probe plus
+// unary membership tests: every rule is bitset-eligible (DESIGN.md §14),
+// and the kernels must match the generic descent a provenance run takes,
+// row for row and counter for counter.
+TEST(EvalTest, MutualRecursionKernelsMatchTheGenericDescent) {
+  auto parsed = MustParse(
+      "odd(Y) :- even(X), p(X, Y).\n"
+      "even(Y) :- odd(X), p(X, Y).\n"
+      "even(X) :- zero(X).\n"
+      "result(X) :- even(X), mark(X).\n"
+      "?- result(X).\n");
+  GraphSpec spec;
+  spec.kind = GraphSpec::Kind::kRandomSparse;
+  spec.nodes = 400;
+  spec.avg_degree = 2.0;
+  spec.seed = 17;
+  PredId p = parsed.ctx->InternPredicate("p", 2);
+  Database edb;
+  std::vector<Value> nodes = MakeGraph(parsed.ctx.get(), &edb, p, spec);
+  PredId zero = parsed.ctx->InternPredicate("zero", 1);
+  PredId mark = parsed.ctx->InternPredicate("mark", 1);
+  edb.AddTuple(zero, std::vector<Value>{nodes[0]});
+  for (size_t i = 0; i < nodes.size(); i += 3) {
+    edb.AddTuple(mark, std::vector<Value>{nodes[i]});
+  }
+  EvalResult kernels = MustEval(parsed.program, edb);
+  EvalOptions generic_options;
+  generic_options.record_provenance = true;
+  EvalResult generic = MustEval(parsed.program, edb, generic_options);
+  ASSERT_EQ(generic.db.relations().size(), kernels.db.relations().size());
+  for (const auto& [pred, rel] : generic.db.relations()) {
+    const Relation* other = kernels.db.Find(pred);
+    ASSERT_NE(other, nullptr) << "missing predicate " << pred;
+    ASSERT_EQ(rel.size(), other->size()) << "size mismatch for " << pred;
+    for (size_t r = 0; r < rel.size(); ++r) {
+      std::span<const Value> a = rel.view().Scan(r);
+      std::span<const Value> b = other->view().Scan(r);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "pred " << pred << " row " << r;
+    }
+  }
+  EXPECT_EQ(generic.answers, kernels.answers);
+  EXPECT_EQ(generic.stats.rounds, kernels.stats.rounds);
+  EXPECT_EQ(generic.stats.rule_firings, kernels.stats.rule_firings);
+  EXPECT_EQ(generic.stats.tuples_inserted, kernels.stats.tuples_inserted);
+  EXPECT_EQ(generic.stats.duplicate_inserts, kernels.stats.duplicate_inserts);
+  EXPECT_EQ(generic.stats.index_probes, kernels.stats.index_probes);
+  EXPECT_EQ(generic.stats.rows_matched, kernels.stats.rows_matched);
+  EXPECT_GT(kernels.representation.words_scanned, 0u);
+  EXPECT_EQ(generic.representation.words_scanned, 0u);
 }
 
 TEST(ExtractAnswersTest, ProjectsAndDeduplicates) {

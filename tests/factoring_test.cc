@@ -4,9 +4,8 @@
 // The shape tests pin which programs the rewrite accepts and that each
 // rejection names its reason. The equivalence tests hold the rewrite to
 // the byte-identity contract: a factored compile answers exactly like the
-// unoptimized program on seeded random graphs at 1 and 4 threads, as a
-// standing view maintained over several fact loads, and across a
-// checkpoint/resume.
+// unoptimized program on seeded random graphs, as a standing view
+// maintained over several fact loads, and across a checkpoint/resume.
 
 #include <cstdio>
 #include <cstdlib>
@@ -278,7 +277,7 @@ std::string RandomGraph(uint64_t seed, int nodes, int edges) {
 
 /// Compiles and runs `source`, returning the rendered answer rows.
 std::string Answers(const std::string& source, bool optimize,
-                    uint32_t threads, bool* factored = nullptr) {
+                    bool* factored = nullptr) {
   CompileOptions compile;
   compile.optimize = optimize;
   Result<CompiledProgram::Ptr> compiled = CompiledProgram::Compile(source,
@@ -286,11 +285,7 @@ std::string Answers(const std::string& source, bool optimize,
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   if (!compiled.ok()) return "";
   if (factored != nullptr) *factored = (*compiled)->report().factored;
-  SessionOptions options;
-  options.eval.num_threads = threads;
-  // Send even tiny deltas to the pool so the 4-thread arm partitions.
-  if (threads > 1) options.eval.pool_min_delta_rows = 1;
-  Session session(std::move(options));
+  Session session{SessionOptions()};
   session.Bind(*compiled);
   Result<EvalResult> result =
       session.Run((*compiled)->SessionEdb(Database()));
@@ -299,7 +294,7 @@ std::string Answers(const std::string& source, bool optimize,
   return RenderAnswerRows(*(*compiled)->context(), result->answers);
 }
 
-TEST(FactoringEquivalenceTest, RandomGraphsAcrossThreads) {
+TEST(FactoringEquivalenceTest, RandomGraphs) {
   struct Shape {
     const char* rules;
     const char* query;
@@ -315,15 +310,10 @@ TEST(FactoringEquivalenceTest, RandomGraphsAcrossThreads) {
                    std::to_string(seed));
       const std::string source = std::string(shape.rules) + facts +
                                  shape.query;
-      const std::string reference =
-          Answers(source, /*optimize=*/false, 1);
-      for (uint32_t threads : {1u, 4u}) {
-        bool factored = false;
-        EXPECT_EQ(Answers(source, /*optimize=*/true, threads, &factored),
-                  reference)
-            << "threads " << threads;
-        EXPECT_TRUE(factored);
-      }
+      bool factored = false;
+      EXPECT_EQ(Answers(source, /*optimize=*/true, &factored),
+                Answers(source, /*optimize=*/false));
+      EXPECT_TRUE(factored);
     }
   }
 }
@@ -508,8 +498,8 @@ TEST(FactoringServiceTest, LookalikeFactsAndLoadsAnswerLikeTheOriginal) {
   const std::string source =
       std::string(kRightLinear) + kSmallGraph + lookalikes + "?- tc(a, Y).\n";
   bool factored = false;
-  const std::string reference = Answers(source, /*optimize=*/false, 1);
-  EXPECT_EQ(Answers(source, /*optimize=*/true, 1, &factored), reference);
+  const std::string reference = Answers(source, /*optimize=*/false);
+  EXPECT_EQ(Answers(source, /*optimize=*/true, &factored), reference);
   EXPECT_TRUE(factored);
   EXPECT_EQ(reference.find("zz"), std::string::npos);
 

@@ -179,14 +179,12 @@ TEST(TraceTest, ScopeIsRaii) {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluator instrumentation: the merged metrics must agree exactly with
-// EvalStats, serially and through the worker pool's per-thread shards.
+// Evaluator instrumentation: the metrics must agree exactly with EvalStats.
 
-void CheckEvalMetricsMatchStats(uint32_t num_threads) {
+TEST(EvalObsTest, SerialMetricsMatchStatsExactly) {
   auto parsed = MustParse(kChain);
   obs::Telemetry telemetry;
   EvalOptions options;
-  options.num_threads = num_threads;
   options.telemetry = &telemetry;
   EvalResult result = testing::MustEval(parsed.program, parsed.edb, options);
   obs::MetricsRegistry& m = telemetry.metrics();
@@ -213,14 +211,6 @@ void CheckEvalMetricsMatchStats(uint32_t num_threads) {
   EXPECT_EQ(firings, result.stats.rule_firings);
   EXPECT_DOUBLE_EQ(m.GaugeValue(m.Gauge("storage.tuples")),
                    static_cast<double>(result.db.TotalTuples()));
-}
-
-TEST(EvalObsTest, SerialMetricsMatchStatsExactly) {
-  CheckEvalMetricsMatchStats(1);
-}
-
-TEST(EvalObsTest, WorkerPoolShardsMergeToSameTotals) {
-  CheckEvalMetricsMatchStats(4);
 }
 
 TEST(EvalObsTest, SpanTreeFollowsRoundsAndRules) {

@@ -72,7 +72,7 @@ std::string MakeCheckpointDir() {
 }
 
 /// Compiles `source` and evaluates it in a fresh Session; `mutate` adjusts
-/// the session options first (checkpoint dir, threads, budget, ...).
+/// the session options first (checkpoint dir, budget, ...).
 struct SessionRun {
   Status status = Status::Ok();   ///< Compile/resume/Run() error, if any.
   EvalResult result;              ///< Valid only when status is OK.
@@ -145,7 +145,6 @@ TEST_F(FaultPlanTest, SpecParsing) {
 
 TEST_F(FaultPlanTest, SiteRegistryIsStable) {
   EXPECT_TRUE(FaultPlan::IsSite("storage.arena_grow"));
-  EXPECT_TRUE(FaultPlan::IsSite("eval.pool_dispatch"));
   EXPECT_TRUE(FaultPlan::IsSite("snapshot.open"));
   EXPECT_TRUE(FaultPlan::IsSite("snapshot.write"));
   EXPECT_TRUE(FaultPlan::IsSite("snapshot.fsync"));
@@ -161,7 +160,7 @@ TEST_F(FaultPlanTest, SiteRegistryIsStable) {
   EXPECT_FALSE(FaultPlan::IsSite("snapshot.unlink"));
   EXPECT_FALSE(FaultPlan::IsSite("daemon.connect"));
   EXPECT_FALSE(FaultPlan::IsSite("factlog.truncate"));
-  EXPECT_EQ(FaultPlan::Sites().size(), 14u);
+  EXPECT_EQ(FaultPlan::Sites().size(), 13u);
 }
 
 TEST_F(FaultPlanTest, NthHitFiresExactlyOnce) {
@@ -523,47 +522,6 @@ TEST_F(RecoveryTest, StratifiedRetiredRuleResumesAtEveryRound) {
   EXPECT_TRUE(resumed_stratified_retired);
 }
 
-TEST_F(RecoveryTest, ParallelCrashResumeIsByteIdentical) {
-  // pool_min_delta_rows = 1 disables the small-delta inline gate so the
-  // chain's tiny delta rounds really dispatch (the armed fault site must
-  // be reachable every round).
-  SessionRun ref = RunSession(ChainSource(200), [](SessionOptions& o) {
-    o.eval.num_threads = 4;
-    o.eval.pool_min_delta_rows = 1;
-  });
-  ASSERT_TRUE(ref.status.ok());
-
-  const std::string dir = MakeCheckpointDir();
-  ASSERT_TRUE(FaultPlan::Global().Arm("eval.pool_dispatch:5").ok());
-  SessionRun crashed = RunSession(ChainSource(200), [&](SessionOptions& o) {
-    o.eval.num_threads = 4;
-    o.eval.pool_min_delta_rows = 1;
-    o.checkpoint_directory = dir;
-    o.eval.checkpoint_every_rounds = 1;
-  });
-  ASSERT_FALSE(crashed.status.ok());
-  ASSERT_GE(FaultPlan::Global().hits(), 5u);  // The pool really dispatched.
-
-  FaultPlan::Global().Disarm();
-  SessionRun resumed = RunSession(
-      ChainSource(200),
-      [](SessionOptions& o) { o.eval.num_threads = 4; },
-      Checkpointer::PathIn(dir));
-  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-  EXPECT_TRUE(SameDatabase(resumed.result.db, ref.result.db));
-  EXPECT_EQ(resumed.result.answers, ref.result.answers);
-  EXPECT_EQ(resumed.result.stats.tuples_inserted,
-            ref.result.stats.tuples_inserted);
-
-  // Cross-mode: a serial resume of the parallel run's checkpoint also
-  // converges to the same state (partition-order merge keeps parallel
-  // rounds byte-identical to serial ones).
-  SessionRun serial_resume = RunSession(
-      ChainSource(200), [](SessionOptions&) {}, Checkpointer::PathIn(dir));
-  ASSERT_TRUE(serial_resume.status.ok());
-  EXPECT_TRUE(SameDatabase(serial_resume.result.db, ref.result.db));
-}
-
 TEST_F(RecoveryTest, BitsetKernelCrashResumeIsByteIdentical) {
   // A monadic program (every rule bitset-eligible, DESIGN.md §14): the
   // checkpoints cut mid-run carry arity-1 relations whose dedup bitsets
@@ -717,15 +675,13 @@ TEST_F(RecoveryTest, CheckpointedRunIsByteIdenticalToPlain) {
 
 TEST_F(RecoveryTest, FaultSweepAlwaysLeavesARecoverablePath) {
   // The in-test edition of tools/fault_sweep.sh: every registered site, two
-  // trigger counts, 4-thread evaluation. Each injected fault must leave
+  // trigger counts. Each injected fault must leave
   // either the correct final result (the fault site was never reached or
   // the failure was absorbed) or a state from which resume — or a plain
   // restart when no checkpoint was ever written — reproduces the reference
   // exactly.
   const std::string source = ChainSource(200);
-  SessionRun ref = RunSession(source, [](SessionOptions& o) {
-    o.eval.num_threads = 4;
-  });
+  SessionRun ref = RunSession(source, [](SessionOptions&) {});
   ASSERT_TRUE(ref.status.ok());
 
   for (std::string_view site : FaultPlan::Sites()) {
@@ -736,7 +692,6 @@ TEST_F(RecoveryTest, FaultSweepAlwaysLeavesARecoverablePath) {
       const std::string dir = MakeCheckpointDir();
       ASSERT_TRUE(FaultPlan::Global().Arm(spec).ok());
       SessionRun faulted = RunSession(source, [&](SessionOptions& o) {
-        o.eval.num_threads = 4;
         o.checkpoint_directory = dir;
         o.eval.checkpoint_every_rounds = 1;
       });
@@ -749,8 +704,7 @@ TEST_F(RecoveryTest, FaultSweepAlwaysLeavesARecoverablePath) {
       const std::string path = Checkpointer::PathIn(dir);
       const bool have_checkpoint = ReadSnapshotFile(path).ok();
       SessionRun recovered = RunSession(
-          source, [](SessionOptions& o) { o.eval.num_threads = 4; },
-          have_checkpoint ? path : "");
+          source, [](SessionOptions&) {}, have_checkpoint ? path : "");
       ASSERT_TRUE(recovered.status.ok()) << recovered.status.ToString();
       EXPECT_TRUE(SameDatabase(recovered.result.db, ref.result.db));
       EXPECT_EQ(recovered.result.answers, ref.result.answers);

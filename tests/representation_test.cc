@@ -5,7 +5,7 @@
 // boolean cuts, cascades, and seeded random programs — the default
 // evaluator (kernels on eligible rules) must produce byte-identical
 // databases (contents AND row order), answers, and work counters to that
-// reference, serially and on 4 threads; and the rendered telemetry
+// reference; and the rendered telemetry
 // documents must be byte-identical once the kernel-specific sections
 // (storage.representation counters, timing fields) are normalized away.
 
@@ -25,8 +25,7 @@
 namespace exdl {
 namespace {
 
-/// Same contract as parallel_eval_test: predicates, sizes, and row order
-/// all match.
+/// Predicates, sizes, and row order all match.
 void ExpectIdenticalDatabases(const Database& a, const Database& b) {
   ASSERT_EQ(a.relations().size(), b.relations().size());
   for (const auto& [pred, rel] : a.relations()) {
@@ -56,19 +55,13 @@ void ExpectSameOutcome(const EvalResult& generic, const EvalResult& run) {
   EXPECT_EQ(generic.stats.budget_tripped, run.stats.budget_tripped);
 }
 
-/// Evaluates at {1, 4} threads and asserts both runs agree with the
-/// generic-descent reference (a provenance run: no kernels, serial).
+/// Asserts a default run agrees with the generic-descent reference (a
+/// provenance run: no kernels).
 void ExpectKernelsEquivalent(const Program& program, const Database& edb) {
   EvalOptions reference_options;
   reference_options.record_provenance = true;
   EvalResult reference = testing::MustEval(program, edb, reference_options);
-  for (uint32_t threads : {1u, 4u}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    EvalResult run = testing::MustEval(program, edb, options);
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    ExpectSameOutcome(reference, run);
-  }
+  ExpectSameOutcome(reference, testing::MustEval(program, edb));
 }
 
 // ---------------------------------------------------------------------------
@@ -188,9 +181,9 @@ constexpr char kProjectionRules[] =
     "s(X) :- zero(X).\n"
     "copy(X) :- s(X).\n";
 
-/// The EDB for kProjectionRules: `e` and `t` large enough that 4 threads
-/// split their scans, `d` with ~500 rows over 40 first-column values (so
-/// nearly every head is a duplicate), and `empty` present with no rows.
+/// The EDB for kProjectionRules: `e` and `t` with hundreds of rows, `d`
+/// with ~500 rows over 40 first-column values (so nearly every head is a
+/// duplicate), and `empty` present with no rows.
 Database ProjectionEdb(Context* ctx) {
   Database edb;
   MakeRandomTuples(ctx, &edb, ctx->InternPredicate("e", 2), 600, 400, 31);
@@ -233,10 +226,8 @@ TEST(RepresentationTest, ProjectionRunsMatchTheGenericDescent) {
 
 TEST(RepresentationTest, GovernedProjectionTripsLikeTheGenericDescent) {
   // A per-round derivation budget the first round exceeds: the governed
-  // projection run returns the same status and (empty) committed prefix
-  // as the reference. Serially it also trips at the same row; pool
-  // workers each count the derivations they made before seeing the trip,
-  // so at 4 threads only the prefix is compared.
+  // projection run trips at the same row as the reference, with the same
+  // status and (empty) committed prefix.
   auto parsed =
       testing::MustParse(std::string(kProjectionRules) + "?- p1(X).\n");
   const Database edb = ProjectionEdb(parsed.ctx.get());
@@ -246,20 +237,12 @@ TEST(RepresentationTest, GovernedProjectionTripsLikeTheGenericDescent) {
   const EvalResult reference =
       testing::MustEval(parsed.program, edb, reference_options);
   ASSERT_EQ(reference.stats.budget_tripped, BudgetKind::kRoundDerivations);
-  for (uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    EvalOptions options;
-    options.num_threads = threads;
-    options.budget.max_derivations_per_round = 700;
-    const EvalResult run = testing::MustEval(parsed.program, edb, options);
-    if (threads == 1) ExpectSameOutcome(reference, run);
-    ExpectIdenticalDatabases(reference.db, run.db);
-    EXPECT_EQ(reference.answers, run.answers);
-    EXPECT_EQ(reference.stats.rounds, run.stats.rounds);
-    EXPECT_EQ(reference.stats.tuples_inserted, run.stats.tuples_inserted);
-    EXPECT_EQ(reference.termination.ToString(), run.termination.ToString());
-    EXPECT_GT(run.representation.projection_rows, 0u);
-  }
+  EvalOptions options;
+  options.budget.max_derivations_per_round = 700;
+  const EvalResult run = testing::MustEval(parsed.program, edb, options);
+  ExpectSameOutcome(reference, run);
+  EXPECT_EQ(reference.termination.ToString(), run.termination.ToString());
+  EXPECT_GT(run.representation.projection_rows, 0u);
 }
 
 TEST(RepresentationTest, GovernedProjectionChunksTripAtTheGenericRow) {
@@ -362,14 +345,13 @@ std::string NormalizeTelemetry(std::string doc) {
 }
 
 std::string TelemetryDocFor(const std::string& source,
-                            bool record_provenance, uint32_t threads) {
+                            bool record_provenance) {
   obs::Telemetry telemetry;
   Result<CompiledProgram::Ptr> compiled =
       CompiledProgram::Compile(source, CompileOptions());
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   SessionOptions options;
   options.eval.record_provenance = record_provenance;
-  options.eval.num_threads = threads;
   options.eval.telemetry = &telemetry;
   Session session(std::move(options));
   session.Bind(*compiled);
@@ -388,16 +370,13 @@ TEST(RepresentationTest, TelemetryDocsMatchModuloKernelSection) {
         "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) + ").\n";
   }
   const std::string generic =
-      TelemetryDocFor(source, /*record_provenance=*/true, 1);
-  for (uint32_t threads : {1u, 4u}) {
-    const std::string kernels =
-        TelemetryDocFor(source, /*record_provenance=*/false, threads);
-    // The raw documents DO differ (kernel counters)...
-    EXPECT_NE(generic, kernels) << threads << " threads";
-    // ...and normalizing exactly the documented section reconciles them.
-    EXPECT_EQ(NormalizeTelemetry(generic), NormalizeTelemetry(kernels))
-        << threads << " threads";
-  }
+      TelemetryDocFor(source, /*record_provenance=*/true);
+  const std::string kernels =
+      TelemetryDocFor(source, /*record_provenance=*/false);
+  // The raw documents DO differ (kernel counters)...
+  EXPECT_NE(generic, kernels);
+  // ...and normalizing exactly the documented section reconciles them.
+  EXPECT_EQ(NormalizeTelemetry(generic), NormalizeTelemetry(kernels));
 }
 
 }  // namespace

@@ -339,10 +339,13 @@ TEST(QueryServiceTest, WarmCacheSkipsParseAndOptimize) {
             AnswerStrings(*service.ctx(), cold.result.answers));
   EXPECT_GE(service.cache_stats().hits, 1u);
 
-  // The merged service document reports the hit.
+  // The merged service document's "service" object reports the hit.
   const std::string metrics = service.MetricsJson();
-  EXPECT_NE(metrics.find("service.cache.hit"), std::string::npos);
-  EXPECT_NE(metrics.find("\"service\""), std::string::npos);
+  const size_t service_at = metrics.find("\"service\":{");
+  ASSERT_NE(service_at, std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("\"cache\":{\"hits\":1,\"misses\":1,", service_at),
+            std::string::npos)
+      << metrics;
 }
 
 TEST(QueryServiceTest, CachedBoundQueryIsFactoredUnlessMagicIsAsked) {

@@ -1,9 +1,9 @@
 // Command-line flag helpers shared by exdlc and exdld.
 //
 // Each binary declares its flags once in a FlagSpec table and validates
-// the argument vector against it; the accessors below then read flag
-// values. A missing or out-of-range value prints one line to stderr and
-// exits 2 (usage).
+// the argument vector against it (ConsumeValue checks each value token);
+// the accessors below then read flag values. A missing or out-of-range
+// value prints one line to stderr and exits 2 (usage).
 
 #ifndef EXDL_TOOLS_CLI_FLAGS_H_
 #define EXDL_TOOLS_CLI_FLAGS_H_
@@ -33,6 +33,20 @@ inline const FlagSpec* FindFlag(std::span<const FlagSpec> table,
     if (arg == spec.name) return &spec;
   }
   return nullptr;
+}
+
+/// Validation step for the value-taking flag at args[i]: returns the index
+/// of its value token. Exits 2 with "<flag> requires a value" when the flag
+/// is the last token or the next token is itself a flag of `table` — the
+/// accessors below find a flag by its first occurrence, so a value that
+/// names a flag would be read as that flag.
+inline size_t ConsumeValue(std::span<const FlagSpec> table,
+                           const std::vector<std::string>& args, size_t i) {
+  if (i + 1 >= args.size() || FindFlag(table, args[i + 1]) != nullptr) {
+    std::cerr << args[i] << " requires a value\n";
+    std::exit(2);
+  }
+  return i + 1;
 }
 
 inline bool HasFlag(const std::vector<std::string>& args,

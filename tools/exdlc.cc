@@ -6,8 +6,7 @@
 //       Print the optimized program and the per-phase report.
 //
 //   exdlc run <file...> [--jobs N] [--naive] [--no-cut] [--optimize]
-//                    [--threads N] [--deadline-ms N] [--max-tuples N]
-//                    [--max-bytes N]
+//                    [--deadline-ms N] [--max-tuples N] [--max-bytes N]
 //                    [--checkpoint-dir DIR] [--checkpoint-every-rounds N]
 //                    [--resume FILE] [--trace] [--metrics-json FILE]
 //       Evaluate the program over the facts in the same file and print
@@ -191,7 +190,7 @@ using cli::FlagValue;
 using cli::FlagValue64;
 using cli::HasFlag;
 
-/// Upper bound of every count-valued flag (threads, jobs, retries, ...).
+/// Upper bound of every count-valued flag (jobs, retries, ...).
 constexpr uint32_t kMaxCount = 1024;
 
 enum : uint32_t {
@@ -214,7 +213,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"--naive", false, kCmdRun},
     {"--no-cut", false, kCmdRun},
     {"--optimize", false, kCmdRun},
-    {"--threads", true, kCmdRun},
     {"--jobs", true, kCmdRun},
     // budgets (requests under `connect`: the daemon clamps them)
     {"--deadline-ms", true, kCmdRun | kCmdConnect},
@@ -246,8 +244,8 @@ constexpr FlagSpec kFlagTable[] = {
 
 /// Strict pass over the argument vector: every token starting with "--"
 /// must be a known flag accepted by `command`; value-taking flags consume
-/// the next token. Positional arguments (paths, fact text) pass through.
-/// Exits 2 on violation.
+/// the next token, which must not itself be a flag. Positional arguments
+/// (paths, fact text) pass through. Exits 2 on violation.
 void ValidateFlags(const std::vector<std::string>& args,
                    const std::string& command, uint32_t command_mask) {
   for (size_t i = 0; i < args.size(); ++i) {
@@ -262,13 +260,7 @@ void ValidateFlags(const std::vector<std::string>& args,
       std::cerr << arg << " is not a valid flag for '" << command << "'\n";
       std::exit(2);
     }
-    if (spec->takes_value) {
-      if (i + 1 >= args.size()) {
-        std::cerr << arg << " requires a value\n";
-        std::exit(2);
-      }
-      ++i;  // skip the value token
-    }
+    if (spec->takes_value) i = cli::ConsumeValue(kFlagTable, args, i);
   }
 }
 
@@ -371,7 +363,6 @@ int CmdRun(const std::string& path, const std::vector<std::string>& flags) {
   SessionOptions options;
   options.eval.seminaive = !HasFlag(flags, "--naive");
   options.eval.boolean_cut = !HasFlag(flags, "--no-cut");
-  options.eval.num_threads = FlagValue(flags, "--threads", 1, 1, kMaxCount);
   // Budget precedence: explicit flags, then EXDL_BUDGET_* environment
   // variables for whatever the flags left unset (see EvalBudget::FromEnv).
   options.eval.budget = EvalBudget::FromEnv(EvalBudget::FromFlags(
@@ -443,7 +434,6 @@ int CmdRunService(const std::vector<std::string>& files,
   options.num_workers = FlagValue(flags, "--jobs", 1, 1, kMaxCount);
   options.eval.seminaive = !HasFlag(flags, "--naive");
   options.eval.boolean_cut = !HasFlag(flags, "--no-cut");
-  options.eval.num_threads = FlagValue(flags, "--threads", 1, 1, kMaxCount);
   // Flag-set limits only; the service resolves EXDL_BUDGET_* per session
   // via EvalBudget::FromEnv.
   options.eval.budget = EvalBudget::FromFlags(

@@ -1,6 +1,6 @@
 // exdld — the ExDatalog query daemon (DESIGN.md §13).
 //
-//   exdld --socket PATH [--policy FILE] [--jobs N] [--threads N]
+//   exdld --socket PATH [--policy FILE] [--jobs N]
 //         [--queue-depth N] [--drain-ms N] [--optimize]
 //         [--data-dir DIR] [--compact-every N] [--max-facts-bytes N]
 //         [--metrics-json FILE]
@@ -20,8 +20,8 @@
 //   --policy FILE       admission-control policy (tenant quotas; see
 //                       src/daemon/admission.h for the format). Without
 //                       it every tenant gets unlimited budgets.
-//   --jobs N            query-service workers (parallel sessions)
-//   --threads N         per-query evaluation threads
+//   --jobs N            query-service workers (parallel sessions; each
+//                       query evaluates on one of them)
 //   --queue-depth N     server-wide in-flight query bound; at the bound
 //                       SUBMIT gets RETRY_LATER (default 64)
 //   --drain-ms N        graceful-drain grace period (default 5000)
@@ -84,7 +84,7 @@ extern "C" void HandleTermSignal(int) {
 
 int Usage() {
   std::cerr << "usage: exdld --socket PATH | --tcp HOST:PORT\n"
-               "             [--policy FILE] [--jobs N] [--threads N]\n"
+               "             [--policy FILE] [--jobs N]\n"
                "             [--queue-depth N] [--drain-ms N] [--optimize]\n"
                "             [--data-dir DIR] [--compact-every N]\n"
                "             [--max-facts-bytes N] [--metrics-json FILE]\n"
@@ -103,7 +103,7 @@ constexpr uint32_t kMaxFlagValue = 1u << 20;
 
 constexpr FlagSpec kFlagTable[] = {
     {"--socket", true},      {"--tcp", true},      {"--policy", true},
-    {"--jobs", true},        {"--threads", true},  {"--queue-depth", true},
+    {"--jobs", true},        {"--queue-depth", true},
     {"--drain-ms", true},    {"--optimize", false},
     {"--data-dir", true},    {"--compact-every", true},
     {"--max-facts-bytes", true},
@@ -124,13 +124,7 @@ int Main(int argc, char** argv) {
       std::cerr << "unknown flag: " << args[i] << "\n";
       return Usage();
     }
-    if (spec->takes_value) {
-      if (i + 1 >= args.size()) {
-        std::cerr << args[i] << " requires a value\n";
-        return 2;
-      }
-      ++i;
-    }
+    if (spec->takes_value) i = cli::ConsumeValue(kFlagTable, args, i);
   }
 
   DaemonOptions options;
@@ -164,8 +158,6 @@ int Main(int argc, char** argv) {
   }
   options.service.num_workers =
       FlagValue(args, "--jobs", 1, 1, kMaxFlagValue);
-  options.service.eval.num_threads =
-      FlagValue(args, "--threads", 1, 1, kMaxFlagValue);
   options.service.compile.optimize = HasFlag(args, "--optimize");
   options.max_pending = FlagValue(args, "--queue-depth", 64, 1, kMaxFlagValue);
   options.drain_timeout_ms =

@@ -5,7 +5,7 @@
 # the single source of truth (src/recovery/fault.cc). Sites are partitioned
 # by prefix:
 #
-#   engine sites (storage.*, eval.*, snapshot.*)
+#   engine sites (storage.*, snapshot.*)
 #     For every trigger depth 1..MAX_HITS (deeper where a sweep asks for
 #     it, to reach every round of its program), run exdlc with an injected
 #     crash (EXDL_FAULT_SPEC="<site>:<n>:abort") and round-boundary
@@ -81,19 +81,16 @@ RUN="timeout 120"
 # ---------------------------------------------------------------------------
 # Engine sweep: crash + checkpoint/resume recovery.
 
-# $1 = program file, $2 = thread count, $3 = label for messages,
-# $4 = extra exdlc run flags (may be empty), $5 = deepest trigger depth
-# (default MAX_HITS)
+# $1 = program file, $2 = label for messages, $3 = extra exdlc run flags
+# (may be empty), $4 = deepest trigger depth (default MAX_HITS)
 run_engine_sweep() {
   prog=$1
-  threads=$2
-  label=$3
-  extra=${4:-}
-  hits=${5:-$MAX_HITS}
+  label=$2
+  extra=${3:-}
+  hits=${4:-$MAX_HITS}
   ref="$WORK/ref_$label.out"
   # shellcheck disable=SC2086  # extra is intentionally split
-  if ! $RUN "$EXDLC" run "$prog" --threads "$threads" $extra >"$ref" \
-      2>/dev/null; then
+  if ! $RUN "$EXDLC" run "$prog" $extra >"$ref" 2>/dev/null; then
     echo "FAIL: $label reference run did not complete"
     fail=1
     return
@@ -106,7 +103,7 @@ run_engine_sweep() {
       out="$WORK/out.txt"
       # shellcheck disable=SC2086  # extra is intentionally split
       EXDL_FAULT_SPEC="$site:$n:abort" $RUN "$EXDLC" run "$prog" \
-        --threads "$threads" $extra --checkpoint-dir "$dir" \
+        $extra --checkpoint-dir "$dir" \
         --checkpoint-every-rounds 1 >"$out" 2>"$WORK/err.txt"
       rc=$?
       if [ "$rc" -eq 0 ]; then
@@ -129,7 +126,7 @@ run_engine_sweep() {
         resume_args="--resume $dir/checkpoint.exdl"
       fi
       # shellcheck disable=SC2086  # resume_args, extra: intentionally split
-      if ! $RUN "$EXDLC" run "$prog" --threads "$threads" $extra \
+      if ! $RUN "$EXDLC" run "$prog" $extra \
           $resume_args >"$out" 2>"$WORK/err.txt"; then
         echo "FAIL: $label $site:$n recovery run failed"
         sed 's/^/    /' "$WORK/err.txt" | head -5
@@ -501,27 +498,25 @@ run_durability_sweep() {  # $1 = jobs, $2 = label
 }
 
 # ---------------------------------------------------------------------------
-# Sweep 1: the stock example, serial. Exercises arena growth and every
-# snapshot I/O site; eval.pool_dispatch is unreachable serially (counts as
-# "completed identical" at every depth, which the sweep verifies too).
-run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" 1 serial
+# Sweep 1: the stock example. Exercises arena growth and every snapshot
+# I/O site.
+run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" serial
 
 # Sweep 1b: the same example optimized. Its bound query ?- tc(n0, Y) is
 # factored into the unary reach/ans program, so the crash and resume paths
 # cover a seeded rewrite whose fingerprint carries the query constant.
-run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" 1 factored --optimize
+run_engine_sweep "$REPO_ROOT/examples/tc_chain.dl" factored --optimize
 
 # Sweep 1c: a two-stratum program whose boolean cut retires a rule in
 # stratum 0's first round. Its 10 rounds (6 in stratum 0) are all swept,
 # one crash per round boundary and checkpoint, so the recoveries resume
 # at stratum 1 too, each with the retired rule restored from the
 # checkpoint.
-run_engine_sweep "$REPO_ROOT/programs/unreached.dl" 1 stratified "" 11
+run_engine_sweep "$REPO_ROOT/programs/unreached.dl" stratified "" 11
 
-# Sweep 2: 128 disjoint 40-edge chains, 4 threads. Their semi-naive delta
-# rounds stay above the evaluator's 4096-row pool gate for the first
-# rounds, so eval.pool_dispatch is reached mid-fixpoint at every depth, and
-# the snapshot sites are re-proved under parallel evaluation.
+# Sweep 2: 128 disjoint 40-edge chains. Wide delta rounds and a fixpoint of
+# about 105k tuples, so arena growth and the snapshot sites are re-proved
+# on a large program, not only on the small examples.
 BIG="$WORK/wide_chains.dl"
 {
   echo "tc(X, Y) :- e(X, Y)."
@@ -538,7 +533,7 @@ BIG="$WORK/wide_chains.dl"
     chain=$((chain + 1))
   done
 } >"$BIG"
-run_engine_sweep "$BIG" 4 parallel
+run_engine_sweep "$BIG" wide
 
 # Sweeps 3 + 4: the daemon sites, serial and 4-worker daemons.
 if [ -n "$EXDLD" ]; then
